@@ -118,10 +118,11 @@ def minimax_cvo(model: str, d: int, n: int, sigma: float, b_bound: float) -> Bou
 
 
 def _upper_over_kappa_sq(k: float, rate: float) -> float:
-    """5/kappa^2 times the rate; infinite when kappa underflows to zero."""
-    if k == 0.0:
+    """5/kappa^2 times the rate; infinite when kappa^2 underflows to zero."""
+    k_sq = k**2
+    if k_sq == 0.0:
         return float("inf")
-    return _THURSTONE_UPPER / k**2 * rate
+    return _THURSTONE_UPPER / k_sq * rate
 
 
 def minimax_seminorm(

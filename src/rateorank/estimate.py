@@ -1,10 +1,14 @@
 """Constrained maximum-likelihood estimation and noise-scale cross-validation.
 
 All models are fit over the same feasible set: mean-zero vectors inside the
-hypercube ``|w_j| <= B``.  The solver is projected gradient descent with an
-Armijo backtracking line search; projection onto the intersection of the two
-constraint sets uses Dykstra's alternating scheme.  The cardinal model has a
-closed form (centered per-item means) and skips the iteration entirely.
+hypercube ``|w_j| <= B``.  The solver is projected gradient descent with a
+safeguarded Barzilai-Borwein step (the spectral projected gradient method of
+Birgin, Martinez and Raydan) and a monotone Armijo backtracking test, so the
+objective never increases.  Projection onto the feasible set is exact: a
+sort-and-breakpoint search for the shift that zeroes the sum of the clipped
+vector (the continuous quadratic knapsack problem, Kiwiel 2008).  The cardinal
+model has a closed form (centered per-item means) and skips the iteration
+entirely.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from .models import CARDINAL, PAIRED_LINEAR, BTL, ModelSpec, ObservationSet, Qua
 DEFAULT_SIGMA_GRID = tuple(2.0**k for k in range(-4, 5))
 
 _ARMIJO_C = 1e-4
-_DYKSTRA_MAX_ITERS = 200
-_DYKSTRA_TOL = 1e-12
 _MIN_STEP = 1e-18
+# Safeguard interval for the Barzilai-Borwein trial step.
+_BB_STEP_RANGE = (1e-10, 1e10)
 
 
 @dataclass(frozen=True)
@@ -69,54 +73,40 @@ class FitResult:
 def project_feasible(v: np.ndarray, b_bound: float) -> np.ndarray:
     """Project onto {mean-zero} intersected with {|w_j| <= b_bound}.
 
-    Runs Dykstra's alternating projections.  The input is centered first:
-    every feasible point lies in the mean-zero subspace, so by Pythagoras the
-    projection of ``v`` equals the projection of its centered part.  The exit
-    test requires both that the iterate stopped moving and that the box-side
-    and subspace-side iterates agree; movement alone goes quiet while the
-    correction vectors are still draining, which silently returns infeasible
-    points.  If the iteration budget runs out before the certificate holds
-    (inputs far outside the box), the exact shift-and-clip solution finishes
-    the job.
+    The input is centered first: every feasible point lies in the mean-zero
+    subspace, so by Pythagoras the projection of ``v`` equals the projection
+    of its centered part ``c``.  The KKT conditions give the solution as
+    ``clip(c - mu, -b, b)``, where the shift ``mu`` zeroes the sum.  That sum,
+    ``g(mu)``, is nonincreasing and piecewise linear with knots at ``c_i -+ b``.
+    Sorting ``c`` and taking prefix sums evaluates ``g`` at all 2d knots in
+    O(d log d); the knot pair where ``g`` changes sign brackets the root, and
+    on that segment the clipped-low / free / clipped-high partition is fixed,
+    so ``mu`` follows exactly from one linear equation.
     """
     x = np.asarray(v, dtype=float)
     x = x - x.mean()
-    centered = x
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for _ in range(_DYKSTRA_MAX_ITERS):
-        s = x + p
-        y = np.clip(s, -b_bound, b_bound)
-        p = s - y
-        s = y + q
-        x_new = s - s.mean()
-        q = s - x_new
-        gap = max(float(np.max(np.abs(x_new - x))), float(np.max(np.abs(x_new - y))))
-        x = x_new
-        if gap <= _DYKSTRA_TOL:
-            return x
-    return _shift_and_clip(centered, b_bound)
+    if np.max(np.abs(x)) <= b_bound:
+        return x
 
+    d = x.size
+    s = np.sort(x)
+    prefix = np.concatenate(([0.0], np.cumsum(s)))
 
-def _shift_and_clip(v: np.ndarray, b_bound: float) -> np.ndarray:
-    """Exact projection onto {mean-zero, box}: clip(v - mu) with mu zeroing the sum.
+    def partition(mu):
+        # s[:lo] clips to -b and s[hi:] clips to +b at shift mu.
+        return np.searchsorted(s, mu - b_bound, side="right"), np.searchsorted(s, mu + b_bound, side="left")
 
-    The sum of ``clip(v - mu)`` is a nonincreasing piecewise-linear function of
-    ``mu`` with breakpoints at ``v_i -+ b``; locate the bracketing segment and
-    interpolate the root exactly.
-    """
-    breakpoints = np.sort(np.concatenate([v - b_bound, v + b_bound]))
-    sums = np.array([float(np.clip(v - mu, -b_bound, b_bound).sum()) for mu in breakpoints])
-    idx = int(np.searchsorted(-sums, 0.0, side="left"))
-    if idx == 0:
-        mu = breakpoints[0]
-    elif idx == breakpoints.size:
-        mu = breakpoints[-1]
-    else:
-        lo, hi = breakpoints[idx - 1], breakpoints[idx]
-        f_lo, f_hi = sums[idx - 1], sums[idx]
-        mu = lo if f_lo == f_hi else lo + f_lo * (hi - lo) / (f_lo - f_hi)
-    x = np.clip(v - mu, -b_bound, b_bound)
+    knots = np.sort(np.concatenate((s - b_bound, s + b_bound)))
+    lo, hi = partition(knots)
+    g = prefix[hi] - prefix[lo] - knots * (hi - lo) + b_bound * (d - hi - lo)
+    # g(knots[0]) = d*b > 0 and g(knots[-1]) = -d*b < 0; take the first sign change.
+    k = min(max(int(np.argmax(g <= 0.0)), 1), knots.size - 1)
+    left, right = knots[k - 1], knots[k]
+    mid = 0.5 * (left + right)
+    lo, hi = (int(i) for i in partition(mid))
+    # With no free coordinate g is flat (zero) on the segment and any shift in it is a root.
+    mu = (prefix[hi] - prefix[lo] + b_bound * (d - hi - lo)) / (hi - lo) if hi > lo else mid
+    x = np.clip(x - min(max(mu, left), right), -b_bound, b_bound)
     # Spread any float dust in the sum over the unclipped coordinates.
     free = np.abs(x) < b_bound
     if np.any(free):
@@ -182,13 +172,13 @@ def mle_fit(obs: ObservationSet, config: FitConfig) -> FitResult:
     tol = _grad_tol(config, obs.n)
     w = np.zeros(obs.d)
     f = models.neg_log_likelihood(spec, w, obs)
+    g = models.gradient(spec, w, obs)
     path = [f]
     step = _initial_step(spec, laplacian.lambda1)
     converged = False
     iterations = 0
 
     for iterations in range(1, config.max_iters + 1):
-        g = models.gradient(spec, w, obs)
         # Fixed-point residual of the projected-gradient map with unit step.
         residual = w - project_feasible(w - g, config.b_bound)
         if float(np.linalg.norm(residual)) <= tol:
@@ -196,7 +186,7 @@ def mle_fit(obs: ObservationSet, config: FitConfig) -> FitResult:
             iterations -= 1
             break
 
-        t = 2.0 * step
+        t = step
         while True:
             w_new = project_feasible(w - t * g, config.b_bound)
             f_new = models.neg_log_likelihood(spec, w_new, obs)
@@ -204,14 +194,17 @@ def mle_fit(obs: ObservationSet, config: FitConfig) -> FitResult:
                 break
             t *= 0.5
             if t < _MIN_STEP:
-                w_new, f_new = w, f  # no descent possible at any step size
                 break
         if t < _MIN_STEP:
-            residual = w - project_feasible(w - models.gradient(spec, w, obs), config.b_bound)
-            converged = float(np.linalg.norm(residual)) <= tol
+            # No descent at any step size; the residual at w already failed the test.
             break
-        step = t
-        w, f = w_new, f_new
+
+        g_new = models.gradient(spec, w_new, obs)
+        s, y = w_new - w, g_new - g
+        curvature = float(s @ y)
+        # BB1 step s's / s'y; a nonpositive curvature estimate keeps the last accepted step.
+        step = float(np.clip(float(s @ s) / curvature, *_BB_STEP_RANGE)) if curvature > 0 else t
+        w, f, g = w_new, f_new, g_new
         path.append(f)
 
     return FitResult(

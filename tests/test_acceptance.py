@@ -105,10 +105,6 @@ def test_c04_risk_decays_like_one_over_n():
             w_rule={"rule": "uniform_box", "b": 0.5},
             trials=80,
             seed=404,
-            # KKT residual 1e-4 keeps the iterate within ~1e-7 of the optimum,
-            # invisible at risk scale; the default (1e-8*n) sits below the
-            # line search's float-resolution stall at these edge weights.
-            fit=rr.FitConfig(b_bound=1.0, grad_tol=1e-4),
         )
         metric = "per_item_l2_sq" if kind == "cardinal" else "seminorm_sq"
         means = {row.value: row.mean for row in rr.sweep(cfg, "n", budgets) if row.metric == metric}
@@ -129,7 +125,6 @@ def test_c05_topology_ordering():
             w_rule={"rule": "uniform_box", "b": 0.5},
             trials=250,
             seed=505,
-            fit=rr.FitConfig(b_bound=1.0, grad_tol=1e-4),  # see note in test_c04
         )
         means[kind] = rr.run_experiment(cfg)["per_item_l2_sq"].mean
     expander_ratio = means["expander"] / means["complete"]

@@ -127,6 +127,13 @@ class TestDecide:
         assert d.verdict == "indeterminate"
         assert d.ordinal_interval == (0.0, np.inf)
 
+    def test_kappa_squared_underflow_is_infinite_upper(self):
+        # kappa(1, 0.07) ~ 7.6e-180 is still positive, but its square underflows.
+        assert rr.kappa(1.0, 0.07) > 0.0
+        d = rr.decide(1.0, 0.07)
+        assert d.verdict == "indeterminate"
+        assert d.ordinal_interval[1] == np.inf
+
     def test_scale_consistency(self):
         for c in (0.1, 3.0, 40.0):
             base = rr.decide(0.3, 2.0, 1.0).verdict
@@ -148,6 +155,12 @@ class TestDecisionGrid:
         cs = sorted({sc for sc, _, _ in rows})
         assert cs[0] == pytest.approx(0.01) and cs[-1] == pytest.approx(10.0)
         assert np.allclose(np.diff(np.log(cs)), np.log(cs[1] / cs[0]))
+
+    def test_readme_range_reaches_underflow(self):
+        rows = rr.decision_grid((0.01, 10.0), (0.01, 10.0), resolution=20)
+        assert len(rows) == 400
+        tiny = [verdict for _, so, verdict in rows if so < 0.07]
+        assert tiny and set(tiny) == {"indeterminate"}
 
     def test_csv_roundtrip(self, tmp_path):
         rows = rr.decision_grid((0.1, 1.0), (0.5, 2.0), resolution=3)

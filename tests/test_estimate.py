@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import rateorank as rr
 from helpers import grid_minimum
@@ -51,6 +54,33 @@ class TestProjection:
         v = rng.normal(size=8) * 50
         x = rr.project_feasible(v, 1.0)
         assert np.allclose(rr.project_feasible(x, 1.0), x, atol=1e-10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        v=st.integers(1, 25).flatmap(
+            lambda d: arrays(float, d, elements=st.floats(-1e3, 1e3, allow_nan=False))
+        ),
+        b=st.floats(0.01, 10.0),
+    )
+    def test_kkt_conditions(self, v, b):
+        x = rr.project_feasible(v, b)
+        assert abs(x.sum()) <= 1e-9
+        assert np.max(np.abs(x)) <= b * (1 + 1e-12)
+        # KKT: x = clip(v_bar - mu) for one shift mu, so r = v_bar - x equals mu
+        # on free coordinates, is >= mu where x = b and <= mu where x = -b.
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(v))))
+        r = (v - v.mean()) - x
+        upper = x >= b - 1e-12 * b
+        lower = x <= -b + 1e-12 * b
+        free = ~(upper | lower)
+        if np.any(free):
+            mu = float(np.mean(r[free]))
+            assert np.ptp(r[free]) <= tol
+            assert np.all(r[upper] >= mu - tol)
+            assert np.all(r[lower] <= mu + tol)
+        else:  # every coordinate on a face: some mu must separate the two faces
+            assert np.max(r[lower]) <= np.min(r[upper]) + tol
+        assert np.allclose(rr.project_feasible(x, b), x, rtol=0.0, atol=1e-12 * max(1.0, b))
 
 
 class TestCardinalFit:
@@ -123,6 +153,17 @@ class TestMleFit:
             res = rr.mle_fit(obs, rr.FitConfig(b_bound=1.0))
             oracle_val, _ = grid_minimum(spec, obs, 1.0)
             assert res.final_nll <= oracle_val + 1e-6
+
+    @pytest.mark.parametrize("n", [8000, 32000])
+    def test_paired_linear_complete_graph_converges_fast(self, n):
+        # A quadratic objective with a well-conditioned Hessian: a fit that
+        # needs more than a handful of iterations has a broken step rule.
+        w = rr.QualityVector.centered(np.random.default_rng(n).uniform(-0.5, 0.5, 10), b_bound=1.0)
+        spec = rr.ModelSpec("paired_linear", sigma=1.0)
+        obs = rr.sample(spec, w, _complete_design(10, n // 45 + 1)[:n], 7)
+        res = rr.mle_fit(obs, rr.FitConfig(b_bound=1.0))
+        assert res.converged
+        assert res.iterations <= 20
 
     def test_iteration_cap_reports_nonconvergence(self):
         rng = np.random.default_rng(12)
