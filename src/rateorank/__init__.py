@@ -32,7 +32,6 @@ from .estimate import DEFAULT_SIGMA_GRID, FitConfig, FitResult, cv_sigma, mle_fi
 from .graph import (
     RANK_TOL,
     TOPOLOGY_KINDS,
-    ComparisonEdge,
     ComparisonGraph,
     Laplacian,
     SpectralSummary,

@@ -7,6 +7,11 @@ differencing vectors of the design, and ``M / n`` (``n`` = total number of
 comparisons) is the standardized design covariance.  Risk bounds, packings and
 seminorm metrics are all phrased in terms of ``M``, its Moore-Penrose
 pseudoinverse and its spectrum, so those objects live here.
+
+Building a graph or a Laplacian is array work from start to end: the
+``(left, right, weight)`` triples are validated at once, merged by sorting
+canonical pair codes, and scattered into ``M`` with ``bincount`` degrees on
+the diagonal.  Weights are integers, so ``M`` holds exact integer values.
 """
 
 from __future__ import annotations
@@ -29,20 +34,6 @@ _EXPANDER_MAX_ATTEMPTS = 5000
 
 
 @dataclass(frozen=True)
-class ComparisonEdge:
-    """One compared pair; ``left`` carries +1 and ``right`` -1 in the differencing vector."""
-
-    left: int
-    right: int
-
-    def __post_init__(self) -> None:
-        if self.left == self.right:
-            raise ValueError(f"edge must join two distinct items, got ({self.left}, {self.right})")
-        if self.left < 0 or self.right < 0:
-            raise IndexError(f"item indices must be nonnegative, got ({self.left}, {self.right})")
-
-
-@dataclass(frozen=True)
 class ComparisonGraph:
     """A weighted comparison multigraph on ``d`` items.
 
@@ -60,30 +51,58 @@ class ComparisonGraph:
         return sum(w for _, _, w in self.edges)
 
     def to_design(self) -> np.ndarray:
-        """Expand the multigraph into an (n, 2) array of comparison rows."""
-        rows = [(a, b) for a, b, w in self.edges for _ in range(w)]
-        return np.array(rows, dtype=np.intp)
+        """Expand the multigraph into an (n, 2) array of comparison rows, edge by edge."""
+        edges = np.array(self.edges, dtype=np.intp).reshape(-1, 3)
+        return np.repeat(edges[:, :2], edges[:, 2], axis=0)
 
 
-def comparison_graph(d: int, weighted_edges) -> ComparisonGraph:
-    """Build a :class:`ComparisonGraph`, merging duplicates and validating ranges."""
+def _merge_edges(d: int, weighted_edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate ``(left, right, weight)`` triples and merge each pair's triples.
+
+    ``weighted_edges`` is an (E, 3) array or an iterable of triples; all of
+    them are checked at once, and the first bad triple in input order decides
+    the error.  Returns ``(left, right, weight)`` int64 arrays with
+    ``left < right`` in lexicographic order, each weight the exact sum over
+    both orientations and all duplicates of that pair.
+    """
     if d < 2:
         raise ValueError(f"need at least 2 items, got d={d}")
-    merged: dict[tuple[int, int], int] = {}
-    for a, b, w in weighted_edges:
-        a, b, w = int(a), int(b), int(w)
+    if not isinstance(weighted_edges, np.ndarray):
+        weighted_edges = list(weighted_edges)
+    triples = np.asarray(weighted_edges)
+    if triples.size == 0:
+        triples = triples.reshape(0, 3)
+    if triples.ndim != 2 or triples.shape[1] != 3:
+        raise ValueError(f"expected (left, right, weight) triples, got shape {triples.shape}")
+    left, right, weight = triples.astype(np.int64, copy=False).T
+    bad = (left == right) | (left < 0) | (left >= d) | (right < 0) | (right >= d) | (weight <= 0)
+    first_bad = np.flatnonzero(bad)
+    if first_bad.size:
+        i = first_bad[0]
+        a, b, w = int(left[i]), int(right[i]), int(weight[i])
         if a == b:
             raise ValueError(f"self-comparison ({a}, {b}) is not allowed")
         if not (0 <= a < d and 0 <= b < d):
             raise IndexError(f"edge ({a}, {b}) out of range for d={d}")
-        if w <= 0:
-            raise ValueError(f"edge ({a}, {b}) has nonpositive weight {w}")
-        key = (min(a, b), max(a, b))
-        merged[key] = merged.get(key, 0) + w
-    if not merged:
+        raise ValueError(f"edge ({a}, {b}) has nonpositive weight {w}")
+    if left.size == 0:
         raise ValueError("a comparison graph needs at least one edge")
-    edges = tuple((a, b, merged[(a, b)]) for a, b in sorted(merged))
-    return ComparisonGraph(d=d, edges=edges)
+    codes = np.minimum(left, right) * d + np.maximum(left, right)
+    order = np.argsort(codes)
+    codes = codes[order]
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    keys = codes[starts]
+    return keys // d, keys % d, np.add.reduceat(weight[order], starts)
+
+
+def comparison_graph(d: int, weighted_edges) -> ComparisonGraph:
+    """Build a :class:`ComparisonGraph`, merging duplicates and validating ranges.
+
+    ``weighted_edges`` is an (E, 3) array or an iterable of
+    ``(left, right, weight)`` triples.
+    """
+    left, right, weight = _merge_edges(d, weighted_edges)
+    return ComparisonGraph(d=d, edges=tuple(zip(left.tolist(), right.tolist(), weight.tolist())))
 
 
 @dataclass(frozen=True)
@@ -136,21 +155,22 @@ class SpectralSummary:
 def build_laplacian(d: int, weighted_edges) -> Laplacian:
     """Assemble the Laplacian of a weighted comparison graph and eigendecompose it.
 
-    ``weighted_edges`` is an iterable of ``(left, right, weight)`` triples.
+    ``weighted_edges`` is an (E, 3) array or an iterable of
+    ``(left, right, weight)`` triples.  ``M`` is filled from the merged edge
+    arrays without a Python loop; its entries are exact integer sums.
     """
-    graph = comparison_graph(d, weighted_edges)
+    left, right, weight = _merge_edges(d, weighted_edges)
+    w = weight.astype(float)
     m = np.zeros((d, d))
-    for a, b, w in graph.edges:
-        m[a, a] += w
-        m[b, b] += w
-        m[a, b] -= w
-        m[b, a] -= w
+    m[left, right] = -w
+    m[right, left] = -w
+    m[np.diag_indices(d)] = np.bincount(left, w, minlength=d) + np.bincount(right, w, minlength=d)
     eigenvalues, eigenvectors = np.linalg.eigh(m)
     # eigh returns ascending order; flip to nonincreasing.
     eigenvalues = eigenvalues[::-1].copy()
     eigenvectors = eigenvectors[:, ::-1].copy()
     eigenvalues[eigenvalues < RANK_TOL * eigenvalues[0]] = 0.0
-    return Laplacian(m=m, n=graph.n, eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    return Laplacian(m=m, n=int(weight.sum()), eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def laplacian_of(graph: ComparisonGraph) -> Laplacian:
@@ -163,7 +183,7 @@ def build_laplacian_from_design(d: int, design: np.ndarray) -> Laplacian:
     design = np.asarray(design, dtype=np.intp)
     if design.ndim != 2 or design.shape[1] != 2:
         raise ValueError(f"design must have shape (n, 2), got {design.shape}")
-    return build_laplacian(d, [(a, b, 1) for a, b in design])
+    return build_laplacian(d, np.column_stack((design, np.ones(len(design), dtype=np.intp))))
 
 
 def pseudo_inverse(laplacian: Laplacian) -> np.ndarray:

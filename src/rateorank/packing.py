@@ -67,36 +67,35 @@ def gv_code(length: int, min_distance: int, target_count: int) -> BinaryCode:
         raise ValueError(f"target_count must be >= 1, got {target_count}")
 
     bit_positions = np.arange(length, dtype=np.uint64)
-    kept: list[np.ndarray] = []
+    kept = np.empty((0, length), dtype=np.int64)
     total = 1 << length
     start = 0
     while start < total and len(kept) < target_count:
         stop = min(start + _SCAN_BLOCK, total)
         block = np.arange(start, stop, dtype=np.uint64)
         bits = ((block[:, None] >> bit_positions) & np.uint64(1)).astype(np.int64)
-        if kept:
-            old = np.asarray(kept)
+        if len(kept):
             # Hamming distance to every kept word via two inner products.
-            dist = bits @ (1 - old.T) + (1 - bits) @ old.T
+            dist = bits @ (1 - kept.T) + (1 - bits) @ kept.T
             candidates = bits[dist.min(axis=1) >= min_distance]
         else:
             candidates = bits
-        fresh: list[np.ndarray] = []
+        # Words accepted in this block fill a preallocated prefix.
+        fresh = np.empty((min(len(candidates), target_count - len(kept)), length), dtype=np.int64)
+        filled = 0
         for word in candidates:
-            if fresh:
-                block_dist = np.abs(np.asarray(fresh) - word).sum(axis=1)
-                if int(block_dist.min()) < min_distance:
-                    continue
-            fresh.append(word)
-            if len(kept) + len(fresh) >= target_count:
+            if filled and int((fresh[:filled] != word).sum(axis=1).min()) < min_distance:
+                continue
+            fresh[filled] = word
+            filled += 1
+            if filled == len(fresh):
                 break
-        kept.extend(fresh)
+        kept = np.concatenate((kept, fresh[:filled]))
         start = stop
-    words = np.asarray(kept, dtype=np.int64).reshape(len(kept), length)
     return BinaryCode(
         length=length,
         min_distance=min_distance,
-        words=words,
+        words=kept,
         shortfall=len(kept) < target_count,
     )
 

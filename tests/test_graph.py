@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rateorank import (
     ComparisonGraph,
@@ -35,6 +37,83 @@ def test_graph_validation():
         comparison_graph(3, [(0, 1, 0)])
     with pytest.raises(ValueError):
         comparison_graph(3, [])
+    # Mixed lists: the first bad triple in input order decides type and message.
+    with pytest.raises(IndexError, match=r"edge \(0, 5\) out of range for d=3"):
+        comparison_graph(3, [(0, 1, 1), (0, 5, 1), (1, 1, 1)])
+    with pytest.raises(ValueError, match=r"self-comparison \(1, 1\)"):
+        comparison_graph(3, [(0, 1, 1), (1, 1, 1), (0, 5, 1)])
+    with pytest.raises(ValueError, match=r"edge \(2, 0\) has nonpositive weight -4"):
+        comparison_graph(3, [(1, 0, 2), (2, 0, -4), (0, 5, 1), (2, 2, 1)])
+    # Within one triple: self-comparison, then range, then weight.
+    with pytest.raises(ValueError, match="self-comparison"):
+        comparison_graph(3, [(7, 7, 0)])
+    with pytest.raises(IndexError, match=r"\(-1, 2\)"):
+        comparison_graph(3, [(-1, 2, 0)])
+    with pytest.raises(ValueError, match="at least 2 items"):
+        comparison_graph(1, [(0, 5, 1)])
+    with pytest.raises(ValueError, match="at least one edge"):
+        build_laplacian(3, [])
+    with pytest.raises(ValueError, match=r"self-comparison \(2, 2\)"):
+        build_laplacian_from_design(3, np.array([[0, 1], [2, 2], [0, 3]]))
+    with pytest.raises(IndexError, match=r"\(0, 3\)"):
+        build_laplacian_from_design(3, np.array([[0, 1], [0, 3], [2, 2]]))
+
+
+def test_generator_input():
+    triples = [(0, 1, 1), (2, 1, 3), (1, 0, 2)]
+    g = comparison_graph(3, (t for t in triples))
+    assert g.edges == ((0, 1, 3), (1, 2, 3))
+    lap = build_laplacian(3, iter(triples))
+    assert np.array_equal(lap.m, laplacian_of(g).m)
+    assert lap.n == 6
+    assert comparison_graph(3, np.array(triples)) == g
+
+
+def _dict_merge(triples):
+    merged = {}
+    for a, b, w in triples:
+        key = (min(a, b), max(a, b))
+        merged[key] = merged.get(key, 0) + w
+    return tuple((a, b, merged[(a, b)]) for a, b in sorted(merged))
+
+
+def _loop_laplacian(d, edges):
+    m = np.zeros((d, d))
+    for a, b, w in edges:
+        m[a, a] += w
+        m[b, b] += w
+        m[a, b] -= w
+        m[b, a] -= w
+    return m
+
+
+@st.composite
+def _triple_lists(draw):
+    d = draw(st.integers(2, 9))
+    item = st.integers(0, d - 1)
+    pair = st.tuples(item, item).filter(lambda p: p[0] != p[1])
+    weight = st.one_of(st.integers(1, 5), st.integers(1, 2**40))
+    pairs = draw(st.lists(pair, min_size=1, max_size=40))
+    # Repeat some pairs, in either orientation, so merging has work to do.
+    pairs += [p[::-1] if flip else p for p, flip in draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans())))]
+    return d, [(a, b, draw(weight)) for a, b in pairs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_triple_lists())
+def test_array_build_matches_loop_reference(case):
+    d, triples = case
+    g = comparison_graph(d, triples)
+    assert g.edges == _dict_merge(triples)
+    assert all(type(x) is int for edge in g.edges for x in edge)
+    lap = build_laplacian(d, triples)
+    assert np.all(lap.m == _loop_laplacian(d, g.edges))
+    assert lap.n == sum(w for _, _, w in triples)
+    # Small weights keep the row expansion short.
+    small = comparison_graph(d, [(a, b, 1 + w % 4) for a, b, w in triples])
+    design = small.to_design()
+    assert design.tolist() == [[a, b] for a, b, w in small.edges for _ in range(w)]
+    assert np.all(build_laplacian_from_design(d, design).m == laplacian_of(small).m)
 
 
 def test_single_edge_spectrum():

@@ -10,12 +10,11 @@ import rateorank as rr
 def _greedy_oracle(length, dist, target):
     kept = []
     for v in range(1 << length):
-        bits = [(v >> i) & 1 for i in range(length)]
-        if all(sum(a != b for a, b in zip(bits, k)) >= dist for k in kept):
-            kept.append(bits)
+        if all(bin(v ^ k).count("1") >= dist for k in kept):
+            kept.append(v)
             if len(kept) >= target:
                 break
-    return kept
+    return [[(v >> i) & 1 for i in range(length)] for v in kept]
 
 
 def _complete_laplacian(d):
@@ -33,10 +32,17 @@ class TestHammingBall:
 
 
 class TestGvCode:
-    @pytest.mark.parametrize("length,dist,target", [(10, 3, 40), (12, 5, 30), (8, 4, 6), (4, 3, 100)])
+    @pytest.mark.parametrize("length,dist,target", [
+        (10, 3, 40), (12, 5, 30), (8, 4, 6), (4, 3, 100),
+        (29, 5, 49),  # the code behind `pack --d 30 --alpha 0.15`
+        (17, 9, 100),  # scans two blocks of the space, then runs out
+    ])
     def test_matches_sequential_greedy(self, length, dist, target):
         code = rr.gv_code(length, dist, target)
-        assert code.words.tolist() == _greedy_oracle(length, dist, target)
+        expected = _greedy_oracle(length, dist, target)
+        assert code.words.tolist() == expected
+        assert code.words.dtype == np.int64
+        assert code.shortfall is (len(expected) < target)
 
     def test_pairwise_distance_and_volume_guarantee(self):
         code = rr.gv_code(11, 4, 10**6)  # force exhaustion of the space
