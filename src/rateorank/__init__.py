@@ -40,8 +40,10 @@ from .graph import (
     comparison_graph,
     generate_topology,
     laplacian_of,
+    RowFormat,
     pseudo_inverse,
     read_edge_list,
+    read_rows,
     spectral_summary,
     write_edge_list,
 )
@@ -93,6 +95,7 @@ from .sim import (
     scaled_l2_sq,
     seminorm_sq,
     sweep,
+    sweep_point,
     write_sweep_csv,
 )
 

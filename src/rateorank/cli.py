@@ -22,15 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, bounds, estimate, graph, models, packing, sim
-from .errors import (
-    ConnectivityError,
-    DataFormatError,
-    FoldError,
-    InsufficientDataError,
-    ModelKindError,
-    PackingConstructionError,
-    RateorankError,
-)
+from .errors import DataFormatError, ModelKindError, RateorankError
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -66,67 +58,19 @@ class Dataset:
         return models.ObservationSet(spec, self.d, self.design, self.outcomes)
 
 
-def _data_rows(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            yield line_no, [part.strip() for part in text.split(",")]
-
-
-def _index_ids(names: list[str], id_order: str) -> dict[str, int]:
-    if id_order == "sorted":
-        return {name: i for i, name in enumerate(sorted(set(names)))}
-    ids: dict[str, int] = {}
-    for name in names:
-        if name not in ids:
-            ids[name] = len(ids)
-    return ids
+_OUTCOMES = {"+1": 1.0, "1": 1.0, "-1": -1.0}
+COMPARISON_ROWS = graph.RowFormat("left,right,outcome", "comparison", _OUTCOMES.__getitem__, "+1 or -1")
+RATING_ROWS = graph.RowFormat("item,rating", "rating", float, "a number")
 
 
 def read_ordinal_csv(path, id_order: str = "first-appearance") -> Dataset:
     """Read ``left,right,outcome`` rows with outcomes exactly +1 or -1."""
-    names: list[str] = []
-    rows: list[tuple[str, str, float]] = []
-    for line_no, parts in _data_rows(path):
-        if len(parts) != 3:
-            raise DataFormatError(f"{path}, line {line_no}: expected 'left,right,outcome', got {','.join(parts)!r}")
-        left, right, outcome_text = parts
-        if outcome_text not in ("+1", "1", "-1"):
-            raise DataFormatError(f"{path}, line {line_no}: outcome must be +1 or -1, got {outcome_text!r}")
-        if left == right:
-            raise DataFormatError(f"{path}, line {line_no}: an item cannot be compared with itself")
-        names.extend((left, right))
-        rows.append((left, right, float(int(outcome_text))))
-    if not rows:
-        raise DataFormatError(f"{path}: no comparison rows found")
-    ids = _index_ids(names, id_order)
-    design = np.array([(ids[l], ids[r]) for l, r, _ in rows], dtype=np.intp)
-    outcomes = np.array([y for _, _, y in rows])
-    return Dataset("ordinal", tuple(ids), design, outcomes)
+    return Dataset("ordinal", *graph.read_rows(path, COMPARISON_ROWS, id_order))
 
 
 def read_cardinal_csv(path, id_order: str = "first-appearance") -> Dataset:
     """Read ``item,rating`` rows with real-valued ratings."""
-    names: list[str] = []
-    rows: list[tuple[str, float]] = []
-    for line_no, parts in _data_rows(path):
-        if len(parts) != 2:
-            raise DataFormatError(f"{path}, line {line_no}: expected 'item,rating', got {','.join(parts)!r}")
-        item, rating_text = parts
-        try:
-            rating = float(rating_text)
-        except ValueError:
-            raise DataFormatError(f"{path}, line {line_no}: rating must be a number, got {rating_text!r}") from None
-        names.append(item)
-        rows.append((item, rating))
-    if not rows:
-        raise DataFormatError(f"{path}: no rating rows found")
-    ids = _index_ids(names, id_order)
-    design = np.array([ids[item] for item, _ in rows], dtype=np.intp)
-    outcomes = np.array([rating for _, rating in rows])
-    return Dataset("cardinal", tuple(ids), design, outcomes)
+    return Dataset("cardinal", *graph.read_rows(path, RATING_ROWS, id_order))
 
 
 def result_document(
@@ -220,8 +164,7 @@ def cmd_fit(args) -> int:
 
     bound_report = None
     if args.model != "cardinal":
-        lap = graph.build_laplacian_from_design(obs.d, obs.design)
-        summary = graph.spectral_summary(lap)
+        summary = graph.spectral_summary(result.laplacian)
         bound_report = bounds.minimax_seminorm(
             args.model, obs.d, obs.n, obs.model.sigma, args.b_bound, summary.trace_pinv_std
         )
@@ -340,8 +283,7 @@ def parse_experiment_config(doc: dict) -> tuple[sim.ExperimentConfig, str | None
     return config, sweep_param, sweep_values
 
 
-def _row_bound(config: sim.ExperimentConfig, param: str, value) -> bounds.BoundReport | None:
-    point = sim._apply_sweep_value(config, param, value) if param else config
+def _row_bound(point: sim.ExperimentConfig) -> bounds.BoundReport | None:
     spec, topo = point.model, point.topology
     try:
         if spec.kind == models.CARDINAL:
@@ -369,11 +311,13 @@ def cmd_simulate(args) -> int:
         sim.write_sweep_csv(rows, args.out)
 
     headline = sim.METRIC_SEMINORM if config.model.kind != models.CARDINAL else sim.METRIC_PER_ITEM
+    # Each sweep point has exactly one headline row, in sweep order.
+    points = (sim.sweep_point(config, sweep_param, value, i) for i, value in enumerate(sweep_values))
     for row in rows:
         line = (f"{row.param}={row.value} {row.metric}: mean={row.mean:.6g} "
                 f"stderr={row.stderr:.3g} trials={row.trials} failures={row.failures}")
         if row.metric == headline:
-            report = _row_bound(config, row.param, row.value)
+            report = _row_bound(next(points))
             if report is not None:
                 line += f"  bound=[{report.lower:.3g}, {report.upper:.3g}]"
         print(line)
@@ -470,11 +414,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, IndexError) as exc:
-        if isinstance(exc, (ConnectivityError, ModelKindError, FoldError, InsufficientDataError, PackingConstructionError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_MODEL
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_MODEL if isinstance(exc, RateorankError) else EXIT_DATA
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import models
 from .errors import ConnectivityError, FoldError, InsufficientDataError
-from .graph import build_laplacian_from_design
+from .graph import Laplacian, build_laplacian_from_design
 from .models import CARDINAL, PAIRED_LINEAR, BTL, ModelSpec, ObservationSet, QualityVector
 
 #: Default cross-validation grid: powers of two from 1/16 to 16.
@@ -68,6 +68,8 @@ class FitResult:
     converged: bool
     active_box: tuple[int, ...]
     nll_path: tuple[float, ...] = field(repr=False, default=())
+    # Laplacian of the pairwise design the fit built; None for cardinal fits.
+    laplacian: Laplacian | None = field(repr=False, default=None)
 
 
 def project_feasible(v: np.ndarray, b_bound: float) -> np.ndarray:
@@ -215,6 +217,7 @@ def mle_fit(obs: ObservationSet, config: FitConfig) -> FitResult:
         converged=converged,
         active_box=_active_box(w, config.b_bound),
         nll_path=tuple(path),
+        laplacian=laplacian,
     )
 
 

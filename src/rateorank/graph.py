@@ -12,15 +12,19 @@ Building a graph or a Laplacian is array work from start to end: the
 ``(left, right, weight)`` triples are validated at once, merged by sorting
 canonical pair codes, and scattered into ``M`` with ``bincount`` degrees on
 the diagonal.  Weights are integers, so ``M`` holds exact integer values.
+
+The module also owns the one CSV row reader, :func:`read_rows`: edge lists,
+ratings and comparisons differ only in their :class:`RowFormat`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConnectivityError
+from .errors import ConnectivityError, DataFormatError
 
 # Eigenvalues below RANK_TOL * lambda_max are treated as structural zeros.
 RANK_TOL = 1e-10
@@ -278,28 +282,77 @@ def write_edge_list(graph: ComparisonGraph, path, item_ids: list[str] | None = N
             fh.write(f"{item_ids[a]},{item_ids[b]},{w}\n")
 
 
-def read_edge_list(path) -> tuple[ComparisonGraph, list[str]]:
-    """Read ``left_id,right_id,weight`` rows; ids are indexed by first appearance."""
+@dataclass(frozen=True)
+class RowFormat:
+    """A CSV row schema: item-id columns, then one value column converted by ``parse``.
+
+    ``parse`` raises ``ValueError`` or ``KeyError`` on a bad value, reported as
+    "<value column> must be <expects>"; ``noun`` names the rows of an empty file.
+    """
+
+    header: str
+    noun: str
+    parse: Callable[[str], object]
+    expects: str
+
+
+def _weight(text: str) -> int:
+    weight = int(text)
+    if not 0 < weight < 2**63:
+        raise ValueError(weight)
+    return weight
+
+
+EDGE_ROWS = RowFormat("left,right,weight", "edge", _weight, "a positive 64-bit integer")
+
+
+def read_rows(path, row_format: RowFormat, id_order: str = "first-appearance"):
+    """Read a CSV file's rows in one pass; returns ``(item_ids, index, values)``.
+
+    Blank lines and ``#`` comments are skipped and fields are stripped.  Item
+    ids are numbered by first appearance as they are read; ``id_order="sorted"``
+    renumbers them at the end.  ``index`` is an intp array of shape (n,) for one
+    id column or (n, k) for k; ``values`` has the dtype numpy infers for the
+    parsed values.  The first bad row raises :class:`DataFormatError` naming the
+    file and the line; the two ids of a row must differ.
+    """
+    width = row_format.header.count(",") + 1
+    value_name = row_format.header.rsplit(",", 1)[1]
     ids: dict[str, int] = {}
-    triples: list[tuple[int, int, int]] = []
+    index: list[int] = []
+    values: list = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            text = line.strip()
+            if not text or text.startswith("#"):
                 continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 3:
-                raise ValueError(f"line {line_no}: expected 'left,right,weight', got {line!r}")
-            left, right, weight_text = parts
+            parts = [part.strip() for part in text.split(",")]
+            if len(parts) != width:
+                raise DataFormatError(f"{path}, line {line_no}: expected {row_format.header!r}, got {','.join(parts)!r}")
             try:
-                weight = int(weight_text)
-            except ValueError:
-                raise ValueError(f"line {line_no}: weight must be an integer, got {weight_text!r}") from None
-            for name in (left, right):
-                if name not in ids:
-                    ids[name] = len(ids)
-            triples.append((ids[left], ids[right], weight))
-    if not triples:
-        raise ValueError("edge list is empty")
+                values.append(row_format.parse(parts[-1]))
+            except (ValueError, KeyError):
+                raise DataFormatError(
+                    f"{path}, line {line_no}: {value_name} must be {row_format.expects}, got {parts[-1]!r}"
+                ) from None
+            if width == 3 and parts[0] == parts[1]:
+                raise DataFormatError(f"{path}, line {line_no}: an item cannot be compared with itself")
+            for name in parts[:-1]:
+                index.append(ids.setdefault(name, len(ids)))
+    if not values:
+        raise DataFormatError(f"{path}: no {row_format.noun} rows found")
     item_ids = list(ids)
-    return comparison_graph(len(item_ids), triples), item_ids
+    index = np.array(index, dtype=np.intp)
+    if id_order == "sorted":
+        order = sorted(range(len(item_ids)), key=item_ids.__getitem__)
+        index = np.argsort(order)[index]  # the inverse permutation maps old numbers to new
+        item_ids = [item_ids[i] for i in order]
+    if width > 2:
+        index = index.reshape(len(values), width - 1)
+    return tuple(item_ids), index, np.array(values)
+
+
+def read_edge_list(path) -> tuple[ComparisonGraph, list[str]]:
+    """Read ``left_id,right_id,weight`` rows; ids are indexed by first appearance."""
+    item_ids, pairs, weights = read_rows(path, EDGE_ROWS)
+    return comparison_graph(len(item_ids), np.column_stack((pairs, weights))), list(item_ids)

@@ -195,41 +195,41 @@ def build_packing(laplacian: Laplacian, delta: float, alpha: float) -> Packing:
     return packing
 
 
+def _pair_separations(packing: Packing) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Squared seminorm distance of every pair ``i < j``, from the Gram matrix ``G = A M A'``.
+
+    Returns ``(i, j, sep)`` with ``sep = G_ii + G_jj - 2 G_ij``, pairs in row-major order.
+    """
+    arr = packing.as_array().reshape(packing.count, packing.laplacian.d)
+    gram = arr @ packing.laplacian.m @ arr.T
+    i, j = np.triu_indices(packing.count, k=1)
+    diag = np.diag(gram)
+    return i, j, diag[i] + diag[j] - 2.0 * gram[i, j]
+
+
 def verify_packing(packing: Packing) -> PackingReport:
     """Exhaustively check pairwise separations, centering, and the count target."""
+    _, _, sep = _pair_separations(packing)
     arr = packing.as_array()
-    m = packing.laplacian.m
-    count = arr.shape[0]
-    pairs: list[float] = []
-    for i in range(count):
-        for j in range(i + 1, count):
-            diff = arr[i] - arr[j]
-            pairs.append(float(diff @ m @ diff))
-    min_pair = min(pairs) if pairs else float("inf")
-    max_pair = max(pairs) if pairs else 0.0
-    mean_zero_max = float(np.max(np.abs(arr.sum(axis=1)))) if count else 0.0
+    mean_zero_max = float(np.max(np.abs(arr.sum(axis=1)))) if packing.count else 0.0
     target = math.ceil(math.exp(packing.beta * packing.laplacian.d))
     return PackingReport(
-        min_pair=min_pair,
-        max_pair=max_pair,
+        min_pair=float(sep.min()) if sep.size else float("inf"),
+        max_pair=float(sep.max()) if sep.size else 0.0,
         mean_zero_max=mean_zero_max,
-        count_ok=count >= target,
+        count_ok=packing.count >= target,
     )
 
 
 def _worst_pair(packing: Packing) -> tuple[int, int]:
-    arr = packing.as_array()
-    m = packing.laplacian.m
+    """The first pair whose separation lies farthest outside the required band, else ``(0, 1)``."""
+    i, j, sep = _pair_separations(packing)
     lo, hi = packing.alpha * packing.delta**2, 4.0 * packing.delta**2
-    worst, worst_margin = (0, 1), 0.0
-    for i in range(arr.shape[0]):
-        for j in range(i + 1, arr.shape[0]):
-            diff = arr[i] - arr[j]
-            val = float(diff @ m @ diff)
-            margin = max(lo - val, val - hi)
-            if margin > worst_margin:
-                worst, worst_margin = (i, j), margin
-    return worst
+    margin = np.maximum(lo - sep, sep - hi)
+    if not np.any(margin > 0):
+        return (0, 1)
+    k = int(np.argmax(margin))
+    return int(i[k]), int(j[k])
 
 
 def packing_to_json(packing: Packing, path) -> None:

@@ -211,7 +211,9 @@ class SweepRow:
     failures: int
 
 
-def _apply_sweep_value(config: ExperimentConfig, param: str, value) -> ExperimentConfig:
+def sweep_point(config: ExperimentConfig, param: str, value, index: int) -> ExperimentConfig:
+    """The experiment a sweep runs for its ``index``-th value, reseeded at ``seed + 10**7 * index``."""
+    config = replace(config, seed=config.seed + _SWEEP_SEED_STRIDE * index)
     if param == "n":
         return replace(config, topology=replace(config.topology, n=int(value)))
     if param == "d":
@@ -225,12 +227,9 @@ def _apply_sweep_value(config: ExperimentConfig, param: str, value) -> Experimen
 
 def sweep(config: ExperimentConfig, param: str, values: Sequence) -> list[SweepRow]:
     """Rerun the experiment across parameter values; one row per (value, metric)."""
-    if len(values) == 0:
-        return []
     rows: list[SweepRow] = []
     for index, value in enumerate(values):
-        point = _apply_sweep_value(config, param, value)
-        point = replace(point, seed=config.seed + _SWEEP_SEED_STRIDE * index)
+        point = sweep_point(config, param, value, index)
         estimates = run_experiment(point)
         for metric in sorted(estimates):
             est = estimates[metric]

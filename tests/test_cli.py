@@ -139,6 +139,19 @@ class TestFit:
         for key in scores_a:
             assert scores_a[key] == pytest.approx(scores_b[key], abs=1e-9)
 
+    def test_fit_builds_the_laplacian_once(self, tmp_path, monkeypatch):
+        data, _ = _ordinal_csv(tmp_path / "cmp.csv")
+        calls = []
+        original = rr.graph.build_laplacian
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rr.graph, "build_laplacian", counting)
+        assert cli.main(["fit", data, "--model", "btl", "--sigma", "1"]) == 0
+        assert calls == [4]
+
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps({"schema_version": "99"}), encoding="utf-8")
@@ -203,6 +216,25 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", str(cfg)]) == 0
         assert "n=80 seminorm_sq" in capsys.readouterr().out
 
+    def test_bound_uses_the_sweep_point_topology(self, tmp_path, monkeypatch, capsys):
+        doc = self._config_doc(sweep={"param": "n", "values": [400, 800]})
+        doc["topology"] = {"kind": "expander", "d": 20, "n": 400, "k": 4}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        seeds = []
+        original = rr.graph.generate_topology
+
+        def recording(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rr.graph, "generate_topology", recording)
+        monkeypatch.setattr(rr.sim, "generate_topology", recording)
+        assert cli.main(["simulate", "--config", str(cfg)]) == 0
+        # Two sweep points measured, then the two headline bounds on the same graphs.
+        assert seeds == [3, 3 + 10**7, 3, 3 + 10**7]
+        assert capsys.readouterr().out.count("bound=[") == 2
+
     def test_config_validation(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cases = [
@@ -255,6 +287,19 @@ class TestTopologyAndPack:
     def test_pack_infeasible_params(self, capsys):
         assert cli.main(["pack", "--d", "8", "--delta", "1.0", "--alpha", "0.9"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc,code", [
+        (rr.DataFormatError, 2), (FileNotFoundError, 2), (ValueError, 2), (IndexError, 2),
+        (rr.ConnectivityError, 3), (rr.ModelKindError, 3), (rr.FoldError, 3),
+        (rr.InsufficientDataError, 3), (rr.PackingConstructionError, 3), (RuntimeError, 3),
+    ])
+    def test_exit_code_per_error_class(self, monkeypatch, capsys, exc, code):
+        def failing(args):
+            raise exc("boom")
+
+        monkeypatch.setattr(cli, "cmd_decide", failing)
+        assert cli.main(["decide", "--sigma-c", "1", "--sigma-o", "1"]) == code
+        assert capsys.readouterr().err == "error: boom\n"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

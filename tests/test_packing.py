@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rateorank as rr
+from rateorank import packing as packing_module
 
 
 def _greedy_oracle(length, dist, target):
@@ -133,6 +134,18 @@ class TestBuildPacking:
             vectors=(packing.vectors[0],) + packing.vectors[: packing.count - 1],
         )
         assert not rr.verify_packing(dup).ok(1.0, 0.25)
+        assert packing_module._worst_pair(dup) == (0, 1)
+
+    @pytest.mark.parametrize("kind,d,n,delta,alpha", [("complete", 10, 45, 1.0, 0.25), ("star", 9, 24, 0.5, 0.3)])
+    def test_gram_separations_match_pairwise_loop(self, kind, d, n, delta, alpha):
+        lap = rr.laplacian_of(rr.generate_topology(kind, d, n))
+        packing = rr.build_packing(lap, delta, alpha)
+        arr = packing.as_array()
+        pairs = [(arr[i] - arr[j]) @ lap.m @ (arr[i] - arr[j])
+                 for i in range(packing.count) for j in range(i + 1, packing.count)]
+        report = rr.verify_packing(packing)
+        assert report.min_pair == pytest.approx(min(pairs), rel=1e-12)
+        assert report.max_pair == pytest.approx(max(pairs), rel=1e-12)
 
     def test_infeasible_parameters_rejected(self):
         lap = _complete_laplacian(6)

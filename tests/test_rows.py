@@ -1,0 +1,149 @@
+"""The one CSV row reader behind ratings, comparisons and edge lists."""
+
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rateorank as rr
+from rateorank import cli, graph
+
+FORMATS = {
+    "comparison": (cli.COMPARISON_ROWS, 2, np.float64),
+    "rating": (cli.RATING_ROWS, 1, np.float64),
+    "edge": (graph.EDGE_ROWS, 2, np.int64),
+}
+
+_names = st.text(alphabet="abcXY09_-.é", min_size=1, max_size=3)
+_pad = st.sampled_from(["", " ", "  \t"])
+_filler = st.lists(st.sampled_from(["", "   ", "# comment", "  # a,b,c", "#"]), max_size=2)
+
+
+@st.composite
+def _row(draw, kind):
+    """One data row as (filler lines before it, ids, value, value text)."""
+    if kind == "rating":
+        ids = [draw(_names)]
+        value = draw(st.floats(allow_nan=False, allow_infinity=False, width=64))
+        text = draw(st.sampled_from([repr(value), f"{value:.17g}"]))
+    else:
+        ids = draw(st.lists(_names, min_size=2, max_size=2, unique=True))
+        if kind == "comparison":
+            text = draw(st.sampled_from(["+1", "1", "-1"]))
+            value = -1.0 if text == "-1" else 1.0
+        else:
+            value = draw(st.integers(1, 2**56))  # 25 merged rows stay inside int64
+            text = str(value)
+    return draw(_filler), ids, value, text
+
+
+@st.composite
+def _table(draw):
+    kind = draw(st.sampled_from(sorted(FORMATS)))
+    return kind, draw(st.lists(_row(kind), min_size=1, max_size=25))
+
+
+def _render(rows, pad):
+    lines = []
+    for filler, ids, _, text in rows:
+        lines.extend(filler)
+        lines.append(",".join(f"{pad}{field}{pad}" for field in [*ids, text]))
+    return "\n".join(lines) + "\n"
+
+
+def _expected(rows, id_order):
+    first = {}
+    for _, ids, _, _ in rows:
+        for name in ids:
+            first.setdefault(name, len(first))
+    item_ids = sorted(first) if id_order == "sorted" else list(first)
+    number = {name: i for i, name in enumerate(item_ids)}
+    index = [[number[name] for name in ids] for _, ids, _, _ in rows]
+    return tuple(item_ids), index, [value for _, _, value, _ in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_table(), pad=_pad, id_order=st.sampled_from(cli.ID_ORDERS))
+def test_reader_matches_rows(table, pad, id_order):
+    kind, rows = table
+    row_format, width, dtype = FORMATS[kind]
+    item_ids, index, values = _expected(rows, id_order)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_render(rows, pad))
+        got_ids, got_index, got_values = rr.read_rows(path, row_format, id_order)
+        assert got_ids == item_ids
+        assert got_index.dtype == np.intp
+        assert got_index.shape == ((len(rows), 2) if width == 2 else (len(rows),))
+        assert got_index.reshape(len(rows), width).tolist() == index
+        assert got_values.dtype == dtype
+        assert got_values.tolist() == values
+
+        if kind == "comparison":
+            data = cli.read_ordinal_csv(path, id_order)
+        elif kind == "rating":
+            data = cli.read_cardinal_csv(path, id_order)
+        else:
+            g, ids = rr.read_edge_list(path)
+            first_ids, first_index, _ = _expected(rows, "first-appearance")
+            assert tuple(ids) == first_ids
+            triples = [(a, b, w) for (a, b), w in zip(first_index, values)]
+            assert g == rr.comparison_graph(len(ids), triples)
+            return
+    assert data.item_ids == got_ids
+    assert np.array_equal(data.design, got_index) and data.design.dtype == np.intp
+    assert np.array_equal(data.outcomes, got_values) and data.outcomes.dtype == np.float64
+
+
+def _read(tmp_path, kind, text):
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(text, encoding="utf-8")
+    if kind == "comparison":
+        return cli.read_ordinal_csv(path)
+    if kind == "rating":
+        return cli.read_cardinal_csv(path)
+    return rr.read_edge_list(path)
+
+
+BAD_ROWS = {
+    "comparison": [("a,b", "expected 'left,right,outcome'"), ("a,b,2", "outcome must be"),
+                   ("a,a,+1", "an item cannot be compared with itself"), ("a,b,+1,c", "expected 'left,right,outcome'")],
+    "rating": [("x", "expected 'item,rating'"), ("x,abc", "rating must be a number"),
+               ("x,1,2", "expected 'item,rating'")],
+    "edge": [("a,b", "expected 'left,right,weight'"), ("a,b,x", "weight must be"), ("a,b,0", "weight must be"),
+             ("a,a,3", "an item cannot be compared with itself"), ("a,b,-2", "weight must be"),
+             ("a,b,9223372036854775808", "weight must be")],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+def test_first_bad_line_decides(tmp_path, kind):
+    good = {"comparison": "p,q,-1", "rating": "p,0.5", "edge": "p,q,4"}[kind]
+    bad = BAD_ROWS[kind]
+    for shift in range(len(bad)):
+        order = bad[shift:] + bad[:shift]
+        text = "\n".join([good, "# note", ""] + [row for row, _ in order]) + "\n"
+        fragment = order[0][1]
+        with pytest.raises(rr.DataFormatError, match=f"{kind}.csv, line 4: {fragment}"):
+            _read(tmp_path, kind, text)
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+def test_empty_file_names_the_rows(tmp_path, kind):
+    with pytest.raises(rr.DataFormatError, match=f"{kind}.csv: no {kind} rows found"):
+        _read(tmp_path, kind, "# only a comment\n\n")
+
+
+def test_edge_weight_round_trips_exactly(tmp_path):
+    weight = 2**53 + 1  # the first integer a float64 cannot hold
+    g = rr.comparison_graph(3, [(0, 1, weight), (1, 2, 1)])
+    path = tmp_path / "edges.csv"
+    rr.write_edge_list(g, path, item_ids=["a", "b", "c"])
+    back, ids = rr.read_edge_list(path)
+    assert ids == ["a", "b", "c"]
+    assert back.edges == ((0, 1, weight), (1, 2, 1))
+    assert back.n == weight + 1
