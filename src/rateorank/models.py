@@ -10,15 +10,22 @@ Four ways of observing a latent quality vector ``w`` on ``d`` items:
 The latent vector is identifiable only up to a common shift, so all vectors
 here are mean-centered, and the two binary models additionally carry a box
 bound ``|w_j| <= B`` that keeps their likelihoods well-behaved.
+
+Each likelihood depends on the data only through per-pair (per-item for
+cardinal) sufficient statistics, so it is evaluated on an observation set's
+:class:`Groups` table rather than on its rows: the negative log-likelihood,
+gradient and Hessian cost O(groups), and a design that compares few pairs
+many times costs no more than its distinct pairs.  Sampling stays per row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit, log_ndtr
 
+from . import graph
 from .errors import ModelKindError
 
 CARDINAL = "cardinal"
@@ -105,18 +112,42 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
+class Groups:
+    """Sufficient statistics of an observation set, one entry per group of rows.
+
+    Pairwise rows are oriented so that ``left < right`` (a reversed row's
+    outcome is negated) and grouped by pair, and for the binary kinds also by
+    outcome; cardinal rows are grouped by item.  ``items`` is ``(G, 2)`` or
+    ``(G,)`` like the design, ``value`` is the group's mean outcome (exactly
+    +-1 for binary kinds) and ``count`` its number of rows.  ``spread`` is the
+    within-group sum of squares sum (y - value)^2, the part of the squared
+    error that no quality vector can explain.
+    """
+
+    items: np.ndarray
+    value: np.ndarray
+    count: np.ndarray
+    spread: float
+
+
+@dataclass(frozen=True)
 class ObservationSet:
     """Observations plus the design they were collected under.
 
     ``design`` is an ``(n, 2)`` int array of ``(left, right)`` pairs for the
     pairwise kinds, or an ``(n,)`` int array of item indices for cardinal.
     ``outcomes`` is a float array; for binary kinds entries are exactly +-1.
+    The :attr:`groups` table and, for pairwise kinds, the design's
+    :attr:`laplacian` are built once, on first use, and shared by every
+    :meth:`with_sigma` view of the same data.
     """
 
     model: ModelSpec
     d: int
     design: np.ndarray
     outcomes: np.ndarray
+    # Tables that depend on the data alone, keyed by property name.
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         design = np.asarray(self.design, dtype=np.intp)
@@ -150,17 +181,57 @@ class ObservationSet:
     def n(self) -> int:
         return self.outcomes.size
 
+    @property
+    def groups(self) -> Groups:
+        """The per-pair (per-item for cardinal) sufficient statistics of the rows."""
+        if "groups" in self._tables:
+            return self._tables["groups"]
+        y = self.outcomes
+        if self.model.kind == CARDINAL:
+            keys = self.design
+        else:
+            left, right = self.design[:, 0], self.design[:, 1]
+            y = np.where(left > right, -y, y)
+            keys = np.minimum(left, right).astype(np.int64, copy=False) * self.d
+            keys += np.maximum(left, right)
+            if self.model.kind in BINARY_KINDS:
+                keys *= 2
+                keys += y > 0
+        # Sorting the n keys, not a bincount over all possible keys, which would be d^2 long.
+        keys, inverse, count = np.unique(keys, return_inverse=True, return_counts=True)
+        value = np.bincount(inverse, weights=y, minlength=keys.size) / count
+        residual = y - value[inverse]
+        if self.model.kind in BINARY_KINDS:
+            keys = keys // 2
+        if self.model.kind != CARDINAL:
+            keys = np.column_stack((keys // self.d, keys % self.d)).astype(np.intp, copy=False)
+        groups = self._tables["groups"] = Groups(keys, value, count, float(residual @ residual))
+        return groups
+
+    @property
+    def laplacian(self) -> graph.Laplacian:
+        """Laplacian of a pairwise design, built from the per-pair counts of :attr:`groups`."""
+        if "laplacian" not in self._tables:
+            _require_kind(self.model, PAIRWISE_KINDS, "laplacian")
+            edges = np.column_stack((self.groups.items, self.groups.count))
+            self._tables["laplacian"] = graph.build_laplacian(self.d, edges)
+        return self._tables["laplacian"]
+
     def subset(self, indices: np.ndarray) -> "ObservationSet":
         """A new observation set restricted to the given row indices."""
         return ObservationSet(self.model, self.d, self.design[indices], self.outcomes[indices])
 
     def with_sigma(self, sigma: float) -> "ObservationSet":
-        """Same data viewed under a different noise scale."""
-        return ObservationSet(replace(self.model, sigma=sigma), self.d, self.design, self.outcomes)
+        """Same data viewed under a different noise scale, sharing its data tables."""
+        view = ObservationSet(replace(self.model, sigma=sigma), self.d, self.design, self.outcomes)
+        object.__setattr__(view, "_tables", self._tables)
+        return view
 
 
 def _margins(w: np.ndarray, design: np.ndarray) -> np.ndarray:
-    """Differencing-vector inner products w_left - w_right for each design row."""
+    """Inner products with each row's differencing vector: w_left - w_right, or w_item for a 1-d design."""
+    if design.ndim == 1:
+        return w[design]
     return w[design[:, 0]] - w[design[:, 1]]
 
 
@@ -206,77 +277,84 @@ def sample(spec: ModelSpec, w, design: np.ndarray, seed: int) -> ObservationSet:
     return ObservationSet(spec, w.size, design, y)
 
 
+def _check_kind(spec: ModelSpec, obs: ObservationSet) -> None:
+    if spec.kind != obs.model.kind:
+        raise ModelKindError(f"spec kind {spec.kind!r} does not match observations ({obs.model.kind!r})")
+
+
+def _thurstone_ratio(y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """phi(z) / Phi(yz), evaluated in log space."""
+    return np.exp(_log_norm_pdf(z) - log_ndtr(y * z))
+
+
 def neg_log_likelihood(spec: ModelSpec, w, obs: ObservationSet) -> float:
     """Negative log-likelihood of ``w`` (squared error for the two linear kinds).
 
     Uses asymptotic-safe log-CDF evaluation, so it stays finite for
     standardized margins out to |z| ~ 40 and beyond.
     """
-    if spec.kind != obs.model.kind:
-        raise ModelKindError(f"spec kind {spec.kind!r} does not match observations ({obs.model.kind!r})")
-    w = as_values(w)
-    y = obs.outcomes
-    if spec.kind == CARDINAL:
-        r = y - w[obs.design]
-        return float(r @ r)
-    if spec.kind == PAIRED_LINEAR:
-        r = y - _margins(w, obs.design)
-        return float(r @ r)
-    z = _margins(w, obs.design) / spec.sigma
+    _check_kind(spec, obs)
+    groups = obs.groups
+    y, count = groups.value, groups.count
+    margins = _margins(as_values(w), groups.items)
+    if spec.kind not in BINARY_KINDS:
+        r = y - margins
+        return float(count @ (r * r) + groups.spread)
+    z = margins / spec.sigma
     if spec.kind == THURSTONE:
-        return float(-np.sum(log_ndtr(y * z)))
-    return float(np.sum(np.logaddexp(0.0, -y * z)))
+        return float(-(count @ log_ndtr(y * z)))
+    return float(count @ np.logaddexp(0.0, -y * z))
 
 
 def gradient(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
     """Gradient of :func:`neg_log_likelihood` with respect to ``w``."""
-    if spec.kind != obs.model.kind:
-        raise ModelKindError(f"spec kind {spec.kind!r} does not match observations ({obs.model.kind!r})")
+    _check_kind(spec, obs)
     w = as_values(w)
-    d = w.size
-    y = obs.outcomes
-    if spec.kind == CARDINAL:
-        coef = -2.0 * (y - w[obs.design])
-        return np.bincount(obs.design, weights=coef, minlength=d)
-    left, right = obs.design[:, 0], obs.design[:, 1]
-    if spec.kind == PAIRED_LINEAR:
-        coef = -2.0 * (y - _margins(w, obs.design))
+    groups = obs.groups
+    y, count = groups.value, groups.count
+    margins = _margins(w, groups.items)
+    if spec.kind not in BINARY_KINDS:
+        coef = -2.0 * count * (y - margins)
     else:
-        z = _margins(w, obs.design) / spec.sigma
+        z = margins / spec.sigma
         if spec.kind == THURSTONE:
-            # d/dz of -log Phi(yz) = -y * phi(z) / Phi(yz), evaluated in log space.
-            ratio = np.exp(_log_norm_pdf(z) - log_ndtr(y * z))
-            coef = -y * ratio / spec.sigma
+            # d/dz of -log Phi(yz) = -y * phi(z) / Phi(yz).
+            coef = -count * y * _thurstone_ratio(y, z) / spec.sigma
         else:
-            coef = -y * expit(-y * z) / spec.sigma
+            coef = -count * y * expit(-y * z) / spec.sigma
+    d = w.size
+    if spec.kind == CARDINAL:
+        return np.bincount(groups.items, weights=coef, minlength=d)
+    left, right = groups.items[:, 0], groups.items[:, 1]
     return np.bincount(left, weights=coef, minlength=d) - np.bincount(right, weights=coef, minlength=d)
 
 
 def hessian(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
     """Hessian of :func:`neg_log_likelihood`; a sum of rank-one edge terms."""
-    if spec.kind != obs.model.kind:
-        raise ModelKindError(f"spec kind {spec.kind!r} does not match observations ({obs.model.kind!r})")
+    _check_kind(spec, obs)
     w = as_values(w)
     d = w.size
+    groups = obs.groups
+    count = groups.count
     if spec.kind == CARDINAL:
-        return np.diag(np.bincount(obs.design, weights=np.full(obs.n, 2.0), minlength=d))
+        return np.diag(np.bincount(groups.items, weights=2.0 * count, minlength=d))
     if spec.kind == PAIRED_LINEAR:
-        weights = np.full(obs.n, 2.0)
+        weights = 2.0 * count
     else:
-        z = _margins(w, obs.design) / spec.sigma
-        y = obs.outcomes
+        z = _margins(w, groups.items) / spec.sigma
+        y = groups.value
         if spec.kind == THURSTONE:
-            ratio = np.exp(_log_norm_pdf(z) - log_ndtr(y * z))
-            weights = np.maximum(ratio * (ratio + y * z), 0.0) / spec.sigma**2
+            ratio = _thurstone_ratio(y, z)
+            weights = count * np.maximum(ratio * (ratio + y * z), 0.0) / spec.sigma**2
         else:
             p = expit(z)
-            weights = p * (1.0 - p) / spec.sigma**2
-    h = np.zeros((d, d))
-    left, right = obs.design[:, 0], obs.design[:, 1]
-    np.add.at(h, (left, left), weights)
-    np.add.at(h, (right, right), weights)
-    np.add.at(h, (left, right), -weights)
-    np.add.at(h, (right, left), -weights)
+            weights = count * p * (1.0 - p) / spec.sigma**2
+    left, right = groups.items[:, 0], groups.items[:, 1]
+    # Groups have left < right, so the scatter fills the strict upper triangle; a pair can
+    # hold two groups (one per outcome), which bincount sums.
+    upper = np.bincount(left * d + right, weights=weights, minlength=d * d).reshape(d, d)
+    h = -(upper + upper.T)
+    h[np.diag_indices(d)] = np.bincount(left, weights, minlength=d) + np.bincount(right, weights, minlength=d)
     return h
 
 

@@ -152,6 +152,20 @@ class TestFit:
         assert cli.main(["fit", data, "--model", "btl", "--sigma", "1"]) == 0
         assert calls == [4]
 
+    def test_cv_builds_each_fold_laplacian_once(self, tmp_path, monkeypatch):
+        data, _ = _ordinal_csv(tmp_path / "cmp.csv")
+        calls = []
+        original = rr.graph.build_laplacian
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rr.graph, "build_laplacian", counting)
+        assert cli.main(["fit", data, "--model", "thurstone", "--cv-grid", "0.25,0.5,1,2"]) == 0
+        # One per training fold, shared by its four fits, and one for the final fit.
+        assert calls == [4, 4, 4, 4]
+
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps({"schema_version": "99"}), encoding="utf-8")

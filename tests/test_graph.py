@@ -59,6 +59,24 @@ def test_graph_validation():
         build_laplacian_from_design(3, np.array([[0, 1], [0, 3], [2, 2]]))
 
 
+def test_merged_weight_overflow_rejected(tmp_path):
+    # Two rows of one pair that each fit in int64 but whose sum does not.
+    halves = [(0, 1, 2**62), (1, 0, 2**62)]
+    for build in (comparison_graph, build_laplacian):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) has merged weight 9223372036854775808"):
+            build(2, halves)
+        with pytest.raises(ValueError, match="total weight 9223372036854775808"):
+            build(3, [(0, 1, 2**62), (2, 1, 2**62)])
+    path = tmp_path / "edges.csv"
+    path.write_text("a,b,4611686018427387904\nb,a,4611686018427387904\n")
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) has merged weight"):
+        read_edge_list(path)
+    # Just below the limit the weights stay exact.
+    g = comparison_graph(3, [(0, 1, 2**62), (1, 0, 2**62 - 2), (2, 1, 1)])
+    assert g.edges == ((0, 1, 2**63 - 2), (1, 2, 1)) and g.n == 2**63 - 1
+    assert build_laplacian(2, [(0, 1, 2**62), (1, 0, 2**62 - 1)]).n == 2**63 - 1
+
+
 def test_generator_input():
     triples = [(0, 1, 1), (2, 1, 3), (1, 0, 2)]
     g = comparison_graph(3, (t for t in triples))

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit, log_ndtr
 from scipy.stats import norm
 
@@ -130,6 +134,28 @@ class TestSampling:
             p = rr.prob_positive(spec, w, (0, 1))
             assert abs(freq - p) < 4.0 * np.sqrt(p * (1 - p) / 4000)
 
+    # sha256 prefixes of the sampled (design, outcomes) bytes for fixed seeds: sampling
+    # draws one value per row, and seeded streams must not move.
+    SAMPLE_DIGESTS = {
+        ("cardinal", 0): "4270fb2252cfe03f",
+        ("cardinal", 12345): "15e49698070c63b7",
+        ("paired_linear", 0): "2e05615b72562399",
+        ("paired_linear", 12345): "3bfd14bc36455c5b",
+        ("thurstone", 0): "8e5c000e531a1277",
+        ("thurstone", 12345): "212b3fa409a0450c",
+        ("btl", 0): "536cae0790076186",
+        ("btl", 12345): "44e4acb82f86fb26",
+    }
+
+    @pytest.mark.parametrize("kind, seed", sorted(SAMPLE_DIGESTS))
+    def test_sample_bytes_unchanged(self, kind, seed):
+        w = rr.QualityVector.centered(np.linspace(-1, 1, 5))
+        pairs = np.array([(a, b) for a in range(5) for b in range(5) if a != b] * 3, dtype=np.intp)
+        spec = rr.ModelSpec(kind, sigma=0.7, b_bound=1.0)
+        obs = rr.sample(spec, w, pairs[:, 0] if kind == "cardinal" else pairs, seed)
+        raw = np.asarray(obs.design, "<i8").tobytes() + np.asarray(obs.outcomes, "<f8").tobytes()
+        assert hashlib.sha256(raw).hexdigest()[:16] == self.SAMPLE_DIGESTS[kind, seed]
+
     def test_paired_linear_outcomes_are_real(self):
         w = rr.QualityVector.centered([0.3, -0.3])
         spec = rr.ModelSpec("paired_linear", sigma=0.0)
@@ -174,6 +200,143 @@ class TestLikelihood:
         for fn in (rr.neg_log_likelihood, rr.gradient, rr.hessian):
             with pytest.raises(rr.ModelKindError):
                 fn(other, np.zeros(2), obs)
+
+
+def _fitted(w, obs):
+    """Per-row w_item (cardinal) or margin w_left - w_right (pairwise)."""
+    if obs.model.kind == "cardinal":
+        return w[obs.design]
+    return w[obs.design[:, 0]] - w[obs.design[:, 1]]
+
+
+def _row_terms(spec, w, obs):
+    """Row-level reference: per-row loss, gradient coefficient and Hessian weight.
+
+    These are the likelihood formulas evaluated one row at a time, kept here
+    to check the grouped evaluation in ``models`` against.  For cardinal the
+    coefficient and weight belong to the rated item; for pairwise kinds they
+    enter as +coef at ``left`` and -coef at ``right``.
+    """
+    y, fitted = obs.outcomes, _fitted(w, obs)
+    if spec.kind in ("cardinal", "paired_linear"):
+        r = y - fitted
+        return r * r, -2.0 * r, np.full(obs.n, 2.0)
+    z = fitted / spec.sigma
+    if spec.kind == "thurstone":
+        ratio = np.exp(-0.5 * z * z - 0.5 * np.log(2.0 * np.pi) - log_ndtr(y * z))
+        hess = np.maximum(ratio * (ratio + y * z), 0.0) / spec.sigma**2
+        return -log_ndtr(y * z), -y * ratio / spec.sigma, hess
+    p = expit(z)
+    return np.logaddexp(0.0, -y * z), -y * expit(-y * z) / spec.sigma, p * (1.0 - p) / spec.sigma**2
+
+
+def _row_reference(spec, w, obs):
+    """NLL, gradient and Hessian summed row by row, plus the magnitude each one sums."""
+    d = w.size
+    loss, coef, weight = _row_terms(spec, w, obs)
+    g, h = np.zeros(d), np.zeros((d, d))
+    if spec.kind == "cardinal":
+        np.add.at(g, obs.design, coef)
+        np.add.at(h, (obs.design, obs.design), weight)
+    else:
+        left, right = obs.design[:, 0], obs.design[:, 1]
+        np.add.at(g, left, coef)
+        np.add.at(g, right, -coef)
+        np.add.at(h, (left, left), weight)
+        np.add.at(h, (right, right), weight)
+        np.add.at(h, (left, right), -weight)
+        np.add.at(h, (right, left), -weight)
+    scales = (np.sum(np.abs(loss)), np.sum(np.abs(coef)), np.sum(weight))
+    if spec.kind in ("cardinal", "paired_linear"):
+        # A group's mean outcome rounds at the size of y, not of the residual, so the
+        # squared-error scales are those of the numbers each residual is formed from.
+        size = np.abs(obs.outcomes) + np.abs(_fitted(w, obs))
+        scales = (np.sum(size**2), 2.0 * np.sum(size), scales[2])
+    return (float(loss.sum()), g, h), scales
+
+
+@st.composite
+def _repeated_pair_instances(draw):
+    """An observation set whose rows repeat a few pairs in both orientations, and a point w."""
+    kind = draw(st.sampled_from(rr.MODEL_KINDS))
+    d = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 60))
+    sigma = draw(st.floats(0.25, 4.0))
+    all_pairs = [(a, b) for a in range(d) for b in range(d) if a != b]
+    pool = draw(st.lists(st.sampled_from(all_pairs), min_size=1, max_size=6))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    design = np.array(rows, dtype=np.intp)
+    if kind == "cardinal":
+        design = design[:, 0]
+    if kind in rr.BINARY_KINDS:
+        outcomes = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n))
+    else:
+        outcomes = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    w = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
+    spec = rr.ModelSpec(kind, sigma=sigma, b_bound=2.0)
+    return spec, w, rr.ObservationSet(spec, d, design, np.array(outcomes))
+
+
+def _exact_fit_instance():
+    # Every residual is 0 row by row, but the group mean (0.1 + 0.1 + 0.1) / 3 rounds up by
+    # an ulp, so the grouped residual is 1e-17: why the tolerances scale with |y|.
+    spec = rr.ModelSpec("paired_linear", sigma=1.0)
+    obs = rr.ObservationSet(spec, 2, np.array([[0, 1], [1, 0], [0, 1]]), np.array([0.1, -0.1, 0.1]))
+    return spec, np.array([0.1, 0.0]), obs
+
+
+class TestGroupedLikelihood:
+    @settings(max_examples=300, deadline=None)
+    @given(_repeated_pair_instances())
+    @example(_exact_fit_instance())
+    def test_grouped_matches_row_level(self, instance):
+        spec, w, obs = instance
+        (nll, g, h), (nll_scale, g_scale, h_scale) = _row_reference(spec, w, obs)
+        assert abs(rr.neg_log_likelihood(spec, w, obs) - nll) <= 1e-12 * nll_scale
+        assert np.max(np.abs(rr.gradient(spec, w, obs) - g)) <= 1e-12 * g_scale
+        assert np.max(np.abs(rr.hessian(spec, w, obs) - h)) <= 1e-12 * h_scale
+
+    @settings(max_examples=150, deadline=None)
+    @given(_repeated_pair_instances(), st.randoms(use_true_random=False))
+    def test_relabelling_items(self, instance, random):
+        spec, w, obs = instance
+        perm = np.array(random.sample(range(obs.d), obs.d))
+        inverse = np.argsort(perm)
+        relabelled = rr.ObservationSet(spec, obs.d, perm[obs.design], obs.outcomes)
+        _, (nll_scale, g_scale, _) = _row_reference(spec, w, obs)
+        assert abs(rr.neg_log_likelihood(spec, w[inverse], relabelled)
+                   - rr.neg_log_likelihood(spec, w, obs)) <= 1e-12 * nll_scale
+        moved = rr.gradient(spec, w[inverse], relabelled)
+        assert np.max(np.abs(moved - rr.gradient(spec, w, obs)[inverse])) <= 1e-12 * g_scale
+
+    def test_group_table(self):
+        spec = rr.ModelSpec("paired_linear", sigma=1.0)
+        obs = rr.ObservationSet(spec, 3, np.array([[1, 0], [0, 1], [2, 1], [0, 1]]), np.array([1.0, 2.0, 4.0, 5.0]))
+        groups = obs.groups
+        assert groups.items.tolist() == [[0, 1], [1, 2]]
+        assert groups.value.tolist() == [2.0, -4.0] and groups.count.tolist() == [3, 1]
+        # (-1, 2, 5) about their mean 2, plus nothing for the single row.
+        assert groups.spread == pytest.approx(18.0)
+        binary = rr.ObservationSet(rr.ModelSpec("btl", sigma=1.0, b_bound=1.0), 3,
+                                   np.array([[1, 0], [0, 1], [0, 1]]), np.array([1.0, 1.0, -1.0]))
+        assert binary.groups.items.tolist() == [[0, 1], [0, 1]]
+        assert binary.groups.value.tolist() == [-1.0, 1.0] and binary.groups.count.tolist() == [2, 1]
+        assert binary.groups.spread == 0.0
+
+    def test_with_sigma_shares_tables(self):
+        spec = rr.ModelSpec("thurstone", sigma=1.0, b_bound=1.0)
+        obs = rr.ObservationSet(spec, 3, np.array([[0, 1], [2, 1], [1, 0]]), np.array([1.0, -1.0, 1.0]))
+        early = obs.with_sigma(0.5)
+        laplacian = obs.laplacian
+        assert np.array_equal(laplacian.m, rr.build_laplacian_from_design(3, obs.design).m)
+        view = obs.with_sigma(2.0)
+        assert view.groups is obs.groups and view.laplacian is laplacian and early.laplacian is laplacian
+        assert view.model.sigma == 2.0
+        # A table first built on a view is shared back with the set it came from.
+        held = obs.subset(np.array([0, 1]))
+        assert held.with_sigma(0.5).groups is held.groups is not obs.groups
+        with pytest.raises(rr.ModelKindError):
+            rr.ObservationSet(rr.ModelSpec("cardinal", sigma=1.0), 3, np.array([0, 1]), np.zeros(2)).laplacian
 
 
 class TestDerivatives:
