@@ -34,7 +34,6 @@ from .graph import (
     TOPOLOGY_KINDS,
     ComparisonGraph,
     Laplacian,
-    SpectralSummary,
     build_laplacian,
     build_laplacian_from_design,
     comparison_graph,
@@ -44,7 +43,6 @@ from .graph import (
     pseudo_inverse,
     read_edge_list,
     read_rows,
-    spectral_summary,
     write_edge_list,
 )
 from .models import (

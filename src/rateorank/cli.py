@@ -36,6 +36,8 @@ FIT_MODELS = ("cardinal", "thurstone", "btl")
 
 ID_ORDERS = ("first-appearance", "sorted")
 
+_SWEEP_TYPES = {"n": int, "d": int, "sigma": float, "topology.kind": str}
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -94,15 +96,8 @@ def result_document(
     if metrics:
         doc["metrics"] = metrics
     if bound_report is not None:
-        doc["bounds"] = {
-            "model_kind": bound_report.model_kind,
-            "norm": bound_report.norm,
-            "lower": bound_report.lower,
-            "upper": bound_report.upper,
-            "kappa": bound_report.kappa,
-            "sample_condition_met": bound_report.sample_condition_met,
-            "in_regime": bound_report.in_regime,
-        }
+        keys = ("model_kind", "norm", "lower", "upper", "kappa", "sample_condition_met", "in_regime")
+        doc["bounds"] = {key: getattr(bound_report, key) for key in keys}
     return doc
 
 
@@ -125,10 +120,9 @@ def _parse_sigma_grid(text: str) -> tuple[float, ...] | None:
     if text == "default":
         return None  # estimate.cv_sigma falls back to its default grid
     try:
-        grid = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise DataFormatError(f"--cv-grid must be 'default' or comma-separated numbers, got {text!r}") from None
-    return grid
 
 
 def cmd_fit(args) -> int:
@@ -164,10 +158,8 @@ def cmd_fit(args) -> int:
 
     bound_report = None
     if args.model != "cardinal":
-        summary = graph.spectral_summary(result.laplacian)
-        bound_report = bounds.minimax_seminorm(
-            args.model, obs.d, obs.n, obs.model.sigma, args.b_bound, summary.trace_pinv_std
-        )
+        trace_pinv_std = obs.laplacian.trace_pinv_std
+        bound_report = bounds.minimax_seminorm(args.model, obs.d, obs.n, obs.model.sigma, args.b_bound, trace_pinv_std)
     elif obs.model.sigma > 0:
         bound_report = bounds.minimax_cvo(models.CARDINAL, obs.d, obs.n, obs.model.sigma, args.b_bound)
 
@@ -190,11 +182,9 @@ def cmd_decide(args) -> int:
         rows = bounds.decision_grid((sc_lo, sc_hi), (so_lo, so_hi), args.b_bound, args.resolution)
         if args.out:
             bounds.write_decision_grid(rows, args.out)
-        counts = {v: 0 for v in (bounds.VERDICT_CARDINAL, bounds.VERDICT_ORDINAL, bounds.VERDICT_INDETERMINATE)}
-        for _, _, verdict in rows:
-            counts[verdict] += 1
-        print(f"decision grid {args.resolution}x{args.resolution}: " +
-              ", ".join(f"{v}={c}" for v, c in counts.items()))
+        seen = [verdict for _, _, verdict in rows]
+        names = (bounds.VERDICT_CARDINAL, bounds.VERDICT_ORDINAL, bounds.VERDICT_INDETERMINATE)
+        print(f"decision grid {args.resolution}x{args.resolution}: " + ", ".join(f"{v}={seen.count(v)}" for v in names))
         return EXIT_OK
     decision = bounds.decide(args.sigma_c, args.sigma_o, args.b_bound)
     lo, hi = decision.ordinal_interval
@@ -212,6 +202,11 @@ def _config_value(doc: dict, path: str, expected, required: bool = True, default
                 raise DataFormatError(f"config field {path}: missing")
             return default
         node = node[part]
+    return _checked(path, node, expected)
+
+
+def _checked(path: str, node, expected):
+    """``node`` as type ``expected``; float accepts any number and int rejects booleans."""
     if expected is float:
         if not isinstance(node, (int, float)) or isinstance(node, bool):
             raise DataFormatError(f"config field {path}: expected a number, got {node!r}")
@@ -247,16 +242,15 @@ def parse_experiment_config(doc: dict) -> tuple[sim.ExperimentConfig, str | None
     elif not isinstance(w_true, dict):
         raise DataFormatError("config field w_true: expected a vector or a generator rule object")
 
-    fit_fields = doc.get("fit", {})
-    if not isinstance(fit_fields, dict):
-        raise DataFormatError("config field fit: expected an object")
-    fit_grid = fit_fields.get("sigma_grid")
+    _config_value(doc, "fit", dict, required=False)
+    fit_grid = _config_value(doc, "fit.sigma_grid", list, required=False)
+    default_box = b_bound if b_bound is not None else 1.0
     fit = estimate.FitConfig(
-        b_bound=fit_fields.get("b_bound", b_bound if b_bound is not None else 1.0),
-        max_iters=fit_fields.get("max_iters", 2000),
-        grad_tol=fit_fields.get("grad_tol"),
-        sigma_grid=tuple(fit_grid) if fit_grid else None,
-        seed=fit_fields.get("seed", 0),
+        b_bound=_config_value(doc, "fit.b_bound", float, required=False, default=default_box),
+        max_iters=_config_value(doc, "fit.max_iters", int, required=False, default=2000),
+        grad_tol=_config_value(doc, "fit.grad_tol", float, required=False),
+        sigma_grid=tuple(_checked("fit.sigma_grid", s, float) for s in fit_grid) if fit_grid else None,
+        seed=_config_value(doc, "fit.seed", int, required=False, default=0),
     )
 
     try:
@@ -280,6 +274,8 @@ def parse_experiment_config(doc: dict) -> tuple[sim.ExperimentConfig, str | None
             raise DataFormatError(f"config field sweep.param: cannot sweep {sweep_param!r}")
         if not sweep_values:
             raise DataFormatError("config field sweep.values: must be a nonempty list")
+        for value in sweep_values:
+            _checked("sweep.values", value, _SWEEP_TYPES[sweep_param])
     return config, sweep_param, sweep_values
 
 
@@ -289,8 +285,7 @@ def _row_bound(point: sim.ExperimentConfig) -> bounds.BoundReport | None:
         if spec.kind == models.CARDINAL:
             return bounds.minimax_cvo(models.CARDINAL, topo.d, topo.n, spec.sigma, spec.b_bound or 1.0)
         lap = graph.laplacian_of(graph.generate_topology(topo.kind, topo.d, topo.n, seed=point.seed, k=topo.k))
-        summary = graph.spectral_summary(lap)
-        return bounds.minimax_seminorm(spec.kind, topo.d, topo.n, spec.sigma, spec.b_bound or 1.0, summary.trace_pinv_std)
+        return bounds.minimax_seminorm(spec.kind, topo.d, topo.n, spec.sigma, spec.b_bound or 1.0, lap.trace_pinv_std)
     except ValueError:
         return None  # e.g. sigma = 0: bounds are undefined, rows still print
 
@@ -327,12 +322,11 @@ def cmd_simulate(args) -> int:
 def cmd_topology(args) -> int:
     g = graph.generate_topology(args.kind, args.d, args.n, seed=args.seed, k=args.k)
     lap = graph.laplacian_of(g)
-    summary = graph.spectral_summary(lap)
     print(f"topology {args.kind}: d={args.d} n={args.n} edges={len(g.edges)}")
-    print(f"connected: {summary.connected}")
-    print(f"lambda2(std): {summary.lambda2_std:.6g}")
-    print(f"trace_pinv(std): {summary.trace_pinv_std:.6g}")
-    print(f"rate factor d/lambda2(std): {args.d / summary.lambda2_std:.6g}  (x sigma^2/n)")
+    print(f"connected: {lap.connected}")
+    print(f"lambda2(std): {lap.lambda2_std:.6g}")
+    print(f"trace_pinv(std): {lap.trace_pinv_std:.6g}")
+    print(f"rate factor d/lambda2(std): {args.d / lap.lambda2_std:.6g}  (x sigma^2/n)")
     if args.out:
         graph.write_edge_list(g, args.out)
     return EXIT_OK

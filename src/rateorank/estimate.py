@@ -22,7 +22,7 @@ from .errors import ConnectivityError, FoldError, InsufficientDataError
 # Fits take their Laplacian from ObservationSet.laplacian.  build_laplacian_from_design
 # stays importable from here because perfbench's tracer self-test checks that it is
 # patched in this module.
-from .graph import Laplacian, build_laplacian_from_design  # noqa: F401
+from .graph import build_laplacian_from_design  # noqa: F401
 from .models import CARDINAL, PAIRED_LINEAR, BTL, ModelSpec, ObservationSet, QualityVector
 
 #: Default cross-validation grid: powers of two from 1/16 to 16.
@@ -71,8 +71,6 @@ class FitResult:
     converged: bool
     active_box: tuple[int, ...]
     nll_path: tuple[float, ...] = field(repr=False, default=())
-    # Laplacian of the pairwise design the fit built; None for cardinal fits.
-    laplacian: Laplacian | None = field(repr=False, default=None)
 
 
 def project_feasible(v: np.ndarray, b_bound: float) -> np.ndarray:
@@ -219,7 +217,6 @@ def mle_fit(obs: ObservationSet, config: FitConfig) -> FitResult:
         converged=converged,
         active_box=_active_box(w, config.b_bound),
         nll_path=tuple(path),
-        laplacian=laplacian,
     )
 
 
@@ -243,10 +240,9 @@ def cv_sigma(obs: ObservationSet, config: FitConfig) -> tuple[float, list[tuple[
     for i, held_out in enumerate(folds):
         train_idx = np.concatenate([folds[j] for j in range(3) if j != i])
         train = obs.subset(train_idx)
-        if train.model.kind in models.PAIRWISE_KINDS:
-            # The fold's Laplacian is cached on ``train`` and reused by every fit on it.
-            if not train.laplacian.connected:
-                raise FoldError(f"training graph for held-out fold {i} is disconnected")
+        # The fold's Laplacian is cached on ``train`` and reused by every fit on it.
+        if train.model.kind in models.PAIRWISE_KINDS and not train.laplacian.connected:
+            raise FoldError(f"training graph for held-out fold {i} is disconnected")
         splits.append((train, obs.subset(held_out)))
 
     table: list[tuple[float, float]] = []

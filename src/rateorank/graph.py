@@ -9,8 +9,8 @@ seminorm metrics are all phrased in terms of ``M``, its Moore-Penrose
 pseudoinverse and its spectrum, so those objects live here.
 
 Building a graph or a Laplacian is array work from start to end: the
-``(left, right, weight)`` triples are validated at once, merged by sorting
-canonical pair codes, and scattered into ``M`` with ``bincount`` degrees on
+``(left, right, weight)`` triples are validated at once, merged by
+:func:`index_pairs`, and scattered into ``M`` with ``bincount`` degrees on
 the diagonal.  Weights are integers, so ``M`` holds exact integer values.
 
 The module also owns the one CSV row reader, :func:`read_rows`: edge lists,
@@ -60,6 +60,17 @@ class ComparisonGraph:
         return np.repeat(edges[:, :2], edges[:, 2], axis=0)
 
 
+def index_pairs(d: int, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge rows by unordered pair; graph edges and observation rows both merge here.
+
+    Returns the distinct pairs, a (P, 2) int64 array with ``left < right`` in
+    lexicographic order, and each row's index into them.
+    """
+    codes = np.minimum(left, right).astype(np.int64) * d + np.maximum(left, right)
+    codes, index = np.unique(codes, return_inverse=True)
+    return np.column_stack((codes // d, codes % d)), index
+
+
 def _merge_edges(d: int, weighted_edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate ``(left, right, weight)`` triples and merge each pair's triples.
 
@@ -92,23 +103,20 @@ def _merge_edges(d: int, weighted_edges) -> tuple[np.ndarray, np.ndarray, np.nda
         raise ValueError(f"edge ({a}, {b}) has nonpositive weight {w}")
     if left.size == 0:
         raise ValueError("a comparison graph needs at least one edge")
-    codes = np.minimum(left, right) * d + np.maximum(left, right)
-    order = np.argsort(codes)
-    codes = codes[order]
-    starts = np.flatnonzero(np.diff(codes, prepend=-1))
-    keys = codes[starts]
-    weight = weight[order]
-    merged = np.add.reduceat(weight, starts)
+    pairs, index = index_pairs(d, left, right)
+    merged = np.zeros(len(pairs), dtype=np.int64)
+    np.add.at(merged, index, weight)
     if int(weight.max()) * weight.size >= 2**63:
         # The int64 sums may have wrapped: redo them exactly with Python integers.
-        exact = np.add.reduceat(weight.astype(object), starts)
+        exact = np.zeros(len(pairs), dtype=object)
+        np.add.at(exact, index, weight.astype(object))
         wrapped = np.flatnonzero(exact >= 2**63)
         if wrapped.size:
-            i = wrapped[0]
-            raise ValueError(f"edge ({keys[i] // d}, {keys[i] % d}) has merged weight {exact[i]}, which reaches 2**63")
+            a, b = pairs[wrapped[0]]
+            raise ValueError(f"edge ({a}, {b}) has merged weight {exact[wrapped[0]]}, which reaches 2**63")
         if sum(exact) >= 2**63:
             raise ValueError(f"total weight {sum(exact)} reaches 2**63")
-    return keys // d, keys % d, merged
+    return pairs[:, 0], pairs[:, 1], merged
 
 
 def comparison_graph(d: int, weighted_edges) -> ComparisonGraph:
@@ -128,7 +136,8 @@ class Laplacian:
     ``eigenvalues`` are sorted nonincreasing with near-zero values clamped to
     exactly zero; ``eigenvectors`` holds the matching orthonormal columns.
     ``n`` is the number of comparisons the design contains, so ``m / n`` is the
-    standardized covariance.
+    standardized covariance, which the ``*_std`` properties describe.  It is a
+    design table of :class:`rateorank.models.ObservationSet`, built once per design.
     """
 
     m: np.ndarray
@@ -151,21 +160,23 @@ class Laplacian:
         return float(self.eigenvalues[-2])
 
     @property
+    def lambda2_std(self) -> float:
+        """Algebraic connectivity of the standardized covariance, lambda2 / n."""
+        return self.lambda2 / self.n
+
+    @property
+    def trace_pinv_std(self) -> float:
+        """Trace of the pseudoinverse of ``m / n``, which is n * tr(pinv M); inf when M = 0."""
+        nonzero = self.eigenvalues[self.eigenvalues > 0]
+        return self.n * float(np.sum(1.0 / nonzero)) if nonzero.size else float("inf")
+
+    @property
     def connected(self) -> bool:
         return self.lambda2 > 0.0
 
     @property
     def rank(self) -> int:
         return int(np.count_nonzero(self.eigenvalues))
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Spectral facts about the standardized covariance ``m / n``."""
-
-    lambda2_std: float
-    trace_pinv_std: float
-    connected: bool
 
 
 def build_laplacian(d: int, weighted_edges) -> Laplacian:
@@ -219,17 +230,6 @@ def pseudo_inverse(laplacian: Laplacian) -> np.ndarray:
     return (u * inv) @ u.T
 
 
-def spectral_summary(laplacian: Laplacian) -> SpectralSummary:
-    """Summary of the standardized covariance: connectivity, lambda_2, trace of the pseudoinverse."""
-    nonzero = laplacian.eigenvalues[laplacian.eigenvalues > 0]
-    trace_pinv = float(np.sum(1.0 / nonzero)) if nonzero.size else float("inf")
-    return SpectralSummary(
-        lambda2_std=laplacian.lambda2 / laplacian.n,
-        trace_pinv_std=laplacian.n * trace_pinv,
-        connected=laplacian.connected,
-    )
-
-
 def _base_edges(kind: str, d: int, k: int | None, rng: np.random.Generator) -> list[tuple[int, int]]:
     if kind == "complete":
         return [(a, b) for a in range(d) for b in range(a + 1, d)]
@@ -260,12 +260,12 @@ def _sample_regular(d: int, k: int, rng: np.random.Generator) -> list[tuple[int,
         stubs = np.repeat(np.arange(d), k)
         rng.shuffle(stubs)
         pairs = stubs.reshape(-1, 2)
-        edges = {(min(a, b), max(a, b)) for a, b in pairs}
-        if len(edges) < pairs.shape[0] or any(a == b for a, b in pairs):
+        edges, _ = index_pairs(d, pairs[:, 0], pairs[:, 1])
+        if len(edges) < len(pairs) or np.any(pairs[:, 0] == pairs[:, 1]):
             continue  # multi-edge or self-loop: resample
-        lap = build_laplacian(d, [(a, b, 1) for a, b in edges])
+        lap = build_laplacian(d, np.column_stack((edges, np.ones(len(edges), dtype=np.int64))))
         if lap.lambda2 >= _EXPANDER_LAMBDA2_FRACTION * k:
-            return sorted(edges)
+            return list(map(tuple, edges.tolist()))
     raise RuntimeError(f"failed to sample a {k}-regular expander on {d} vertices")
 
 

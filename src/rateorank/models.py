@@ -137,17 +137,20 @@ class ObservationSet:
     ``design`` is an ``(n, 2)`` int array of ``(left, right)`` pairs for the
     pairwise kinds, or an ``(n,)`` int array of item indices for cardinal.
     ``outcomes`` is a float array; for binary kinds entries are exactly +-1.
-    The :attr:`groups` table and, for pairwise kinds, the design's
-    :attr:`laplacian` are built once, on first use, and shared by every
-    :meth:`with_sigma` view of the same data.
+    Tables are built on first use.  Design tables depend on the design alone:
+    the distinct pairs (items), each row's index into them, the reversed rows
+    and the :attr:`laplacian`.  The outcome table, :attr:`groups`, is counted
+    against that index.  A :meth:`with_sigma` view shares both; a
+    :meth:`with_outcomes` view (a new draw on the same design) shares the
+    design tables; a :meth:`subset` shares nothing.
     """
 
     model: ModelSpec
     d: int
     design: np.ndarray
     outcomes: np.ndarray
-    # Tables that depend on the data alone, keyed by property name.
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _design_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _outcome_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         design = np.asarray(self.design, dtype=np.intp)
@@ -181,50 +184,62 @@ class ObservationSet:
     def n(self) -> int:
         return self.outcomes.size
 
+    def _pair_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Design tables: distinct pairs (items), each row's index into them, reversed rows (None for cardinal)."""
+        tables = self._design_tables
+        if "index" not in tables:
+            if self.model.kind == CARDINAL:
+                tables["index"] = (*np.unique(self.design, return_inverse=True), None)
+            else:
+                left, right = self.design[:, 0], self.design[:, 1]
+                tables["index"] = (*graph.index_pairs(self.d, left, right), left > right)
+        return tables["index"]
+
     @property
     def groups(self) -> Groups:
         """The per-pair (per-item for cardinal) sufficient statistics of the rows."""
-        if "groups" in self._tables:
-            return self._tables["groups"]
-        y = self.outcomes
-        if self.model.kind == CARDINAL:
-            keys = self.design
-        else:
-            left, right = self.design[:, 0], self.design[:, 1]
-            y = np.where(left > right, -y, y)
-            keys = np.minimum(left, right).astype(np.int64, copy=False) * self.d
-            keys += np.maximum(left, right)
-            if self.model.kind in BINARY_KINDS:
-                keys *= 2
-                keys += y > 0
-        # Sorting the n keys, not a bincount over all possible keys, which would be d^2 long.
-        keys, inverse, count = np.unique(keys, return_inverse=True, return_counts=True)
-        value = np.bincount(inverse, weights=y, minlength=keys.size) / count
-        residual = y - value[inverse]
+        if "groups" in self._outcome_tables:
+            return self._outcome_tables["groups"]
+        keys, index, reversed_rows = self._pair_index()
+        y = self.outcomes if reversed_rows is None else np.where(reversed_rows, -self.outcomes, self.outcomes)
         if self.model.kind in BINARY_KINDS:
-            keys = keys // 2
-        if self.model.kind != CARDINAL:
-            keys = np.column_stack((keys // self.d, keys % self.d)).astype(np.intp, copy=False)
-        groups = self._tables["groups"] = Groups(keys, value, count, float(residual @ residual))
+            # Bin 2p holds pair p's -1 rows and bin 2p + 1 its +1 rows; empty bins are dropped.
+            count = np.bincount(2 * index + (y > 0), minlength=2 * keys.shape[0])
+            present = np.flatnonzero(count)
+            groups = Groups(keys[present // 2], np.where(present % 2, 1.0, -1.0), count[present], 0.0)
+        else:
+            count = np.bincount(index, minlength=keys.shape[0])
+            value = np.bincount(index, weights=y, minlength=keys.shape[0]) / count
+            residual = y - value[index]
+            groups = Groups(keys, value, count, float(residual @ residual))
+        self._outcome_tables["groups"] = groups
         return groups
 
     @property
     def laplacian(self) -> graph.Laplacian:
-        """Laplacian of a pairwise design, built from the per-pair counts of :attr:`groups`."""
-        if "laplacian" not in self._tables:
+        """Laplacian of a pairwise design, built from its per-pair counts; a design table."""
+        if "laplacian" not in self._design_tables:
             _require_kind(self.model, PAIRWISE_KINDS, "laplacian")
-            edges = np.column_stack((self.groups.items, self.groups.count))
-            self._tables["laplacian"] = graph.build_laplacian(self.d, edges)
-        return self._tables["laplacian"]
+            pairs, index, _ = self._pair_index()
+            edges = np.column_stack((pairs, np.bincount(index, minlength=pairs.shape[0])))
+            self._design_tables["laplacian"] = graph.build_laplacian(self.d, edges)
+        return self._design_tables["laplacian"]
 
     def subset(self, indices: np.ndarray) -> "ObservationSet":
         """A new observation set restricted to the given row indices."""
         return ObservationSet(self.model, self.d, self.design[indices], self.outcomes[indices])
 
     def with_sigma(self, sigma: float) -> "ObservationSet":
-        """Same data viewed under a different noise scale, sharing its data tables."""
+        """Same data viewed under a different noise scale, sharing its design and outcome tables."""
         view = ObservationSet(replace(self.model, sigma=sigma), self.d, self.design, self.outcomes)
-        object.__setattr__(view, "_tables", self._tables)
+        object.__setattr__(view, "_design_tables", self._design_tables)
+        object.__setattr__(view, "_outcome_tables", self._outcome_tables)
+        return view
+
+    def with_outcomes(self, outcomes: np.ndarray) -> "ObservationSet":
+        """New outcomes on the same design, sharing its design tables but none of its outcome tables."""
+        view = ObservationSet(self.model, self.d, self.design, outcomes)
+        object.__setattr__(view, "_design_tables", self._design_tables)
         return view
 
 
@@ -260,20 +275,15 @@ def sample(spec: ModelSpec, w, design: np.ndarray, seed: int) -> ObservationSet:
     """Draw one observation per design row under the given model."""
     w = as_values(w)
     rng = np.random.default_rng(seed)
-    if spec.kind == CARDINAL:
-        design = np.asarray(design, dtype=np.intp)
-        y = w[design] + spec.sigma * rng.standard_normal(design.shape[0])
-        return ObservationSet(spec, w.size, design, y)
     design = np.asarray(design, dtype=np.intp)
     margins = _margins(w, design)
-    if spec.kind == PAIRED_LINEAR:
+    if spec.kind == BTL:
+        y = np.where(rng.uniform(size=margins.size) < expit(margins / spec.sigma), 1.0, -1.0)
+    else:
+        # The two linear kinds observe the noisy margin; Thurstone observes its sign.
         y = margins + spec.sigma * rng.standard_normal(margins.size)
-    elif spec.kind == THURSTONE:
-        noisy = margins + spec.sigma * rng.standard_normal(margins.size)
-        y = np.where(noisy >= 0, 1.0, -1.0)
-    else:  # btl
-        u = rng.uniform(size=margins.size)
-        y = np.where(u < expit(margins / spec.sigma), 1.0, -1.0)
+        if spec.kind == THURSTONE:
+            y = np.where(y >= 0, 1.0, -1.0)
     return ObservationSet(spec, w.size, design, y)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import estimate, models
 from .errors import ModelKindError
-from .graph import ComparisonGraph, Laplacian, generate_topology, laplacian_of
+from .graph import Laplacian, generate_topology
 from .models import CARDINAL, ModelSpec, QualityVector, as_values
 
 #: Metric names computed per trial.
@@ -151,12 +151,12 @@ def run_experiment(config: ExperimentConfig) -> dict[str, RiskEstimate]:
     topo = config.topology
     is_cardinal = config.model.kind == CARDINAL
     if is_cardinal:
-        graph, laplacian = None, None
         design = cardinal_design(topo.d, topo.n)
     else:
-        graph = generate_topology(topo.kind, topo.d, topo.n, seed=config.seed, k=topo.k)
-        laplacian = laplacian_of(graph)
-        design = graph.to_design()
+        design = generate_topology(topo.kind, topo.d, topo.n, seed=config.seed, k=topo.k).to_design()
+    # Owns the design's tables (pair index, Laplacian): built once here, shared by every trial.
+    on_design = models.ObservationSet(config.model, topo.d, design, np.ones(len(design)))
+    laplacian = None if is_cardinal else on_design.laplacian
     w_true = resolve_w_true(config, laplacian)
     if w_true.d != topo.d:
         raise ValueError(f"w_true has {w_true.d} items but topology has {topo.d}")
@@ -167,7 +167,8 @@ def run_experiment(config: ExperimentConfig) -> dict[str, RiskEstimate]:
     failures = 0
     failure_notes: list[str] = []
     for trial in range(config.trials):
-        obs = models.sample(config.model, w_true, design, seed=config.seed + trial)
+        drawn = models.sample(config.model, w_true, design, seed=config.seed + trial)
+        obs = on_design.with_outcomes(drawn.outcomes)
         result = estimate.mle_fit(obs, config.fit)
         if not result.converged:
             failures += 1

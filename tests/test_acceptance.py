@@ -73,10 +73,10 @@ def test_c02_paired_seminorm_risk_level():
 def test_c03_binary_models_inside_guarantees():
     d, n, sigma, b = 10, 9000, 1.0, 1.0
     start = time.perf_counter()
-    summary = rr.spectral_summary(rr.laplacian_of(rr.generate_topology("complete", d, n)))
+    lap = rr.laplacian_of(rr.generate_topology("complete", d, n))
     lines, ok = [], True
     for kind in ("thurstone", "btl"):
-        report = rr.minimax_seminorm(kind, d, n, sigma, b, summary.trace_pinv_std)
+        report = rr.minimax_seminorm(kind, d, n, sigma, b, lap.trace_pinv_std)
         cfg = _experiment(
             rr.ModelSpec(kind, sigma=sigma, b_bound=b),
             rr.TopologySpec("complete", d=d, n=n),

@@ -258,6 +258,17 @@ class TestSimulate:
             (json.dumps({k: v for k, v in self._config_doc().items() if k != "w_true"}), "w_true"),
             (json.dumps(self._config_doc(sweep={"param": "delta", "values": [1]})), "cannot sweep"),
             (json.dumps(self._config_doc(sweep={"param": "n", "values": []})), "nonempty"),
+            (json.dumps(self._config_doc(fit={"max_iters": "10"})), "fit.max_iters: expected an integer"),
+            (json.dumps(self._config_doc(fit={"max_iters": 2.5})), "fit.max_iters: expected an integer"),
+            (json.dumps(self._config_doc(fit={"grad_tol": "x"})), "fit.grad_tol: expected a number"),
+            (json.dumps(self._config_doc(fit={"b_bound": "1"})), "fit.b_bound: expected a number"),
+            (json.dumps(self._config_doc(fit={"sigma_grid": 5})), "fit.sigma_grid: expected list"),
+            (json.dumps(self._config_doc(sweep={"param": "n", "values": [12.9, 24]})), "sweep.values: expected an integer"),
+            (json.dumps(self._config_doc(sweep={"param": "n", "values": [True]})), "sweep.values: expected an integer"),
+            (json.dumps(self._config_doc(sweep={"param": "d", "values": [5, "6"]})), "sweep.values: expected an integer"),
+            (json.dumps(self._config_doc(sweep={"param": "sigma", "values": ["1"]})), "sweep.values: expected a number"),
+            (json.dumps(self._config_doc(sweep={"param": "sigma", "values": [False]})), "sweep.values: expected a number"),
+            (json.dumps(self._config_doc(sweep={"param": "topology.kind", "values": [3]})), "sweep.values: expected str"),
         ]
         for text, fragment in cases:
             cfg.write_text(text)

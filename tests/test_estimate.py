@@ -179,11 +179,13 @@ class TestMleFit:
         spec = rr.ModelSpec("btl", sigma=1.0, b_bound=1.0)
         obs = rr.sample(spec, rr.QualityVector.centered([0.3, 0.1, -0.1, -0.3]), design, seed=2)
         result = rr.mle_fit(obs, rr.FitConfig())
-        assert np.array_equal(result.laplacian.m, rr.build_laplacian_from_design(4, design).m)
+        assert np.array_equal(obs.laplacian.m, rr.build_laplacian_from_design(4, design).m)
         assert "laplacian" not in repr(result)
         ratings = rr.sample(rr.ModelSpec("cardinal", sigma=1.0), rr.QualityVector.centered([0.5, -0.5]),
                             np.array([0, 1, 0, 1]), seed=0)
-        assert rr.mle_fit(ratings, rr.FitConfig()).laplacian is None
+        rr.mle_fit(ratings, rr.FitConfig())
+        with pytest.raises(rr.ModelKindError):
+            ratings.laplacian
 
     def test_disconnected_design_rejected(self):
         for kind in ("paired_linear", "thurstone", "btl"):

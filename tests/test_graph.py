@@ -13,7 +13,6 @@ from rateorank import (
     laplacian_of,
     pseudo_inverse,
     read_edge_list,
-    spectral_summary,
     write_edge_list,
 )
 
@@ -183,12 +182,11 @@ def test_laplacian_from_design_matches_edge_build():
 def test_spectral_summary_standardization():
     # One edge compared n times: lambda2(M)/n = 2, n * tr(pinv M) = 1/2.
     for n in (1, 7, 40):
-        lap = build_laplacian(2, [(0, 1, n)])
-        s = spectral_summary(lap)
+        s = build_laplacian(2, [(0, 1, n)])
         assert s.lambda2_std == pytest.approx(2.0)
         assert s.trace_pinv_std == pytest.approx(0.5)
         assert s.connected
-    s = spectral_summary(build_laplacian(4, [(0, 1, 1), (2, 3, 1)]))
+    s = build_laplacian(4, [(0, 1, 1), (2, 3, 1)])
     assert not s.connected
 
 

@@ -339,6 +339,48 @@ class TestGroupedLikelihood:
             rr.ObservationSet(rr.ModelSpec("cardinal", sigma=1.0), 3, np.array([0, 1]), np.zeros(2)).laplacian
 
 
+def _assert_same_tables(obs, fresh, w):
+    """``obs`` and a freshly built set on the same rows agree exactly, not just to rounding."""
+    a, b = obs.groups, fresh.groups
+    assert np.array_equal(a.items, b.items) and a.items.dtype == b.items.dtype
+    assert np.array_equal(a.value, b.value) and np.array_equal(a.count, b.count) and a.spread == b.spread
+    assert rr.neg_log_likelihood(obs.model, w, obs) == rr.neg_log_likelihood(fresh.model, w, fresh)
+    assert np.array_equal(rr.gradient(obs.model, w, obs), rr.gradient(fresh.model, w, fresh))
+
+
+class TestSharedDesign:
+    @settings(max_examples=200, deadline=None)
+    @given(_repeated_pair_instances(), st.randoms(use_true_random=False))
+    def test_views_share_design_tables_only(self, instance, random):
+        spec, w, obs = instance
+        pairwise = spec.kind != "cardinal"
+        if random.random() < 0.5:
+            # Build the design tables on the first set, before any view of it exists.
+            obs.groups
+            if pairwise:
+                obs.laplacian
+        draws = []
+        for _ in range(2):
+            if spec.kind in rr.BINARY_KINDS:
+                draws.append(np.array([random.choice([1.0, -1.0]) for _ in range(obs.n)]))
+            else:
+                draws.append(np.array([random.uniform(-3.0, 3.0) for _ in range(obs.n)]))
+        views = [obs.with_outcomes(draws[0]), obs.with_sigma(spec.sigma * 2.0).with_outcomes(draws[1])]
+        for view in views:
+            _assert_same_tables(view, rr.ObservationSet(view.model, obs.d, obs.design, view.outcomes), w)
+        _assert_same_tables(obs, rr.ObservationSet(spec, obs.d, obs.design, obs.outcomes), w)
+        assert views[0].groups is not obs.groups and views[1].groups is not views[0].groups
+        assert views[1].with_sigma(1.0).groups is views[1].groups
+        subset = obs.subset(np.arange(obs.n))
+        _assert_same_tables(subset, obs, w)
+        assert subset.groups is not obs.groups
+        if pairwise:
+            laplacian = views[random.randrange(2)].laplacian
+            assert laplacian is obs.laplacian is views[0].laplacian is views[1].laplacian
+            assert subset.laplacian is not laplacian
+            assert np.array_equal(laplacian.m, rr.build_laplacian_from_design(obs.d, obs.design).m)
+
+
 class TestDerivatives:
     def _random_instance(self, kind, rng):
         d = int(rng.integers(3, 7))

@@ -161,6 +161,20 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             _config(trials=0)
 
+    def test_experiment_builds_the_laplacian_once(self, monkeypatch):
+        calls = []
+        original = rr.graph.build_laplacian
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rr.graph, "build_laplacian", counting)
+        out = rr.run_experiment(_config(model=rr.ModelSpec("btl", sigma=1.0, b_bound=1.0), trials=5))
+        assert out["seminorm_sq"].trials == 5
+        # The design's Laplacian is shared by the seminorm metric and all five fits.
+        assert calls == [6]
+
 
 class TestSweep:
     def test_budget_sweep_decreases_risk(self):
