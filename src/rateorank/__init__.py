@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .bounds import (
     BoundReport,
     Decision,
+    applicable_bound,
     decide,
     decision_grid,
     kappa,
@@ -93,7 +94,6 @@ from .sim import (
     scaled_l2_sq,
     seminorm_sq,
     sweep,
-    sweep_point,
     write_sweep_csv,
 )
 

@@ -12,13 +12,13 @@ and only the noise scales and the interval constants matter.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr
 
 from .errors import ModelKindError
-from .models import BTL, CARDINAL, PAIRED_LINEAR, THURSTONE
+from .models import BTL, CARDINAL, PAIRED_LINEAR, THURSTONE, ObservationSet
 
 #: Even-budget (one-rating-at-a-time vs round-robin comparisons) model names.
 CVO_MODELS = (CARDINAL, "thurstone_even")
@@ -98,22 +98,16 @@ def minimax_cvo(model: str, d: int, n: int, sigma: float, b_bound: float) -> Bou
     """
     if model not in CVO_MODELS:
         raise ModelKindError(f"minimax_cvo supports {CVO_MODELS}, got {model!r}")
+    if model == "thurstone_even":
+        # Even-budget comparisons form a complete graph: its standardized pseudoinverse trace is (d-1)^2 / 2.
+        seminorm = minimax_seminorm(THURSTONE, d, n, sigma, b_bound, (d - 1) ** 2 / 2)
+        return replace(seminorm, model_kind=model, norm=NORM_PER_ITEM)
     _validate_common(d, n, sigma, b_bound)
     rate = d * sigma**2 / n
-    k = kappa(b_bound, sigma)
-    if model == CARDINAL:
-        return BoundReport(
-            model_kind=model, d=d, n=n, sigma=sigma, b_bound=b_bound, kappa=k,
-            lower=rate, upper=rate, norm=NORM_PER_ITEM,
-            sample_condition_met=n >= d, in_regime=d > _MIN_REGIME_D,
-        )
-    # Even-budget comparisons form a complete graph whose standardized
-    # pseudoinverse trace is (d-1)^2 / 2; plug that into the sample threshold.
-    threshold = sigma**2 * k * (d - 1) ** 2 / (2.0 * _THURSTONE_SAMPLE_C * b_bound**2)
     return BoundReport(
-        model_kind=model, d=d, n=n, sigma=sigma, b_bound=b_bound, kappa=k,
-        lower=_THURSTONE_LOWER * k * rate, upper=_upper_over_kappa_sq(k, rate),
-        norm=NORM_PER_ITEM, sample_condition_met=n >= threshold, in_regime=d > _MIN_REGIME_D,
+        model_kind=model, d=d, n=n, sigma=sigma, b_bound=b_bound, kappa=kappa(b_bound, sigma),
+        lower=rate, upper=rate, norm=NORM_PER_ITEM,
+        sample_condition_met=n >= d, in_regime=d > _MIN_REGIME_D,
     )
 
 
@@ -157,6 +151,19 @@ def minimax_seminorm(
         lower=float(lower), upper=float(upper), norm=NORM_SEMINORM,
         sample_condition_met=bool(condition), in_regime=d > _MIN_REGIME_D,
     )
+
+
+def applicable_bound(obs: ObservationSet, b_bound: float) -> BoundReport | None:
+    """The minimax interval of an observation set's own design; None when sigma <= 0 leaves it undefined.
+
+    Ratings get the even-budget cardinal interval, comparisons the seminorm interval of their Laplacian.
+    """
+    spec = obs.model
+    if spec.sigma <= 0:
+        return None
+    if spec.kind == CARDINAL:
+        return minimax_cvo(CARDINAL, obs.d, obs.n, spec.sigma, b_bound)
+    return minimax_seminorm(spec.kind, obs.d, obs.n, spec.sigma, b_bound, obs.laplacian.trace_pinv_std)
 
 
 def decide(sigma_c: float, sigma_o: float, b_bound: float = 1.0) -> Decision:

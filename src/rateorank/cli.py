@@ -156,14 +156,8 @@ def cmd_fit(args) -> int:
         active_box=list(result.active_box),
     )
 
-    bound_report = None
-    if args.model != "cardinal":
-        trace_pinv_std = obs.laplacian.trace_pinv_std
-        bound_report = bounds.minimax_seminorm(args.model, obs.d, obs.n, obs.model.sigma, args.b_bound, trace_pinv_std)
-    elif obs.model.sigma > 0:
-        bound_report = bounds.minimax_cvo(models.CARDINAL, obs.d, obs.n, obs.model.sigma, args.b_bound)
-
-    doc = result_document(dataset.item_ids, result, args.model, args.b_bound, metrics, bound_report)
+    doc = result_document(dataset.item_ids, result, args.model, args.b_bound, metrics,
+                          bounds.applicable_bound(obs, args.b_bound))
     if args.out:
         _write_json(doc, args.out)
     print(f"fit {args.model}: d={obs.d} n={obs.n} sigma={obs.model.sigma:g} "
@@ -239,7 +233,10 @@ def parse_experiment_config(doc: dict) -> tuple[sim.ExperimentConfig, str | None
     w_true = doc["w_true"]
     if isinstance(w_true, list):
         w_true = models.QualityVector(np.asarray(w_true, dtype=float))
-    elif not isinstance(w_true, dict):
+    elif isinstance(w_true, dict):
+        for name, expected in (("b", float), ("delta", float), ("alpha", float), ("index", int)):
+            _config_value(doc, f"w_true.{name}", expected, required=False)
+    else:
         raise DataFormatError("config field w_true: expected a vector or a generator rule object")
 
     _config_value(doc, "fit", dict, required=False)
@@ -279,17 +276,6 @@ def parse_experiment_config(doc: dict) -> tuple[sim.ExperimentConfig, str | None
     return config, sweep_param, sweep_values
 
 
-def _row_bound(point: sim.ExperimentConfig) -> bounds.BoundReport | None:
-    spec, topo = point.model, point.topology
-    try:
-        if spec.kind == models.CARDINAL:
-            return bounds.minimax_cvo(models.CARDINAL, topo.d, topo.n, spec.sigma, spec.b_bound or 1.0)
-        lap = graph.laplacian_of(graph.generate_topology(topo.kind, topo.d, topo.n, seed=point.seed, k=topo.k))
-        return bounds.minimax_seminorm(spec.kind, topo.d, topo.n, spec.sigma, spec.b_bound or 1.0, lap.trace_pinv_std)
-    except ValueError:
-        return None  # e.g. sigma = 0: bounds are undefined, rows still print
-
-
 def cmd_simulate(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -305,16 +291,11 @@ def cmd_simulate(args) -> int:
     if args.out:
         sim.write_sweep_csv(rows, args.out)
 
-    headline = sim.METRIC_SEMINORM if config.model.kind != models.CARDINAL else sim.METRIC_PER_ITEM
-    # Each sweep point has exactly one headline row, in sweep order.
-    points = (sim.sweep_point(config, sweep_param, value, i) for i, value in enumerate(sweep_values))
     for row in rows:
         line = (f"{row.param}={row.value} {row.metric}: mean={row.mean:.6g} "
                 f"stderr={row.stderr:.3g} trials={row.trials} failures={row.failures}")
-        if row.metric == headline:
-            report = _row_bound(next(points))
-            if report is not None:
-                line += f"  bound=[{report.lower:.3g}, {report.upper:.3g}]"
+        if row.bound is not None:
+            line += f"  bound=[{row.bound.lower:.3g}, {row.bound.upper:.3g}]"
         print(line)
     return EXIT_OK
 

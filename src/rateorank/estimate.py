@@ -1,14 +1,14 @@
 """Constrained maximum-likelihood estimation and noise-scale cross-validation.
 
-All models are fit over the same feasible set: mean-zero vectors inside the
-hypercube ``|w_j| <= B``.  The solver is projected gradient descent with a
+The pairwise models are fit over one feasible set: mean-zero vectors inside
+the hypercube ``|w_j| <= B``.  The solver is projected gradient descent with a
 safeguarded Barzilai-Borwein step (the spectral projected gradient method of
 Birgin, Martinez and Raydan) and a monotone Armijo backtracking test, so the
 objective never increases.  Projection onto the feasible set is exact: a
 sort-and-breakpoint search for the shift that zeroes the sum of the clipped
 vector (the continuous quadratic knapsack problem, Kiwiel 2008).  The cardinal
-model has a closed form (centered per-item means) and skips the iteration
-entirely.
+model's unconstrained closed form (centered per-item means) skips the iteration;
+its ``active_box`` lists the items at or beyond ``B``.
 """
 
 from __future__ import annotations

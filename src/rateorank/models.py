@@ -357,8 +357,8 @@ def hessian(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
             ratio = _thurstone_ratio(y, z)
             weights = count * np.maximum(ratio * (ratio + y * z), 0.0) / spec.sigma**2
         else:
-            p = expit(z)
-            weights = count * p * (1.0 - p) / spec.sigma**2
+            # expit(-z) is 1 - expit(z) without the cancellation that 1 - p suffers for z > 0.
+            weights = count * expit(z) * expit(-z) / spec.sigma**2
     left, right = groups.items[:, 0], groups.items[:, 1]
     # Groups have left < right, so the scatter fills the strict upper triangle; a pair can
     # hold two groups (one per outcome), which bincount sums.
@@ -382,5 +382,4 @@ def strong_convexity_scalar(spec: ModelSpec, t: float) -> float:
     if spec.kind == THURSTONE:
         hazard = float(np.exp(_log_norm_pdf(np.array(t)) - log_ndtr(-t)))
         return hazard * (hazard - t)
-    p = float(expit(t))
-    return p * (1.0 - p)
+    return float(expit(t) * expit(-t))

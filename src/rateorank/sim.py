@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import estimate, models
-from .errors import ModelKindError
+from .bounds import BoundReport, applicable_bound
 from .graph import Laplacian, generate_topology
 from .models import CARDINAL, ModelSpec, QualityVector, as_values
 
@@ -62,12 +62,16 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RiskEstimate:
-    """Mean and standard error of one metric over the successful trials."""
+    """Mean and standard error of one metric over the successful trials.
+
+    ``bound`` is the measured design's minimax interval on the headline metric, else None.
+    """
 
     metric: str
     mean: float
     stderr: float
     trials: int
+    bound: BoundReport | None = field(default=None, repr=False)
 
 
 def seminorm_sq(w_hat, w_true, laplacian: Laplacian) -> float:
@@ -196,6 +200,9 @@ def run_experiment(config: ExperimentConfig) -> dict[str, RiskEstimate]:
         arr = np.asarray(vals)
         stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
         out[metric] = RiskEstimate(metric=metric, mean=float(arr.mean()), stderr=stderr, trials=arr.size)
+    headline = METRIC_PER_ITEM if is_cardinal else METRIC_SEMINORM
+    # B does not enter the cardinal or paired_linear interval; those kinds may leave it unset.
+    out[headline] = replace(out[headline], bound=applicable_bound(on_design, config.model.b_bound or 1.0))
     return out
 
 
@@ -210,9 +217,10 @@ class SweepRow:
     stderr: float
     trials: int
     failures: int
+    bound: BoundReport | None = field(default=None, repr=False)
 
 
-def sweep_point(config: ExperimentConfig, param: str, value, index: int) -> ExperimentConfig:
+def _sweep_point(config: ExperimentConfig, param: str, value, index: int) -> ExperimentConfig:
     """The experiment a sweep runs for its ``index``-th value, reseeded at ``seed + 10**7 * index``."""
     config = replace(config, seed=config.seed + _SWEEP_SEED_STRIDE * index)
     if param == "n":
@@ -230,7 +238,7 @@ def sweep(config: ExperimentConfig, param: str, values: Sequence) -> list[SweepR
     """Rerun the experiment across parameter values; one row per (value, metric)."""
     rows: list[SweepRow] = []
     for index, value in enumerate(values):
-        point = sweep_point(config, param, value, index)
+        point = _sweep_point(config, param, value, index)
         estimates = run_experiment(point)
         for metric in sorted(estimates):
             est = estimates[metric]
@@ -243,6 +251,7 @@ def sweep(config: ExperimentConfig, param: str, values: Sequence) -> list[SweepR
                     stderr=est.stderr,
                     trials=est.trials,
                     failures=point.trials - est.trials,
+                    bound=est.bound,
                 )
             )
     return rows

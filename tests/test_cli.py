@@ -235,19 +235,54 @@ class TestSimulate:
         doc["topology"] = {"kind": "expander", "d": 20, "n": 400, "k": 4}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        seeds = []
+        seeds, graphs, traces = [], [], []
         original = rr.graph.generate_topology
+        original_bound = rr.bounds.minimax_seminorm
 
         def recording(*args, **kwargs):
             seeds.append(kwargs["seed"])
-            return original(*args, **kwargs)
+            graphs.append(original(*args, **kwargs))
+            return graphs[-1]
+
+        def recording_bound(*args):
+            traces.append(args[-1])
+            return original_bound(*args)
 
         monkeypatch.setattr(rr.graph, "generate_topology", recording)
         monkeypatch.setattr(rr.sim, "generate_topology", recording)
+        monkeypatch.setattr(rr.bounds, "minimax_seminorm", recording_bound)
         assert cli.main(["simulate", "--config", str(cfg)]) == 0
-        # Two sweep points measured, then the two headline bounds on the same graphs.
-        assert seeds == [3, 3 + 10**7, 3, 3 + 10**7]
-        assert capsys.readouterr().out.count("bound=[") == 2
+        # Each sweep point's graph is generated once, and its bound comes from that graph.
+        assert seeds == [3, 3 + 10**7]
+        own = [rr.laplacian_of(g).trace_pinv_std for g in graphs]
+        assert traces == own
+        expected = [original_bound("paired_linear", 20, n, 1.0, 1.0, t) for n, t in zip((400, 800), own)]
+        assert [line.split("bound=")[1] for line in capsys.readouterr().out.splitlines() if "bound=" in line] == [
+            f"[{r.lower:.3g}, {r.upper:.3g}]" for r in expected
+        ]
+
+    def test_sweep_builds_each_point_laplacian_once(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self._config_doc(sweep={"param": "n", "values": [60, 120]})))
+        calls = []
+        original = rr.graph.build_laplacian
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rr.graph, "build_laplacian", counting)
+        assert cli.main(["simulate", "--config", str(cfg)]) == 0
+        # One per sweep point, shared by its trials, its seminorm metric and its bound line.
+        assert calls == [5, 5]
+
+    def test_zero_sigma_prints_no_bound(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self._config_doc(model={"kind": "paired_linear", "sigma": 0.0})))
+        assert cli.main(["simulate", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "n=80 seminorm_sq" in out
+        assert "bound=" not in out
 
     def test_config_validation(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -269,6 +304,12 @@ class TestSimulate:
             (json.dumps(self._config_doc(sweep={"param": "sigma", "values": ["1"]})), "sweep.values: expected a number"),
             (json.dumps(self._config_doc(sweep={"param": "sigma", "values": [False]})), "sweep.values: expected a number"),
             (json.dumps(self._config_doc(sweep={"param": "topology.kind", "values": [3]})), "sweep.values: expected str"),
+            (json.dumps(self._config_doc(w_true={"rule": "uniform_box", "b": None})), "w_true.b: expected a number"),
+            (json.dumps(self._config_doc(w_true={"rule": "uniform_box", "b": True})), "w_true.b: expected a number"),
+            (json.dumps(self._config_doc(w_true={"rule": "packing_vertex", "delta": [1]})),
+             "w_true.delta: expected a number"),
+            (json.dumps(self._config_doc(w_true={"rule": "packing_vertex", "index": 1.7})),
+             "w_true.index: expected an integer"),
         ]
         for text, fragment in cases:
             cfg.write_text(text)

@@ -226,8 +226,7 @@ def _row_terms(spec, w, obs):
         ratio = np.exp(-0.5 * z * z - 0.5 * np.log(2.0 * np.pi) - log_ndtr(y * z))
         hess = np.maximum(ratio * (ratio + y * z), 0.0) / spec.sigma**2
         return -log_ndtr(y * z), -y * ratio / spec.sigma, hess
-    p = expit(z)
-    return np.logaddexp(0.0, -y * z), -y * expit(-y * z) / spec.sigma, p * (1.0 - p) / spec.sigma**2
+    return np.logaddexp(0.0, -y * z), -y * expit(-y * z) / spec.sigma, expit(z) * expit(-z) / spec.sigma**2
 
 
 def _row_reference(spec, w, obs):
@@ -285,10 +284,19 @@ def _exact_fit_instance():
     return spec, np.array([0.1, 0.0]), obs
 
 
+def _reversed_btl_instance():
+    # The row (2, 0) has margin z = -12; its group is stored as (0, 2) at z = +12, where
+    # p * (1 - p) with p = expit(z) loses 1e-12 of its value to the cancellation in 1 - p.
+    spec = rr.ModelSpec("btl", sigma=0.25, b_bound=2.0)
+    obs = rr.ObservationSet(spec, 5, np.array([[2, 0]]), np.array([1.0]))
+    return spec, np.array([1.0, 0.0, -2.0, 0.0, 0.0]), obs
+
+
 class TestGroupedLikelihood:
     @settings(max_examples=300, deadline=None)
     @given(_repeated_pair_instances())
     @example(_exact_fit_instance())
+    @example(_reversed_btl_instance())
     def test_grouped_matches_row_level(self, instance):
         spec, w, obs = instance
         (nll, g, h), (nll_scale, g_scale, h_scale) = _row_reference(spec, w, obs)

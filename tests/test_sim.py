@@ -175,6 +175,23 @@ class TestRunExperiment:
         # The design's Laplacian is shared by the seminorm metric and all five fits.
         assert calls == [6]
 
+    def test_headline_metric_carries_the_design_bound(self):
+        cfg = _config(model=rr.ModelSpec("btl", sigma=1.0, b_bound=1.0), trials=3)
+        out = rr.run_experiment(cfg)
+        lap = rr.laplacian_of(rr.generate_topology("complete", 6, 450, seed=7))
+        assert out["seminorm_sq"].bound == rr.minimax_seminorm("btl", 6, 450, 1.0, 1.0, lap.trace_pinv_std)
+        assert all(out[m].bound is None for m in out if m != "seminorm_sq")
+
+        cfg = _config(model=rr.ModelSpec("cardinal", sigma=0.5), trials=3, fit=rr.FitConfig(b_bound=5.0))
+        out = rr.run_experiment(cfg)
+        assert out["per_item_l2_sq"].bound == rr.minimax_cvo("cardinal", 6, 450, 0.5, 1.0)
+        assert all(out[m].bound is None for m in out if m != "per_item_l2_sq")
+
+    def test_zero_sigma_carries_no_bound(self):
+        out = rr.run_experiment(_config(model=rr.ModelSpec("paired_linear", sigma=0.0), trials=3))
+        assert out["seminorm_sq"].trials == 3
+        assert all(est.bound is None for est in out.values())
+
 
 class TestSweep:
     def test_budget_sweep_decreases_risk(self):
