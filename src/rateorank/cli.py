@@ -232,7 +232,7 @@ def parse_experiment_config(doc: dict) -> tuple[sim.ExperimentConfig, str | None
         raise DataFormatError("config field w_true: missing")
     w_true = doc["w_true"]
     if isinstance(w_true, list):
-        w_true = models.QualityVector(np.asarray(w_true, dtype=float))
+        w_true = models.QualityVector(np.array([_checked("w_true", value, float) for value in w_true]))
     elif isinstance(w_true, dict):
         for name, expected in (("b", float), ("delta", float), ("alpha", float), ("index", int)):
             _config_value(doc, f"w_true.{name}", expected, required=False)

@@ -6,7 +6,9 @@ combinatorial Laplacian ``M`` of the weighted graph is the Gram matrix of the
 differencing vectors of the design, and ``M / n`` (``n`` = total number of
 comparisons) is the standardized design covariance.  Risk bounds, packings and
 seminorm metrics are all phrased in terms of ``M``, its Moore-Penrose
-pseudoinverse and its spectrum, so those objects live here.
+pseudoinverse and its spectrum, so those objects live here.  A
+:class:`Laplacian` holds only ``M`` and ``n``: its eigenvalues are computed
+once, on first read, and no eigenvectors are kept.
 
 Building a graph or a Laplacian is array work from start to end: the
 ``(left, right, weight)`` triples are validated at once, merged by
@@ -20,6 +22,7 @@ ratings and comparisons differ only in their :class:`RowFormat`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -131,23 +134,26 @@ def comparison_graph(d: int, weighted_edges) -> ComparisonGraph:
 
 @dataclass(frozen=True)
 class Laplacian:
-    """Combinatorial Laplacian of a comparison design plus its eigendecomposition.
+    """Combinatorial Laplacian ``m`` of a comparison design and its comparison count ``n``.
 
-    ``eigenvalues`` are sorted nonincreasing with near-zero values clamped to
-    exactly zero; ``eigenvectors`` holds the matching orthonormal columns.
-    ``n`` is the number of comparisons the design contains, so ``m / n`` is the
-    standardized covariance, which the ``*_std`` properties describe.  It is a
-    design table of :class:`rateorank.models.ObservationSet`, built once per design.
+    ``m / n`` is the standardized covariance, which the ``*_std`` properties
+    describe.  It is a design table of :class:`rateorank.models.ObservationSet`,
+    built once per design.
     """
 
     m: np.ndarray
     n: int
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
     @property
     def d(self) -> int:
         return self.m.shape[0]
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Nonincreasing; values below ``RANK_TOL`` times the largest are clamped to zero."""
+        eigenvalues = np.linalg.eigvalsh(self.m)[::-1].copy()
+        eigenvalues[eigenvalues < RANK_TOL * eigenvalues[0]] = 0.0
+        return eigenvalues
 
     @property
     def lambda1(self) -> float:
@@ -180,27 +186,19 @@ class Laplacian:
 
 
 def build_laplacian(d: int, weighted_edges) -> Laplacian:
-    """Assemble the Laplacian of a weighted comparison graph and eigendecompose it.
+    """Assemble the Laplacian of a weighted comparison graph; its spectrum waits until read.
 
     ``weighted_edges`` is an (E, 3) array or an iterable of
     ``(left, right, weight)`` triples.  ``M`` is filled from the merged edge
     arrays without a Python loop; its entries are exact integer sums.
     """
     left, right, weight = _merge_edges(d, weighted_edges)
-    n = int(weight.sum())
     w = weight.astype(float)
     m = np.zeros((d, d))
     m[left, right] = -w
     m[right, left] = -w
     m[np.diag_indices(d)] = np.bincount(left, w, minlength=d) + np.bincount(right, w, minlength=d)
-    # Release the edge arrays before eigh, so that they do not add to its peak memory.
-    del left, right, weight, w
-    eigenvalues, eigenvectors = np.linalg.eigh(m)
-    # eigh returns ascending order; flip to nonincreasing.
-    eigenvalues = eigenvalues[::-1].copy()
-    eigenvectors = eigenvectors[:, ::-1].copy()
-    eigenvalues[eigenvalues < RANK_TOL * eigenvalues[0]] = 0.0
-    return Laplacian(m=m, n=n, eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    return Laplacian(m=m, n=int(weight.sum()))
 
 
 def laplacian_of(graph: ComparisonGraph) -> Laplacian:
@@ -217,17 +215,14 @@ def build_laplacian_from_design(d: int, design: np.ndarray) -> Laplacian:
 
 
 def pseudo_inverse(laplacian: Laplacian) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of the Laplacian via its eigendecomposition.
+    """Moore-Penrose pseudoinverse of the Laplacian, singular values below ``RANK_TOL`` times the largest dropped.
 
     Raises :class:`ConnectivityError` on a disconnected graph, where the
     estimation problem the pseudoinverse feeds into is not identifiable.
     """
     if not laplacian.connected:
         raise ConnectivityError("comparison graph is disconnected; pseudoinverse refused")
-    inv = np.zeros_like(laplacian.eigenvalues)
-    np.divide(1.0, laplacian.eigenvalues, out=inv, where=laplacian.eigenvalues > 0)
-    u = laplacian.eigenvectors
-    return (u * inv) @ u.T
+    return np.linalg.pinv(laplacian.m, rcond=RANK_TOL, hermitian=True)
 
 
 def _base_edges(kind: str, d: int, k: int | None, rng: np.random.Generator) -> list[tuple[int, int]]:

@@ -174,9 +174,10 @@ def build_packing(laplacian: Laplacian, delta: float, alpha: float) -> Packing:
     signs = 2.0 * code.words - 1.0
     # Zero coordinate goes where the zero eigenvalue sits (last, by sort order).
     padded = np.hstack([signs, np.zeros((code.count, 1))])
-    half_inv = np.zeros_like(laplacian.eigenvalues)
-    np.divide(1.0, np.sqrt(laplacian.eigenvalues), out=half_inv, where=laplacian.eigenvalues > 0)
-    lift = laplacian.eigenvectors * half_inv  # U @ diag(1/sqrt(lambda))
+    # eigh's ascending order flipped, so the one zero eigenvalue of a connected design is last.
+    eigenvalues, eigenvectors = (a[..., ::-1] for a in np.linalg.eigh(laplacian.m))
+    half_inv = np.append(1.0 / np.sqrt(eigenvalues[:-1]), 0.0)
+    lift = eigenvectors * half_inv  # U @ diag(1/sqrt(lambda))
     raw = (delta / math.sqrt(d)) * padded @ lift.T
 
     # Rows are mean-zero by construction (the zero pad kills the nullspace

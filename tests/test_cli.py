@@ -310,6 +310,9 @@ class TestSimulate:
              "w_true.delta: expected a number"),
             (json.dumps(self._config_doc(w_true={"rule": "packing_vertex", "index": 1.7})),
              "w_true.index: expected an integer"),
+            (json.dumps(self._config_doc(w_true=[0.5, "-0.5", 0, 0, 0])), "w_true: expected a number, got '-0.5'"),
+            (json.dumps(self._config_doc(w_true=[True, -1, 0, 0, 0])), "w_true: expected a number, got True"),
+            (json.dumps(self._config_doc(w_true=["x", 1, -1, 0, 0])), "w_true: expected a number, got 'x'"),
         ]
         for text, fragment in cases:
             cfg.write_text(text)

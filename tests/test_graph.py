@@ -1,20 +1,33 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rateorank
 from rateorank import (
     ComparisonGraph,
     ConnectivityError,
+    FitConfig,
+    ModelSpec,
+    applicable_bound,
     build_laplacian,
     build_laplacian_from_design,
     comparison_graph,
+    cv_sigma,
     generate_topology,
     laplacian_of,
+    mle_fit,
     pseudo_inverse,
     read_edge_list,
+    sample,
     write_edge_list,
 )
+from rateorank.graph import RANK_TOL
 
 
 def test_merge_and_orient_edges():
@@ -273,3 +286,90 @@ def test_rank_tolerance_clamps_noise_eigenvalues():
     assert lap.eigenvalues[-2:] == pytest.approx([0.0, 0.0])
     assert not lap.connected
     assert isinstance(ComparisonGraph(2, ((0, 1, 1),)).n, int)
+
+
+def _reference_spectrum(m):
+    """Dense eigh reference: eigenvalues nonincreasing, those below RANK_TOL * the largest set to zero."""
+    values = np.linalg.eigh(m)[0][::-1].copy()
+    values[values < RANK_TOL * values[0]] = 0.0
+    return values
+
+
+def _component_count(d, edges):
+    parent = list(range(d))
+
+    def root(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for a, b, _ in edges:
+        parent[root(a)] = root(b)
+    return len({root(a) for a in range(d)})
+
+
+@st.composite
+def _multigraphs(draw):
+    """Random weighted multigraphs; about half are split by item parity, so surely disconnected."""
+    d = draw(st.integers(2, 9))
+    split = d >= 4 and draw(st.booleans())
+    item = st.integers(0, d - 1)
+    pair = st.tuples(item, item).filter(lambda p: p[0] != p[1] and (not split or p[0] % 2 == p[1] % 2))
+    return d, [(a, b, draw(st.integers(1, 5))) for a, b in draw(st.lists(pair, min_size=1, max_size=30))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_multigraphs())
+def test_lazy_spectrum_matches_dense_reference(case):
+    d, triples = case
+    lap = build_laplacian(d, triples)
+    reference = _reference_spectrum(lap.m)
+    close = dict(rel=1e-9, abs=1e-9)
+    assert lap.lambda1 == pytest.approx(reference[0], **close)
+    assert lap.lambda2 == pytest.approx(reference[-2], **close)
+    assert lap.lambda2_std == pytest.approx(reference[-2] / lap.n, **close)
+    nonzero = reference[reference > 0]
+    assert lap.trace_pinv_std == pytest.approx(lap.n * np.sum(1.0 / nonzero), **close)
+    # Weights of at most 5 on at most 9 items keep every structural eigenvalue far above the clamp.
+    components = _component_count(d, triples)
+    assert lap.rank == np.count_nonzero(reference) == d - components
+    assert lap.connected == (reference[-2] > 0) == (components == 1)
+    if lap.connected:
+        assert np.allclose(pseudo_inverse(lap), np.linalg.pinv(lap.m), atol=1e-9)
+    else:
+        with pytest.raises(ConnectivityError):
+            pseudo_inverse(lap)
+
+
+def test_fits_and_bounds_need_no_eigenvectors(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    design = np.array([(a, b) for a in range(6) for b in range(a + 1, 6)] * 8)
+    w = np.linspace(0.5, -0.5, 6)
+    btl = sample(ModelSpec("btl", 1.0, 1.0), w, design, seed=5)
+    thurstone = sample(ModelSpec("thurstone", 1.0, 1.0), w, design, seed=6)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert mle_fit(btl, FitConfig()).converged
+    assert applicable_bound(btl, 1.0) is not None
+    sigma, table = cv_sigma(thurstone, FitConfig(sigma_grid=(0.5, 1.0)))
+    assert sigma in (0.5, 1.0) and len(table) == 2
+
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+    lap = build_laplacian(3, [(0, 1, 1), (1, 2, 2)])
+    assert not calls
+    first = lap.eigenvalues
+    assert lap.eigenvalues is first and lap.lambda2 > 0 and lap.rank == 2
+    assert len(calls) == 1
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # Connectivity is read from the cached eigenvalues (lambda2 > 0): importing
+    # scipy.sparse.csgraph for connected_components would add to every CLI start-up.
+    probe = "import sys, rateorank.cli; print('scipy.sparse' in sys.modules)"
+    src = str(Path(rateorank.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
