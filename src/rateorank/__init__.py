@@ -55,6 +55,7 @@ from .models import (
     PAIRWISE_KINDS,
     THURSTONE,
     as_values,
+    curvature,
     ModelSpec,
     ObservationSet,
     QualityVector,

@@ -1,10 +1,17 @@
 """Constrained maximum-likelihood estimation and noise-scale cross-validation.
 
 The pairwise models are fit over one feasible set: mean-zero vectors inside
-the hypercube ``|w_j| <= B``.  The solver is projected gradient descent with a
-safeguarded Barzilai-Borwein step (the spectral projected gradient method of
-Birgin, Martinez and Raydan) and a monotone Armijo backtracking test, so the
-objective never increases.  Projection onto the feasible set is exact: a
+the hypercube ``|w_j| <= B``.  The solver is a projected truncated Newton
+method.  Each iteration picks the epsilon-active set of Bertsekas (1982,
+*Projected Newton methods for optimization problems with simple constraints*):
+coordinates within ``eps = min(1e-3 B, residual)`` of a face whose reduced
+gradient points out of the box.  Those take the projected-gradient step; the
+free coordinates take a Newton step on their mean-zero subspace, solved by
+conjugate gradients on O(groups) Hessian-vector products built from
+:func:`models.curvature`.  A monotone Armijo test along the projection arc
+``P(w + t p)`` accepts the step, falling back on the projected-gradient arc
+when the Newton arc finds no descent, so the objective never rises (beyond
+the rounding of the NLL itself).  Projection onto the feasible set is exact: a
 sort-and-breakpoint search for the shift that zeroes the sum of the clipped
 vector (the continuous quadratic knapsack problem, Kiwiel 2008).  The cardinal
 model's unconstrained closed form (centered per-item means) skips the iteration;
@@ -23,15 +30,20 @@ from .errors import ConnectivityError, FoldError, InsufficientDataError
 # stays importable from here because perfbench's tracer self-test checks that it is
 # patched in this module.
 from .graph import build_laplacian_from_design  # noqa: F401
-from .models import CARDINAL, PAIRED_LINEAR, BTL, ModelSpec, ObservationSet, QualityVector
+from .models import CARDINAL, ModelSpec, ObservationSet, QualityVector
 
 #: Default cross-validation grid: powers of two from 1/16 to 16.
 DEFAULT_SIGMA_GRID = tuple(2.0**k for k in range(-4, 5))
 
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-18
-# Safeguard interval for the Barzilai-Borwein trial step.
-_BB_STEP_RANGE = (1e-10, 1e10)
+# The Armijo test allows this fraction of |NLL| for the NLL's own rounding: close to a
+# minimum the decrease it asks for falls below what the sum can resolve.
+_ROUNDING = 1e-14
+# Widest distance to the box, as a fraction of B, at which a coordinate can be held active.
+_ACTIVE_MARGIN = 1e-3
+# Relative residual at which CG stops refining a Newton step.
+_CG_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -71,6 +83,7 @@ class FitResult:
     converged: bool
     active_box: tuple[int, ...]
     nll_path: tuple[float, ...] = field(repr=False, default=())
+    stop_reason: str = "converged"  # or "max_iters", or "line_search" when no step gives descent
 
 
 def project_feasible(v: np.ndarray, b_bound: float) -> np.ndarray:
@@ -144,15 +157,87 @@ def _active_box(w: np.ndarray, b_bound: float) -> tuple[int, ...]:
     return tuple(int(j) for j in np.flatnonzero(np.abs(w) >= b_bound - 1e-9))
 
 
-def _initial_step(spec: ModelSpec, lambda1: float) -> float:
-    """Inverse of a crude Lipschitz bound on the gradient, to seed the line search."""
-    if spec.kind == PAIRED_LINEAR:
-        lipschitz = 2.0 * lambda1
-    elif spec.kind == BTL:
-        lipschitz = 0.25 * lambda1 / spec.sigma**2
-    else:
-        lipschitz = lambda1 / spec.sigma**2
-    return 1.0 / max(lipschitz, 1e-12)
+def _hessian_product(pairs: np.ndarray, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """H v for the Hessian whose per-group :func:`models.curvature` weights are ``weights``; O(groups)."""
+    left, right = pairs[:, 0], pairs[:, 1]
+    t = weights * (v[left] - v[right])
+    return np.bincount(left, t, v.size) - np.bincount(right, t, v.size)
+
+
+def _free_newton_step(pairs: np.ndarray, weights: np.ndarray, free: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Truncated CG for the Newton step on the mean-zero subspace of the ``free`` coordinates.
+
+    Solves ``Z H_FF Z x = -Z g_F`` (``Z`` centers a free-set vector) to a relative
+    residual of ``_CG_RTOL``.  A direction of no curvature ends CG with the step
+    so far, which is zero if it is the first.
+    """
+    v = np.zeros(free.size)
+
+    def product(x):
+        v[free] = x
+        hx = _hessian_product(pairs, weights, v)[free]
+        return hx - hx.mean()
+
+    r = g[free].mean() - g[free]
+    x, p = np.zeros_like(r), r.copy()
+    rr = float(r @ r)
+    stop = _CG_RTOL**2 * rr
+    for _ in range(r.size):
+        q = product(p)
+        pq = float(p @ q)
+        if pq <= 0.0:
+            break
+        a = rr / pq
+        x += a * p
+        r -= a * q
+        rr, rr_old = float(r @ r), rr
+        if rr <= stop:
+            break
+        p = r + (rr / rr_old) * p
+    return x
+
+
+def _direction(spec: ModelSpec, w: np.ndarray, g: np.ndarray, obs: ObservationSet, b_bound: float,
+               eps: float) -> np.ndarray:
+    """Projected Newton direction with the epsilon-active set of Bertsekas (1982).
+
+    A coordinate is active when it lies within ``eps`` of a face of the box and
+    its reduced gradient ``g - mu`` (``mu``: the mean gradient over the
+    coordinates away from the box) points out of it; active coordinates take
+    the projected-gradient step ``-(g - mu)``, which moves them onto the face.
+    The others take the Newton step on their mean-zero subspace.
+    """
+    near = np.abs(w) >= b_bound - eps
+    mu = g[~near].mean() if not near.all() else g.mean()
+    p = -(g - mu)
+    free = ~(near & (np.sign(w) * p > 0))
+    if np.count_nonzero(free) >= 2:
+        step = _free_newton_step(obs.groups.items, models.curvature(spec, w, obs), free, g)
+        if np.any(step):
+            p[free] = step
+    # Otherwise p is the projected-gradient direction everywhere, whose arc P(w - t g)
+    # descends from any point that is not stationary.
+    return p
+
+
+def _arc_search(spec: ModelSpec, obs: ObservationSet, w: np.ndarray, f: float, g: np.ndarray, p: np.ndarray,
+                b_bound: float) -> tuple[np.ndarray, float] | None:
+    """Monotone Armijo backtracking along the projection arc ``P(w + t p)`` from ``t = 1``.
+
+    Returns the first point with sufficient decrease and its NLL, or None when
+    the arc shrinks onto ``w`` first.  The NLL is evaluated once per trial point.
+    """
+    t = 1.0
+    while t >= _MIN_STEP:
+        w_new = project_feasible(w + t * p, b_bound)
+        if np.array_equal(w_new, w):
+            return None
+        f_new = models.neg_log_likelihood(spec, w_new, obs)
+        slope = float(g @ (w_new - w))
+        if slope < 0.0 and f_new <= f + _ARMIJO_C * slope + _ROUNDING * abs(f):
+            return w_new, f_new
+        t *= 0.5
+    return None
 
 
 def mle_fit(obs: ObservationSet, config: FitConfig) -> FitResult:
@@ -166,57 +251,47 @@ def mle_fit(obs: ObservationSet, config: FitConfig) -> FitResult:
     if obs.model.kind == CARDINAL:
         return _fit_cardinal(obs, config)
 
-    laplacian = obs.laplacian
-    if not laplacian.connected:
+    if not obs.laplacian.connected:
         raise ConnectivityError("comparison graph of the design is disconnected; fit refused")
 
-    spec = obs.model
+    spec, b_bound = obs.model, config.b_bound
     tol = _grad_tol(config, obs.n)
     w = np.zeros(obs.d)
     f = models.neg_log_likelihood(spec, w, obs)
     g = models.gradient(spec, w, obs)
     path = [f]
-    step = _initial_step(spec, laplacian.lambda1)
-    converged = False
+    stop_reason = "max_iters"
     iterations = 0
 
     for iterations in range(1, config.max_iters + 1):
         # Fixed-point residual of the projected-gradient map with unit step.
-        residual = w - project_feasible(w - g, config.b_bound)
-        if float(np.linalg.norm(residual)) <= tol:
-            converged = True
+        residual = float(np.linalg.norm(w - project_feasible(w - g, b_bound)))
+        if residual <= tol:
+            stop_reason = "converged"
             iterations -= 1
             break
 
-        t = step
-        while True:
-            w_new = project_feasible(w - t * g, config.b_bound)
-            f_new = models.neg_log_likelihood(spec, w_new, obs)
-            if f_new <= f + _ARMIJO_C * float(g @ (w_new - w)):
-                break
-            t *= 0.5
-            if t < _MIN_STEP:
-                break
-        if t < _MIN_STEP:
+        p = _direction(spec, w, g, obs, b_bound, min(_ACTIVE_MARGIN * b_bound, residual))
+        # The projected-gradient arc descends from any point that is not stationary, so it
+        # backs up a Newton arc that finds no descent (an active set guessed wrong).
+        step = _arc_search(spec, obs, w, f, g, p, b_bound) or _arc_search(spec, obs, w, f, g, -g, b_bound)
+        if step is None:
             # No descent at any step size; the residual at w already failed the test.
+            stop_reason = "line_search"
             break
-
-        g_new = models.gradient(spec, w_new, obs)
-        s, y = w_new - w, g_new - g
-        curvature = float(s @ y)
-        # BB1 step s's / s'y; a nonpositive curvature estimate keeps the last accepted step.
-        step = float(np.clip(float(s @ s) / curvature, *_BB_STEP_RANGE)) if curvature > 0 else t
-        w, f, g = w_new, f_new, g_new
+        w, f = step
+        g = models.gradient(spec, w, obs)
         path.append(f)
 
     return FitResult(
-        w_hat=QualityVector(w, config.b_bound),
+        w_hat=QualityVector(w, b_bound),
         sigma_used=spec.sigma,
         final_nll=f,
         iterations=iterations,
-        converged=converged,
-        active_box=_active_box(w, config.b_bound),
+        converged=stop_reason == "converged",
+        active_box=_active_box(w, b_bound),
         nll_path=tuple(path),
+        stop_reason=stop_reason,
     )
 
 

@@ -271,11 +271,19 @@ def prob_positive(spec: ModelSpec, w, edge: tuple[int, int]) -> float:
     return float(np.exp(log_ndtr(z)))
 
 
-def sample(spec: ModelSpec, w, design: np.ndarray, seed: int) -> ObservationSet:
-    """Draw one observation per design row under the given model."""
+def sample(spec: ModelSpec, w, design, seed: int) -> ObservationSet:
+    """Draw one observation per design row under the given model.
+
+    ``design`` is a design array, or an observation set to draw new outcomes
+    on: the result is then its :meth:`ObservationSet.with_outcomes` view, which
+    shares its design tables.
+    """
     w = as_values(w)
     rng = np.random.default_rng(seed)
-    design = np.asarray(design, dtype=np.intp)
+    on = design if isinstance(design, ObservationSet) else None
+    if on is not None and on.model != spec:
+        raise ValueError(f"cannot draw {spec} outcomes on an observation set of {on.model}")
+    design = on.design if on is not None else np.asarray(design, dtype=np.intp)
     margins = _margins(w, design)
     if spec.kind == BTL:
         y = np.where(rng.uniform(size=margins.size) < expit(margins / spec.sigma), 1.0, -1.0)
@@ -284,7 +292,7 @@ def sample(spec: ModelSpec, w, design: np.ndarray, seed: int) -> ObservationSet:
         y = margins + spec.sigma * rng.standard_normal(margins.size)
         if spec.kind == THURSTONE:
             y = np.where(y >= 0, 1.0, -1.0)
-    return ObservationSet(spec, w.size, design, y)
+    return on.with_outcomes(y) if on is not None else ObservationSet(spec, w.size, design, y)
 
 
 def _check_kind(spec: ModelSpec, obs: ObservationSet) -> None:
@@ -313,7 +321,10 @@ def neg_log_likelihood(spec: ModelSpec, w, obs: ObservationSet) -> float:
     z = margins / spec.sigma
     if spec.kind == THURSTONE:
         return float(-(count @ log_ndtr(y * z)))
-    return float(count @ np.logaddexp(0.0, -y * z))
+    # softplus(x) = log(1 + e^x), written so that neither branch overflows; several
+    # times faster than np.logaddexp(0, x).
+    x = -y * z
+    return float(count @ (np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))))
 
 
 def gradient(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
@@ -339,27 +350,34 @@ def gradient(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
     return np.bincount(left, weights=coef, minlength=d) - np.bincount(right, weights=coef, minlength=d)
 
 
-def hessian(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
-    """Hessian of :func:`neg_log_likelihood`; a sum of rank-one edge terms."""
+def curvature(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
+    """Per-group Hessian weights of :func:`neg_log_likelihood` at ``w``, aligned with ``obs.groups``.
+
+    The Hessian is a sum of one rank-one term per group: ``weight * a a'`` with
+    ``a`` the group's differencing vector (``e_left - e_right``, or ``e_item``
+    for cardinal), so a Hessian-vector product costs O(groups).
+    """
     _check_kind(spec, obs)
-    w = as_values(w)
-    d = w.size
     groups = obs.groups
     count = groups.count
+    if spec.kind in (CARDINAL, PAIRED_LINEAR):
+        return 2.0 * count
+    z = _margins(as_values(w), groups.items) / spec.sigma
+    if spec.kind == THURSTONE:
+        ratio = _thurstone_ratio(groups.value, z)
+        return count * np.maximum(ratio * (ratio + groups.value * z), 0.0) / spec.sigma**2
+    # expit(-z) is 1 - expit(z) without the cancellation that 1 - p suffers for z > 0.
+    return count * expit(z) * expit(-z) / spec.sigma**2
+
+
+def hessian(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
+    """Dense Hessian of :func:`neg_log_likelihood`: the :func:`curvature` weights scattered into a d x d matrix."""
+    weights = curvature(spec, w, obs)
+    d = obs.d
+    items = obs.groups.items
     if spec.kind == CARDINAL:
-        return np.diag(np.bincount(groups.items, weights=2.0 * count, minlength=d))
-    if spec.kind == PAIRED_LINEAR:
-        weights = 2.0 * count
-    else:
-        z = _margins(w, groups.items) / spec.sigma
-        y = groups.value
-        if spec.kind == THURSTONE:
-            ratio = _thurstone_ratio(y, z)
-            weights = count * np.maximum(ratio * (ratio + y * z), 0.0) / spec.sigma**2
-        else:
-            # expit(-z) is 1 - expit(z) without the cancellation that 1 - p suffers for z > 0.
-            weights = count * expit(z) * expit(-z) / spec.sigma**2
-    left, right = groups.items[:, 0], groups.items[:, 1]
+        return np.diag(np.bincount(items, weights=weights, minlength=d))
+    left, right = items[:, 0], items[:, 1]
     # Groups have left < right, so the scatter fills the strict upper triangle; a pair can
     # hold two groups (one per outcome), which bincount sums.
     upper = np.bincount(left * d + right, weights=weights, minlength=d * d).reshape(d, d)

@@ -171,14 +171,13 @@ def run_experiment(config: ExperimentConfig) -> dict[str, RiskEstimate]:
     failures = 0
     failure_notes: list[str] = []
     for trial in range(config.trials):
-        drawn = models.sample(config.model, w_true, design, seed=config.seed + trial)
-        obs = on_design.with_outcomes(drawn.outcomes)
+        obs = models.sample(config.model, w_true, on_design, seed=config.seed + trial)
         result = estimate.mle_fit(obs, config.fit)
         if not result.converged:
             failures += 1
             if len(failure_notes) < 5:
                 failure_notes.append(
-                    f"trial {trial}: no convergence after {result.iterations} iterations"
+                    f"trial {trial}: stopped on {result.stop_reason} after {result.iterations} iterations"
                 )
             continue
         w_hat = result.w_hat

@@ -197,6 +197,94 @@ class TestMleFit:
                 rr.mle_fit(obs, rr.FitConfig(b_bound=1.0))
 
 
+def _c11_fold0_training_set():
+    """Replicate 0 of the C11 worker study (d=8, five copies of all 28 pairs, Thurstone
+    sigma=0.5, truth linspace(0.8, -0.8), outcome stream 1000), minus its CV fold 0."""
+    pairs = np.array([(a, b) for a in range(8) for b in range(a + 1, 8)])
+    design = np.tile(pairs, (5, 1))
+    w = np.linspace(0.8, -0.8, 8)
+    noisy = w[design[:, 0]] - w[design[:, 1]] + 0.5 * np.random.default_rng(1000).standard_normal(design.shape[0])
+    y = np.where(noisy >= 0, 1.0, -1.0)
+    # cv_sigma's folds at seed 0; fold 0 is held out.
+    folds = np.array_split(np.random.default_rng(0).permutation(y.size), 3)
+    train = np.concatenate(folds[1:])
+    return design[train], y[train]
+
+
+def test_c11_fold_converges_at_every_labelling():
+    # At sigma=0.25 this fit slides down a flat valley onto the box, where a gradient
+    # method's iteration count (and whether it reaches the cap) follows the float
+    # summation order that the item labels set.
+    design, y = _c11_fold0_training_set()
+    spec = rr.ModelSpec("thurstone", sigma=0.25, b_bound=1.0)
+    fits = []
+    for seed in range(12):
+        perm = np.random.default_rng(seed).permutation(8) if seed else np.arange(8)
+        res = rr.mle_fit(rr.ObservationSet(spec, 8, perm[design], y), rr.FitConfig())
+        assert res.converged and res.stop_reason == "converged"
+        assert res.iterations <= 30
+        fits.append((res.final_nll, res.w_hat.values[perm]))
+    nll0, w0 = fits[0]
+    for nll, w in fits[1:]:
+        assert nll == pytest.approx(nll0, rel=1e-9, abs=0.0)
+        assert np.max(np.abs(w - w0)) <= 1e-6
+
+
+@st.composite
+def _complete_fit_instances(draw, kinds=("paired_linear", "thurstone", "btl")):
+    """A fit on a complete design with every pair seen both ways, plus random extra rows.
+
+    Binary data see every pair won once and lost once, so no margin is driven
+    into a tail where the likelihood is flat; with sigma <= 2 the curvature on
+    the free coordinates stays large enough that the stopping tolerance pins
+    each fit far inside the 1e-6 the properties are checked to.
+    """
+    kind = draw(st.sampled_from(kinds))
+    d = draw(st.integers(2, 6))
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    base = [(b, a) if flip else (a, b) for (a, b), flip in zip(pairs, flips)]
+    extra = draw(st.lists(st.sampled_from(base + [(b, a) for a, b in base]), max_size=30))
+    if kind == "paired_linear":
+        rows = base + extra
+        y = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(rows), max_size=len(rows)))
+    else:
+        rows = base + [(b, a) for a, b in base] + extra
+        signs = st.sampled_from([1.0, -1.0])
+        y = [1.0] * (2 * len(base)) + draw(st.lists(signs, min_size=len(extra), max_size=len(extra)))
+    sigma = draw(st.floats(0.25, 2.0))
+    b_bound = draw(st.floats(0.25, 2.0))
+    spec = rr.ModelSpec(kind, sigma=sigma, b_bound=b_bound)
+    return spec, rr.ObservationSet(spec, d, np.array(rows, dtype=np.intp), np.array(y))
+
+
+class TestSolverProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(_complete_fit_instances(), st.randoms(use_true_random=False))
+    def test_relabelling_items(self, instance, random):
+        spec, obs = instance
+        perm = np.array(random.sample(range(obs.d), obs.d))
+        config = rr.FitConfig(b_bound=spec.b_bound)
+        base = rr.mle_fit(obs, config)
+        moved = rr.mle_fit(rr.ObservationSet(spec, obs.d, perm[obs.design], obs.outcomes), config)
+        assert base.converged and moved.converged
+        assert np.max(np.abs(moved.w_hat.values[perm] - base.w_hat.values)) <= 1e-6
+        assert moved.final_nll == pytest.approx(base.final_nll, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_complete_fit_instances(kinds=("thurstone", "btl")))
+    def test_sigma_scaling_identity(self, instance):
+        # Binary likelihoods depend on w / sigma only, so the fit at (sigma, B) is
+        # sigma times the fit at (1, B / sigma).
+        spec, obs = instance
+        sigma, b_bound = spec.sigma, spec.b_bound
+        fit = rr.mle_fit(obs, rr.FitConfig(b_bound=b_bound))
+        unit = rr.mle_fit(obs.with_sigma(1.0), rr.FitConfig(b_bound=b_bound / sigma))
+        assert fit.converged and unit.converged
+        assert np.max(np.abs(fit.w_hat.values - sigma * unit.w_hat.values)) <= 1e-6
+        assert fit.final_nll == pytest.approx(unit.final_nll, rel=1e-9, abs=1e-12)
+
+
 class TestFitConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from scipy.stats import norm
 
 import rateorank as rr
 from helpers import fd_gradient, fd_hessian
+from rateorank.estimate import _hessian_product
 
 
 def _pairwise_design(d, reps):
@@ -155,6 +156,13 @@ class TestSampling:
         obs = rr.sample(spec, w, pairs[:, 0] if kind == "cardinal" else pairs, seed)
         raw = np.asarray(obs.design, "<i8").tobytes() + np.asarray(obs.outcomes, "<f8").tobytes()
         assert hashlib.sha256(raw).hexdigest()[:16] == self.SAMPLE_DIGESTS[kind, seed]
+        # Drawn on an observation set, the same stream lands in a view sharing its design tables.
+        on = rr.ObservationSet(spec, 5, obs.design, np.ones(obs.n))
+        drawn = rr.sample(spec, w, on, seed)
+        assert np.array_equal(drawn.outcomes, obs.outcomes) and drawn.design is on.design
+        assert drawn._design_tables is on._design_tables
+        with pytest.raises(ValueError, match="cannot draw"):
+            rr.sample(rr.ModelSpec(kind, sigma=0.5, b_bound=1.0), w, on, seed)
 
     def test_paired_linear_outcomes_are_real(self):
         w = rr.QualityVector.centered([0.3, -0.3])
@@ -303,6 +311,23 @@ class TestGroupedLikelihood:
         assert abs(rr.neg_log_likelihood(spec, w, obs) - nll) <= 1e-12 * nll_scale
         assert np.max(np.abs(rr.gradient(spec, w, obs) - g)) <= 1e-12 * g_scale
         assert np.max(np.abs(rr.hessian(spec, w, obs) - h)) <= 1e-12 * h_scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(_repeated_pair_instances(), st.integers(0, 2**32 - 1))
+    def test_curvature_products_match_dense_hessian(self, instance, seed):
+        # The solver's Hessian-vector products scatter curvature weights over the
+        # groups in O(groups); the dense Hessian scatters the same weights into d x d.
+        spec, w, obs = instance
+        v = np.random.default_rng(seed).normal(size=obs.d)
+        weights = rr.curvature(spec, w, obs)
+        assert weights.shape == obs.groups.count.shape and np.all(weights >= 0.0)
+        items = obs.groups.items
+        if spec.kind == "cardinal":
+            product = np.bincount(items, weights * v[items], obs.d)
+        else:
+            product = _hessian_product(items, weights, v)
+        scale = float(np.sum(weights)) * float(np.max(np.abs(v)))
+        assert np.max(np.abs(rr.hessian(spec, w, obs) @ v - product)) <= 1e-12 * max(scale, 1e-300)
 
     @settings(max_examples=150, deadline=None)
     @given(_repeated_pair_instances(), st.randoms(use_true_random=False))

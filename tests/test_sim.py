@@ -154,7 +154,7 @@ class TestRunExperiment:
             trials=20,
             fit=rr.FitConfig(b_bound=1.0, max_iters=1),
         )
-        with pytest.raises(RuntimeError, match="failed to converge"):
+        with pytest.raises(RuntimeError, match="failed to converge.*stopped on max_iters after 1 iterations"):
             rr.run_experiment(cfg)
 
     def test_trials_validated(self):
