@@ -60,7 +60,8 @@ class QualityVector:
             raise ValueError(f"quality vector must be 1-d with d >= 2, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("quality vector has non-finite entries")
-        if abs(values.sum()) > _CENTER_TOL:
+        # The sum rounds at the size of the entries, so the tolerance scales with them.
+        if abs(values.sum()) > _CENTER_TOL * max(1.0, float(np.max(np.abs(values)))):
             raise ValueError(f"quality vector must sum to zero, got sum {values.sum():.3g}")
         if self.b_bound is not None:
             if self.b_bound <= 0:

@@ -1,7 +1,8 @@
 """Well-separated families of feasible quality vectors.
 
 The construction takes a binary code with guaranteed Hamming separation
-(greedy lexicographic scan, so it meets the classical volume lower bound),
+(a greedy lexicographic scan over integer words, with Hamming distance the
+popcount of their XOR, so it meets the classical volume lower bound),
 recenters the codewords to +-1 entries with one zeroed coordinate, and lifts
 them through the design Laplacian's half-pseudoinverse.  The lift turns
 Hamming distance into squared seminorm distance exactly, which yields
@@ -54,6 +55,10 @@ def hamming_ball_volume(length: int, radius: int) -> int:
 def gv_code(length: int, min_distance: int, target_count: int) -> BinaryCode:
     """Greedy code: scan words in counting order, keep those far from all kept words.
 
+    Words are uint64 integers (bit ``i`` is coordinate ``i``) at Hamming
+    distance ``bitwise_count(a ^ b)``.  In each block of ``_SCAN_BLOCK`` words,
+    the first word still far from every kept word is kept until none is left;
+    only the kept words are expanded to 0/1 rows.
     Stops as soon as ``target_count`` words are kept.  Run to exhaustion, the
     greedy scan always reaches at least
     ``2**length / hamming_ball_volume(length, min_distance - 1)`` words, the
@@ -66,36 +71,23 @@ def gv_code(length: int, min_distance: int, target_count: int) -> BinaryCode:
     if target_count < 1:
         raise ValueError(f"target_count must be >= 1, got {target_count}")
 
-    bit_positions = np.arange(length, dtype=np.uint64)
-    kept = np.empty((0, length), dtype=np.int64)
-    total = 1 << length
-    start = 0
+    kept: list[np.uint64] = []
+    start, total = 0, 1 << length
     while start < total and len(kept) < target_count:
-        stop = min(start + _SCAN_BLOCK, total)
-        block = np.arange(start, stop, dtype=np.uint64)
-        bits = ((block[:, None] >> bit_positions) & np.uint64(1)).astype(np.int64)
-        if len(kept):
-            # Hamming distance to every kept word via two inner products.
-            dist = bits @ (1 - kept.T) + (1 - bits) @ kept.T
-            candidates = bits[dist.min(axis=1) >= min_distance]
-        else:
-            candidates = bits
-        # Words accepted in this block fill a preallocated prefix.
-        fresh = np.empty((min(len(candidates), target_count - len(kept)), length), dtype=np.int64)
-        filled = 0
-        for word in candidates:
-            if filled and int((fresh[:filled] != word).sum(axis=1).min()) < min_distance:
-                continue
-            fresh[filled] = word
-            filled += 1
-            if filled == len(fresh):
-                break
-        kept = np.concatenate((kept, fresh[:filled]))
-        start = stop
+        block = np.arange(start, min(start + _SCAN_BLOCK, total), dtype=np.uint64)
+        far = np.ones(block.size, dtype=bool)
+        for word in kept:
+            far &= np.bitwise_count(block ^ word) >= min_distance
+        # The first word still far from every kept word is the next codeword.
+        while len(kept) < target_count and far.any():
+            kept.append(block[far.argmax()])
+            far &= np.bitwise_count(block ^ kept[-1]) >= min_distance
+        start += _SCAN_BLOCK
+    shifted = np.array(kept, dtype=np.uint64)[:, None] >> np.arange(length, dtype=np.uint64)
     return BinaryCode(
         length=length,
         min_distance=min_distance,
-        words=kept,
+        words=(shifted & np.uint64(1)).astype(np.int64),
         shortfall=len(kept) < target_count,
     )
 
@@ -127,13 +119,22 @@ class PackingReport:
     mean_zero_max: float
     count_ok: bool
 
+    def failures(self, delta: float, alpha: float) -> list[str]:
+        """Each failed condition (count, centring, pair band), described; empty when all hold.
+
+        Row sums round at the size of ``delta`` and separations at ``delta**2``,
+        so both tolerances scale with the packing.
+        """
+        lo, hi = alpha * delta**2, 4.0 * delta**2
+        failed = [] if self.count_ok else ["fewer vectors than e^(beta d)"]
+        if self.mean_zero_max > _MEAN_ZERO_TOL * delta:
+            failed.append(f"a vector is not centred (max |sum| {self.mean_zero_max:.3g})")
+        if self.min_pair < lo - _PAIR_TOL * delta**2 or self.max_pair > hi + _PAIR_TOL * delta**2:
+            failed.append(f"squared separations [{self.min_pair:.6g}, {self.max_pair:.6g}] leave [{lo:.6g}, {hi:.6g}]")
+        return failed
+
     def ok(self, delta: float, alpha: float) -> bool:
-        return (
-            self.count_ok
-            and self.mean_zero_max <= _MEAN_ZERO_TOL
-            and self.min_pair >= alpha * delta**2 - _PAIR_TOL
-            and self.max_pair <= 4.0 * delta**2 + _PAIR_TOL
-        )
+        return not self.failures(delta, alpha)
 
 
 def packing_rate(alpha: float) -> float:
@@ -184,15 +185,12 @@ def build_packing(laplacian: Laplacian, delta: float, alpha: float) -> Packing:
     # coordinate); constructing QualityVectors revalidates that, no recentering.
     vectors = tuple(QualityVector(row) for row in raw)
     packing = Packing(laplacian=laplacian, delta=delta, alpha=alpha, beta=beta, vectors=vectors)
-    report = verify_packing(packing)
-    if not report.ok(delta, alpha):
+    failures = verify_packing(packing).failures(delta, alpha)
+    if failures:
         worst = _worst_pair(packing)
-        raise PackingConstructionError(
-            f"packing failed verification: pair {worst} has squared separation outside "
-            f"[{alpha * delta**2:.6g}, {4 * delta**2:.6g}] "
-            f"(min={report.min_pair:.6g}, max={report.max_pair:.6g}, "
-            f"mean_zero_max={report.mean_zero_max:.3g})"
-        )
+        if worst is not None:
+            failures.append(f"worst pair {worst}")
+        raise PackingConstructionError(f"packing failed verification: {'; '.join(failures)}")
     return packing
 
 
@@ -222,13 +220,13 @@ def verify_packing(packing: Packing) -> PackingReport:
     )
 
 
-def _worst_pair(packing: Packing) -> tuple[int, int]:
-    """The first pair whose separation lies farthest outside the required band, else ``(0, 1)``."""
+def _worst_pair(packing: Packing) -> tuple[int, int] | None:
+    """The first pair whose separation lies farthest outside the required band, else None."""
     i, j, sep = _pair_separations(packing)
     lo, hi = packing.alpha * packing.delta**2, 4.0 * packing.delta**2
     margin = np.maximum(lo - sep, sep - hi)
     if not np.any(margin > 0):
-        return (0, 1)
+        return None
     k = int(np.argmax(margin))
     return int(i[k]), int(j[k])
 

@@ -353,6 +353,15 @@ class TestTopologyAndPack:
         assert doc["delta"] == 1.0
         assert len(doc["vectors"]) >= 2
 
+    def test_pack_separations_scale_with_delta_squared(self, capsys):
+        def separations(delta):
+            assert cli.main(["pack", "--d", "30", "--delta", delta, "--alpha", "0.15"]) == 0
+            line = next(t for t in capsys.readouterr().out.splitlines() if t.startswith("pair separation^2"))
+            return [float(v) for v in line.split("[")[1].split("]")[0].split(",")]
+
+        unit = separations("1.0")
+        assert separations("1e8") == pytest.approx([1e16 * v for v in unit], rel=1e-6)
+
     def test_pack_infeasible_params(self, capsys):
         assert cli.main(["pack", "--d", "8", "--delta", "1.0", "--alpha", "0.9"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -25,6 +25,27 @@ class TestQualityVector:
         assert w.values.sum() == pytest.approx(0.0, abs=1e-12)
         assert w.d == 3 and len(w) == 3
 
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(2, 2000), log_scale=st.floats(-3.0, 12.0), seed=st.integers(0, 2**32 - 1))
+    def test_centering_tolerance_follows_scale(self, d, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        z = rng.normal(size=d)
+        z -= z.mean()
+        # Centred entries span [-scale, scale]; the offset is removed again by `centered`.
+        values = scale * z / np.max(np.abs(z)) + scale * rng.uniform(-1.0, 1.0)
+        w = rr.QualityVector.centered(values)
+        with pytest.raises(ValueError, match="sum to zero"):
+            rr.QualityVector(w.values + 1e-3 * scale / d)
+
+    def test_unit_scale_tolerance_is_absolute(self):
+        rr.QualityVector(np.array([0.5, -0.5 + 9e-10]))
+        rr.QualityVector(np.array([1e-6, -1e-6 + 9e-10]))
+        with pytest.raises(ValueError, match="sum to zero"):
+            rr.QualityVector(np.array([0.5, -0.5 + 2e-9]))
+        with pytest.raises(ValueError, match="sum to zero"):
+            rr.QualityVector(np.array([1.0, -1.0 + 2e-9]))
+
     def test_box_bound(self):
         rr.QualityVector(np.array([0.5, -0.5]), b_bound=0.5)
         with pytest.raises(ValueError, match="box"):

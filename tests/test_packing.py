@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +39,8 @@ class TestGvCode:
         (10, 3, 40), (12, 5, 30), (8, 4, 6), (4, 3, 100),
         (29, 5, 49),  # the code behind `pack --d 30 --alpha 0.15`
         (17, 9, 100),  # scans two blocks of the space, then runs out
+        (40, 4, 60),  # codewords above 32 bits
+        (70, 3, 20),  # longer than a uint64 word: coordinates past bit 63 stay 0
     ])
     def test_matches_sequential_greedy(self, length, dist, target):
         code = rr.gv_code(length, dist, target)
@@ -44,6 +48,15 @@ class TestGvCode:
         assert code.words.tolist() == expected
         assert code.words.dtype == np.int64
         assert code.shortfall is (len(expected) < target)
+
+    def test_scan_allocates_one_block(self):
+        tracemalloc.start()
+        try:
+            rr.gv_code(29, 5, 49)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # a 2^16-word block of uint64 is 0.5 MiB
 
     def test_pairwise_distance_and_volume_guarantee(self):
         code = rr.gv_code(11, 4, 10**6)  # force exhaustion of the space
@@ -146,6 +159,35 @@ class TestBuildPacking:
         report = rr.verify_packing(packing)
         assert report.min_pair == pytest.approx(min(pairs), rel=1e-12)
         assert report.max_pair == pytest.approx(max(pairs), rel=1e-12)
+
+    @pytest.mark.parametrize("delta,min_pair,mean_zero_max,count_ok,expected", [
+        (1.0, 0.5, 1e-6, True, ["not centred"]),
+        (1e6, 0.5e12, 1e-6, True, []),  # centring is judged relative to delta
+        (1.0, 0.5, 0.0, False, ["fewer vectors"]),
+        (1.0, 0.1, 0.0, True, ["squared separations"]),
+        (1.0, 0.1, 1.0, False, ["fewer vectors", "not centred", "squared separations"]),
+    ])
+    def test_failures_name_the_condition(self, delta, min_pair, mean_zero_max, count_ok, expected):
+        report = rr.PackingReport(min_pair=min_pair, max_pair=2.0 * delta**2,
+                                  mean_zero_max=mean_zero_max, count_ok=count_ok)
+        failures = report.failures(delta, 0.25)
+        assert len(failures) == len(expected)
+        assert all(phrase in failure for phrase, failure in zip(expected, failures))
+        assert report.ok(delta, 0.25) == (not expected)
+
+    def test_centring_failure_names_no_pair(self, monkeypatch):
+        monkeypatch.setattr(packing_module, "_MEAN_ZERO_TOL", 0.0)
+        with pytest.raises(rr.PackingConstructionError, match="not centred") as info:
+            rr.build_packing(_complete_laplacian(10), 1.0, 0.25)
+        assert "pair" not in str(info.value)
+
+    def test_unseparated_packing_fails_at_any_delta(self):
+        lap = _complete_laplacian(10)
+        for delta in (1e-6, 1.0, 1e8):
+            packing = rr.build_packing(lap, delta, 0.25)
+            assert rr.verify_packing(packing).ok(delta, 0.25)
+            dup = dataclasses.replace(packing, vectors=packing.vectors[:1] + packing.vectors[:-1])
+            assert rr.verify_packing(dup).failures(delta, 0.25)[0].startswith("squared separations")
 
     def test_infeasible_parameters_rejected(self):
         lap = _complete_laplacian(6)
