@@ -72,8 +72,8 @@ class Decision:
 
 def kappa(b_bound: float, sigma: float) -> float:
     """Probability-range factor Phi(2B/sigma) * (1 - Phi(2B/sigma))."""
-    if b_bound <= 0 or sigma <= 0:
-        raise ValueError(f"kappa needs positive b_bound and sigma, got B={b_bound}, sigma={sigma}")
+    if not (0 < b_bound < np.inf and 0 < sigma < np.inf):
+        raise ValueError(f"kappa needs positive, finite b_bound and sigma, got B={b_bound}, sigma={sigma}")
     u = 2.0 * b_bound / sigma
     return float(ndtr(u) * ndtr(-u))
 
@@ -83,10 +83,10 @@ def _validate_common(d: int, n: int, sigma: float, b_bound: float) -> None:
         raise ValueError(f"need at least 2 items, got d={d}")
     if n < 1:
         raise ValueError(f"need a positive budget, got n={n}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if b_bound <= 0:
-        raise ValueError(f"b_bound must be positive, got {b_bound}")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if not 0 < b_bound < np.inf:
+        raise ValueError(f"b_bound must be positive and finite, got {b_bound}")
 
 
 def minimax_cvo(model: str, d: int, n: int, sigma: float, b_bound: float) -> BoundReport:
@@ -119,6 +119,11 @@ def _upper_over_kappa_sq(k: float, rate: float) -> float:
     return _THURSTONE_UPPER / k_sq * rate
 
 
+def _thurstone_interval(k: float, rate: float) -> tuple[float, float]:
+    """The Thurstone risk interval ``[0.0008 kappa, 5 / kappa^2]`` times the rate."""
+    return _THURSTONE_LOWER * k * rate, _upper_over_kappa_sq(k, rate)
+
+
 def minimax_seminorm(
     model: str, d: int, n: int, sigma: float, b_bound: float, trace_pinv_std: float
 ) -> BoundReport:
@@ -137,7 +142,7 @@ def minimax_seminorm(
         lower, upper = _PAIRED_LOWER * rate, _PAIRED_UPPER * rate
         condition = True
     elif model == THURSTONE:
-        lower, upper = _THURSTONE_LOWER * k * rate, _upper_over_kappa_sq(k, rate)
+        lower, upper = _thurstone_interval(k, rate)
         condition = n >= sigma**2 * k * trace_pinv_std / (_THURSTONE_SAMPLE_C * b_bound**2)
     elif model == BTL:
         ratio = b_bound / sigma
@@ -166,6 +171,14 @@ def applicable_bound(obs: ObservationSet, b_bound: float) -> BoundReport | None:
     return minimax_seminorm(spec.kind, obs.d, obs.n, spec.sigma, b_bound, obs.laplacian.trace_pinv_std)
 
 
+def _verdict(cardinal_risk: float, interval: tuple[float, float]) -> str:
+    if interval[1] < cardinal_risk:
+        return VERDICT_ORDINAL
+    if cardinal_risk < interval[0]:
+        return VERDICT_CARDINAL
+    return VERDICT_INDETERMINATE
+
+
 def decide(sigma_c: float, sigma_o: float, b_bound: float = 1.0) -> Decision:
     """Rate or rank?  Compare per-item risks at equal item count and budget.
 
@@ -175,18 +188,11 @@ def decide(sigma_c: float, sigma_o: float, b_bound: float = 1.0) -> Decision:
     when the cardinal risk sits below the whole interval, and indeterminate
     otherwise.
     """
-    if sigma_c <= 0 or sigma_o <= 0:
-        raise ValueError(f"noise scales must be positive, got sigma_c={sigma_c}, sigma_o={sigma_o}")
-    k = kappa(b_bound, sigma_o)
+    if not (0 < sigma_c < np.inf and 0 < sigma_o < np.inf):
+        raise ValueError(f"noise scales must be positive and finite, got sigma_c={sigma_c}, sigma_o={sigma_o}")
     cardinal_risk = sigma_c**2
-    interval = (_THURSTONE_LOWER * k * sigma_o**2, _upper_over_kappa_sq(k, sigma_o**2))
-    if interval[1] < cardinal_risk:
-        verdict = VERDICT_ORDINAL
-    elif cardinal_risk < interval[0]:
-        verdict = VERDICT_CARDINAL
-    else:
-        verdict = VERDICT_INDETERMINATE
-    return Decision(verdict=verdict, cardinal_risk=cardinal_risk, ordinal_interval=interval)
+    interval = _thurstone_interval(kappa(b_bound, sigma_o), sigma_o**2)
+    return Decision(verdict=_verdict(cardinal_risk, interval), cardinal_risk=cardinal_risk, ordinal_interval=interval)
 
 
 def decision_grid(
@@ -199,15 +205,12 @@ def decision_grid(
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     for name, (lo, hi) in (("sigma_c", sigma_c_range), ("sigma_o", sigma_o_range)):
-        if lo <= 0 or hi < lo:
-            raise ValueError(f"{name} range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
+        if not 0 < lo <= hi < np.inf:
+            raise ValueError(f"{name} range must satisfy 0 < lo <= hi < inf, got ({lo}, {hi})")
     cs = np.geomspace(sigma_c_range[0], sigma_c_range[1], resolution)
     os_ = np.geomspace(sigma_o_range[0], sigma_o_range[1], resolution)
-    rows = []
-    for sc in cs:
-        for so in os_:
-            rows.append((float(sc), float(so), decide(sc, so, b_bound).verdict))
-    return rows
+    intervals = [_thurstone_interval(kappa(b_bound, so), so**2) for so in os_]
+    return [(float(sc), float(so), _verdict(sc**2, interval)) for sc in cs for so, interval in zip(os_, intervals)]
 
 
 def write_decision_grid(rows: list[tuple[float, float, str]], path) -> None:

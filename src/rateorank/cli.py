@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -60,9 +61,16 @@ class Dataset:
         return models.ObservationSet(spec, self.d, self.design, self.outcomes)
 
 
+def _rating(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(value)
+    return value
+
+
 _OUTCOMES = {"+1": 1.0, "1": 1.0, "-1": -1.0}
 COMPARISON_ROWS = graph.RowFormat("left,right,outcome", "comparison", _OUTCOMES.__getitem__, "+1 or -1")
-RATING_ROWS = graph.RowFormat("item,rating", "rating", float, "a number")
+RATING_ROWS = graph.RowFormat("item,rating", "rating", _rating, "a number")
 
 
 def read_ordinal_csv(path, id_order: str = "first-appearance") -> Dataset:
@@ -200,9 +208,9 @@ def _config_value(doc: dict, path: str, expected, required: bool = True, default
 
 
 def _checked(path: str, node, expected):
-    """``node`` as type ``expected``; float accepts any number and int rejects booleans."""
+    """``node`` as type ``expected``; float accepts any number a finite float holds and int rejects booleans."""
     if expected is float:
-        if not isinstance(node, (int, float)) or isinstance(node, bool):
+        if not isinstance(node, (int, float)) or isinstance(node, bool) or not abs(node) <= sys.float_info.max:
             raise DataFormatError(f"config field {path}: expected a number, got {node!r}")
         return float(node)
     if expected is int:

@@ -11,11 +11,11 @@ conjugate gradients on O(groups) Hessian-vector products built from
 :func:`models.curvature`.  A monotone Armijo test along the projection arc
 ``P(w + t p)`` accepts the step, falling back on the projected-gradient arc
 when the Newton arc finds no descent, so the objective never rises (beyond
-the rounding of the NLL itself).  Projection onto the feasible set is exact: a
-sort-and-breakpoint search for the shift that zeroes the sum of the clipped
-vector (the continuous quadratic knapsack problem, Kiwiel 2008).  The cardinal
-model's unconstrained closed form (centered per-item means) skips the iteration;
-its ``active_box`` lists the items at or beyond ``B``.
+the rounding of the NLL itself).  Projection onto the feasible set is exact: one
+sorted sweep over the breakpoints finds the shift that zeroes the sum of the
+clipped vector (the continuous quadratic knapsack problem, Kiwiel 2008).  The
+cardinal model's unconstrained closed form (centered per-item means) skips the
+iteration; its ``active_box`` lists the items at or beyond ``B``.
 """
 
 from __future__ import annotations
@@ -57,16 +57,16 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.b_bound <= 0:
-            raise ValueError(f"box bound must be positive, got {self.b_bound}")
+        if not 0 < self.b_bound < np.inf:
+            raise ValueError(f"box bound must be positive and finite, got {self.b_bound}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.grad_tol is not None and self.grad_tol <= 0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
+        if self.grad_tol is not None and not 0 < self.grad_tol < np.inf:
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         if self.sigma_grid is not None:
             grid = tuple(float(s) for s in self.sigma_grid)
-            if len(grid) == 0 or any(s <= 0 for s in grid):
-                raise ValueError("sigma_grid must be nonempty and positive")
+            if len(grid) == 0 or not all(0 < s < np.inf for s in grid):
+                raise ValueError(f"sigma_grid must be nonempty, positive and finite, got {grid}")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError("sigma_grid must be strictly increasing")
             object.__setattr__(self, "sigma_grid", grid)
@@ -92,12 +92,11 @@ def project_feasible(v: np.ndarray, b_bound: float) -> np.ndarray:
     The input is centered first: every feasible point lies in the mean-zero
     subspace, so by Pythagoras the projection of ``v`` equals the projection
     of its centered part ``c``.  The KKT conditions give the solution as
-    ``clip(c - mu, -b, b)``, where the shift ``mu`` zeroes the sum.  That sum,
-    ``g(mu)``, is nonincreasing and piecewise linear with knots at ``c_i -+ b``.
-    Sorting ``c`` and taking prefix sums evaluates ``g`` at all 2d knots in
-    O(d log d); the knot pair where ``g`` changes sign brackets the root, and
-    on that segment the clipped-low / free / clipped-high partition is fixed,
-    so ``mu`` follows exactly from one linear equation.
+    ``clip(c - mu, -b, b)``, where the shift ``mu`` zeroes the sum ``g(mu)``.
+    ``g`` is piecewise linear with knots at ``c_i -+ b``, falling between
+    knots at a slope equal to the number of coordinates free there.  One sorted
+    sweep over the 2d knots, O(d log d), accumulates ``g`` from ``d b`` and
+    solves for ``mu`` on the first segment where it reaches zero.
     """
     x = np.asarray(v, dtype=float)
     x = x - x.mean()
@@ -105,24 +104,15 @@ def project_feasible(v: np.ndarray, b_bound: float) -> np.ndarray:
         return x
 
     d = x.size
-    s = np.sort(x)
-    prefix = np.concatenate(([0.0], np.cumsum(s)))
-
-    def partition(mu):
-        # s[:lo] clips to -b and s[hi:] clips to +b at shift mu.
-        return np.searchsorted(s, mu - b_bound, side="right"), np.searchsorted(s, mu + b_bound, side="left")
-
-    knots = np.sort(np.concatenate((s - b_bound, s + b_bound)))
-    lo, hi = partition(knots)
-    g = prefix[hi] - prefix[lo] - knots * (hi - lo) + b_bound * (d - hi - lo)
-    # g(knots[0]) = d*b > 0 and g(knots[-1]) = -d*b < 0; take the first sign change.
-    k = min(max(int(np.argmax(g <= 0.0)), 1), knots.size - 1)
-    left, right = knots[k - 1], knots[k]
-    mid = 0.5 * (left + right)
-    lo, hi = (int(i) for i in partition(mid))
-    # With no free coordinate g is flat (zero) on the segment and any shift in it is a root.
-    mu = (prefix[hi] - prefix[lo] + b_bound * (d - hi - lo)) / (hi - lo) if hi > lo else mid
-    x = np.clip(x - min(max(mu, left), right), -b_bound, b_bound)
+    knots = np.concatenate((x - b_bound, x + b_bound))
+    order = np.argsort(knots)
+    knots = knots[order]
+    # Coordinate i is free from its knot c_i - b to c_i + b; n_free[j] counts them after knots[j].
+    n_free = np.cumsum(np.where(order < d, 1, -1))
+    g = d * b_bound - np.cumsum(n_free[:-1] * np.diff(knots))  # g[j] = g(knots[j + 1])
+    # g first reaches zero on a segment where it falls, so n_free[k] >= 1.
+    k = int(np.argmax(g <= 0.0))
+    x = np.clip(x - (knots[k + 1] + g[k] / n_free[k]), -b_bound, b_bound)
     # Spread any float dust in the sum over the unclipped coordinates.
     free = np.abs(x) < b_bound
     if np.any(free):

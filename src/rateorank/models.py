@@ -47,6 +47,11 @@ def _log_norm_pdf(z: np.ndarray) -> np.ndarray:
     return -0.5 * z * z - _LOG_SQRT_2PI
 
 
+def _off_centre(values: np.ndarray) -> bool:
+    """Whether the sum is off zero by more than rounding, which scales with the entries."""
+    return abs(values.sum()) > _CENTER_TOL * max(1.0, float(np.max(np.abs(values))))
+
+
 @dataclass(frozen=True)
 class QualityVector:
     """A mean-centered latent quality vector, optionally box-bounded."""
@@ -60,12 +65,11 @@ class QualityVector:
             raise ValueError(f"quality vector must be 1-d with d >= 2, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("quality vector has non-finite entries")
-        # The sum rounds at the size of the entries, so the tolerance scales with them.
-        if abs(values.sum()) > _CENTER_TOL * max(1.0, float(np.max(np.abs(values)))):
+        if _off_centre(values):
             raise ValueError(f"quality vector must sum to zero, got sum {values.sum():.3g}")
         if self.b_bound is not None:
-            if self.b_bound <= 0:
-                raise ValueError(f"box bound must be positive, got {self.b_bound}")
+            if not 0 < self.b_bound < np.inf:
+                raise ValueError(f"box bound must be positive and finite, got {self.b_bound}")
             if np.max(np.abs(values)) > self.b_bound + 1e-9:
                 raise ValueError("quality vector violates its box bound")
         values.setflags(write=False)
@@ -75,7 +79,11 @@ class QualityVector:
     def centered(cls, values, b_bound: float | None = None) -> "QualityVector":
         """Center arbitrary values and wrap them."""
         values = np.asarray(values, dtype=float)
-        return cls(values - values.mean(), b_bound)
+        values = values - values.mean()
+        # A mean that dwarfs the spread leaves a sum error at the mean's size; a second pass removes it.
+        if _off_centre(values):
+            values = values - values.mean()
+        return cls(values, b_bound)
 
     @property
     def d(self) -> int:
@@ -104,12 +112,12 @@ class ModelSpec:
         if self.kind not in MODEL_KINDS:
             raise ModelKindError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
         if self.kind in BINARY_KINDS:
-            if self.sigma <= 0:
-                raise ValueError(f"{self.kind} needs sigma > 0, got {self.sigma}")
-            if self.b_bound is None or self.b_bound <= 0:
-                raise ValueError(f"{self.kind} needs a positive box bound, got {self.b_bound}")
-        elif self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+            if not 0 < self.sigma < np.inf:
+                raise ValueError(f"{self.kind} needs a finite sigma > 0, got {self.sigma}")
+            if self.b_bound is None or not 0 < self.b_bound < np.inf:
+                raise ValueError(f"{self.kind} needs a positive, finite box bound, got {self.b_bound}")
+        elif not 0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
 
 
 @dataclass(frozen=True)

@@ -155,8 +155,8 @@ def build_packing(laplacian: Laplacian, delta: float, alpha: float) -> Packing:
     """
     if not laplacian.connected:
         raise ConnectivityError("packing construction needs a connected design")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     d = laplacian.d
     beta = packing_rate(alpha)
     min_distance = math.ceil(alpha * d)

@@ -2,7 +2,9 @@
 
 Everything in here is deliberately independent of the library internals: the
 finite-difference checks only call ``neg_log_likelihood``/``gradient`` as black
-boxes, and the grid minimizer re-parameterizes the d=3 feasible set by hand.
+boxes, the grid minimizer re-parameterizes the d=3 feasible set by hand, and
+the reference projection finds its shift by a different search than the
+library's.
 """
 
 import numpy as np
@@ -94,3 +96,40 @@ def grid_minimum(spec, obs, b_bound):
         val, z, w = _grid_scan(spec, obs, b_bound, z, 3.0 * half, 241)
         half = 3.0 * half / 120.0
     return val, w
+
+
+def reference_projection(v, b_bound):
+    """Projection onto {mean-zero, |w_j| <= b_bound} by a prefix-sum breakpoint search.
+
+    Evaluates the clipped sum ``g`` at all 2d knots ``c_i -+ b`` from prefix
+    sums of the sorted centred vector, then solves the linear equation of the
+    bracketing segment with its clipped-low / free / clipped-high partition.
+    """
+    x = np.asarray(v, dtype=float)
+    x = x - x.mean()
+    if np.max(np.abs(x)) <= b_bound:
+        return x
+
+    d = x.size
+    s = np.sort(x)
+    prefix = np.concatenate(([0.0], np.cumsum(s)))
+
+    def partition(mu):
+        # s[:lo] clips to -b and s[hi:] clips to +b at shift mu.
+        return np.searchsorted(s, mu - b_bound, side="right"), np.searchsorted(s, mu + b_bound, side="left")
+
+    knots = np.sort(np.concatenate((s - b_bound, s + b_bound)))
+    lo, hi = partition(knots)
+    g = prefix[hi] - prefix[lo] - knots * (hi - lo) + b_bound * (d - hi - lo)
+    # g(knots[0]) = d*b > 0 and g(knots[-1]) = -d*b < 0; take the first sign change.
+    k = min(max(int(np.argmax(g <= 0.0)), 1), knots.size - 1)
+    left, right = knots[k - 1], knots[k]
+    mid = 0.5 * (left + right)
+    lo, hi = (int(i) for i in partition(mid))
+    # With no free coordinate g is flat (zero) on the segment and any shift in it is a root.
+    mu = (prefix[hi] - prefix[lo] + b_bound * (d - hi - lo)) / (hi - lo) if hi > lo else mid
+    x = np.clip(x - min(max(mu, left), right), -b_bound, b_bound)
+    free = np.abs(x) < b_bound
+    if np.any(free):
+        x[free] -= x.sum() / np.count_nonzero(free)
+    return x

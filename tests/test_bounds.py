@@ -156,6 +156,18 @@ class TestDecisionGrid:
         assert cs[0] == pytest.approx(0.01) and cs[-1] == pytest.approx(10.0)
         assert np.allclose(np.diff(np.log(cs)), np.log(cs[1] / cs[0]))
 
+    def test_one_interval_per_sigma_o_column(self, monkeypatch):
+        calls = []
+        original = rr.bounds.kappa
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(rr.bounds, "kappa", counting)
+        rr.decision_grid((0.1, 10.0), (0.1, 10.0), resolution=40)
+        assert len(calls) == 40
+
     def test_readme_range_reaches_underflow(self):
         rows = rr.decision_grid((0.01, 10.0), (0.01, 10.0), resolution=20)
         assert len(rows) == 400

@@ -384,3 +384,45 @@ class TestTopologyAndPack:
             cli.main(["--version"])
         assert exc_info.value.code == 0
         assert rr.__version__ in capsys.readouterr().out
+
+
+def _thurstone_config(tmp_path, **model):
+    doc = {
+        "model": {"kind": "thurstone", "sigma": 1.0, "b_bound": 1.0, **model},
+        "topology": {"kind": "complete", "d": 5, "n": 80},
+        "w_true": {"rule": "uniform_box", "b": 0.5},
+        "trials": 2,
+        "seed": 3,
+    }
+    return _write(tmp_path / "cfg.json", json.dumps(doc))  # writes NaN and Infinity as JSON allows
+
+
+def _comparisons(tmp_path):
+    return _ordinal_csv(tmp_path / "cmp.csv")[0]
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (lambda p: ["fit", _comparisons(p), "--model", "btl", "--sigma", "nan"], "needs a finite sigma > 0, got nan"),
+    (lambda p: ["fit", _comparisons(p), "--model", "btl", "--sigma", "1", "--b-bound", "nan"], "box bound, got nan"),
+    (lambda p: ["fit", _comparisons(p), "--model", "btl", "--cv-grid", "nan,1"], "sigma_grid"),
+    (lambda p: ["fit", _write(p / "r.csv", "a,1\nb,2\n"), "--model", "cardinal", "--sigma", "inf"],
+     "sigma must be nonnegative and finite, got inf"),
+    (lambda p: ["fit", _write(p / "r.csv", "a,1\nb,nan\n"), "--model", "cardinal"],
+     "line 2: rating must be a number, got 'nan'"),
+    (lambda p: ["decide", "--sigma-c", "nan", "--sigma-o", "1"], "sigma_c=nan"),
+    (lambda p: ["decide", "--sigma-c", "1", "--sigma-o", "inf"], "sigma_o=inf"),
+    (lambda p: ["decide", "--grid", "0.1", "nan", "0.1", "10"], "sigma_c range"),
+    (lambda p: ["decide", "--grid", "0.1", "10", "0.1", "inf"], "sigma_o range"),
+    (lambda p: ["simulate", "--config", _thurstone_config(p, b_bound=float("inf"))],
+     "model.b_bound: expected a number, got inf"),
+    (lambda p: ["simulate", "--config", _thurstone_config(p, sigma=float("nan"))],
+     "model.sigma: expected a number, got nan"),
+    (lambda p: ["simulate", "--config", _thurstone_config(p, sigma=10**400)],
+     "model.sigma: expected a number, got 1000"),
+    (lambda p: ["pack", "--d", "8", "--delta", "nan", "--alpha", "0.15"], "delta must be positive and finite"),
+], ids=["fit-sigma", "fit-b-bound", "fit-cv-grid", "fit-cardinal-sigma", "rating", "decide-sigma-c",
+        "decide-sigma-o", "grid-sigma-c", "grid-sigma-o", "simulate-b-bound", "simulate-sigma",
+        "simulate-huge-int", "pack-delta"])
+def test_non_finite_inputs_rejected(tmp_path, capsys, argv, fragment):
+    assert cli.main(argv(tmp_path)) == 2
+    assert fragment in capsys.readouterr().err

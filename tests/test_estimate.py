@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rateorank as rr
-from helpers import grid_minimum
+from helpers import grid_minimum, reference_projection
 
 
 def _feasible_point(rng, d, b):
@@ -81,6 +81,26 @@ class TestProjection:
         else:  # every coordinate on a face: some mu must separate the two faces
             assert np.max(r[lower]) <= np.min(r[upper]) + tol
         assert np.allclose(rr.project_feasible(x, b), x, rtol=0.0, atol=1e-12 * max(1.0, b))
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 25, 200, 2000])
+    def test_matches_reference_search(self, d):
+        # The prefix-sum breakpoint search in helpers is an independent oracle.  Every
+        # third vector is rounded to multiples of b, so that knots c_i - b and c_j + b
+        # tie; every third has integer entries summing to zero with b in {0.5, 1, 2},
+        # so that the centred knots tie exactly.
+        rng = np.random.default_rng(d)
+        for trial in range(60 if d <= 200 else 10):
+            b = float(rng.uniform(0.05, 5.0))
+            v = rng.normal(size=d) * 10.0 ** rng.uniform(-2, 4)
+            if trial % 3 == 1:
+                v = np.round(v / b) * b
+            elif trial % 3 == 2:
+                v = rng.integers(-6, 7, size=d).astype(float)
+                v[-1] = -v[:-1].sum()
+                b = float(rng.choice([0.5, 1.0, 2.0]))
+            x = rr.project_feasible(v, b)
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(v))))
+            assert np.max(np.abs(x - reference_projection(v, b))) <= tol
 
 
 class TestCardinalFit:

@@ -38,6 +38,22 @@ class TestQualityVector:
         with pytest.raises(ValueError, match="sum to zero"):
             rr.QualityVector(w.values + 1e-3 * scale / d)
 
+    @pytest.mark.parametrize("offset", [1e6, 1e12])
+    def test_centering_an_offset_that_dwarfs_the_spread(self, offset):
+        values = offset + np.random.default_rng(0).normal(size=1000)
+        w = rr.QualityVector.centered(values)
+        assert abs(w.values.sum()) <= 1e-9 * max(1.0, float(np.max(np.abs(w.values))))
+        assert np.allclose(w.values, values - values.mean(), rtol=0.0, atol=1e-15 * offset)
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(2, 200), log_scale=st.floats(-3.0, 6.0), seed=st.integers(0, 2**32 - 1))
+    def test_one_centering_pass_when_it_suffices(self, d, log_scale, seed):
+        # An input whose one-pass centring already passes the sum check keeps those exact bits.
+        values = 10.0**log_scale * np.random.default_rng(seed).normal(size=d)
+        once = values - values.mean()
+        rr.QualityVector(once)
+        assert np.array_equal(rr.QualityVector.centered(values).values, once)
+
     def test_unit_scale_tolerance_is_absolute(self):
         rr.QualityVector(np.array([0.5, -0.5 + 9e-10]))
         rr.QualityVector(np.array([1e-6, -1e-6 + 9e-10]))
