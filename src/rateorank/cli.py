@@ -39,6 +39,16 @@ ID_ORDERS = ("first-appearance", "sorted")
 
 _SWEEP_TYPES = {"n": int, "d": int, "sigma": float, "topology.kind": str}
 
+#: The fields a simulate config may carry: each top-level key with the keys its object may hold.
+_CONFIG_FIELDS = {
+    "model": ("kind", "sigma", "b_bound"),
+    "topology": ("kind", "d", "n", "k"),
+    "w_true": ("rule", "b", "delta", "alpha", "index"),  # keys of the rule object
+    "trials": (),
+    "seed": (),
+    "sweep": ("param", "values"),
+}
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -135,6 +145,8 @@ def _parse_sigma_grid(text: str) -> tuple[float, ...] | None:
 
 def cmd_fit(args) -> int:
     if args.model == "cardinal":
+        if args.cv_grid is not None:
+            raise DataFormatError("--cv-grid: the cardinal fit is closed-form and has no noise scale to cross-validate")
         dataset = read_cardinal_csv(args.data, args.id_order)
         spec = models.ModelSpec(models.CARDINAL, sigma=args.sigma if args.sigma is not None else 1.0)
     else:
@@ -151,7 +163,7 @@ def cmd_fit(args) -> int:
     obs = dataset.to_observations(spec)
 
     metrics: dict = {}
-    if args.model != "cardinal" and args.cv_grid is not None:
+    if args.cv_grid is not None:
         sigma_best, table = estimate.cv_sigma(obs, config)
         obs = obs.with_sigma(sigma_best)
         metrics["cv_table"] = [{"sigma": s, "heldout_loglik": ll} for s, ll in table]
@@ -222,8 +234,18 @@ def _checked(path: str, node, expected):
     return node
 
 
+def _reject_unknown_fields(doc) -> None:
+    for key, node in doc.items() if isinstance(doc, dict) else ():
+        if key not in _CONFIG_FIELDS:
+            raise DataFormatError(f"config field {key}: unknown")
+        for name in node if isinstance(node, dict) else ():
+            if name not in _CONFIG_FIELDS[key]:
+                raise DataFormatError(f"config field {key}.{name}: unknown")
+
+
 def parse_experiment_config(doc: dict) -> tuple[sim.ExperimentConfig, str | None, list]:
-    """Validate a simulate config document; returns (config, sweep_param, sweep_values)."""
+    """Validate a simulate config document, unknown fields included; returns (config, sweep_param, sweep_values)."""
+    _reject_unknown_fields(doc)
     kind = _config_value(doc, "model.kind", str)
     if kind not in models.MODEL_KINDS:
         raise DataFormatError(f"config field model.kind: unknown model {kind!r}")
@@ -247,17 +269,6 @@ def parse_experiment_config(doc: dict) -> tuple[sim.ExperimentConfig, str | None
     else:
         raise DataFormatError("config field w_true: expected a vector or a generator rule object")
 
-    _config_value(doc, "fit", dict, required=False)
-    fit_grid = _config_value(doc, "fit.sigma_grid", list, required=False)
-    default_box = b_bound if b_bound is not None else 1.0
-    fit = estimate.FitConfig(
-        b_bound=_config_value(doc, "fit.b_bound", float, required=False, default=default_box),
-        max_iters=_config_value(doc, "fit.max_iters", int, required=False, default=2000),
-        grad_tol=_config_value(doc, "fit.grad_tol", float, required=False),
-        sigma_grid=tuple(_checked("fit.sigma_grid", s, float) for s in fit_grid) if fit_grid else None,
-        seed=_config_value(doc, "fit.seed", int, required=False, default=0),
-    )
-
     try:
         model = models.ModelSpec(kind, sigma=sigma, b_bound=b_bound)
         config = sim.ExperimentConfig(
@@ -266,7 +277,7 @@ def parse_experiment_config(doc: dict) -> tuple[sim.ExperimentConfig, str | None
             w_true=w_true,
             trials=trials,
             seed=seed,
-            fit=fit,
+            fit=estimate.FitConfig(b_bound=b_bound if b_bound is not None else 1.0),
         )
     except (ValueError, ModelKindError) as exc:
         raise DataFormatError(f"config rejected: {exc}") from exc
@@ -406,3 +417,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

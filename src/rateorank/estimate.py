@@ -52,7 +52,6 @@ class FitConfig:
 
     b_bound: float = 1.0
     max_iters: int = 2000
-    grad_tol: float | None = None  # defaults to 1e-8 * n at fit time
     sigma_grid: tuple[float, ...] | None = None
     seed: int = 0
 
@@ -61,8 +60,6 @@ class FitConfig:
             raise ValueError(f"box bound must be positive and finite, got {self.b_bound}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.grad_tol is not None and not 0 < self.grad_tol < np.inf:
-            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         if self.sigma_grid is not None:
             grid = tuple(float(s) for s in self.sigma_grid)
             if len(grid) == 0 or not all(0 < s < np.inf for s in grid):
@@ -120,10 +117,6 @@ def project_feasible(v: np.ndarray, b_bound: float) -> np.ndarray:
     return x
 
 
-def _grad_tol(config: FitConfig, n: int) -> float:
-    return config.grad_tol if config.grad_tol is not None else 1e-8 * n
-
-
 def _fit_cardinal(obs: ObservationSet, config: FitConfig) -> FitResult:
     # One group per rated item, in item order, holding the item's mean rating.
     groups = obs.groups
@@ -144,7 +137,7 @@ def _fit_cardinal(obs: ObservationSet, config: FitConfig) -> FitResult:
 
 
 def _active_box(w: np.ndarray, b_bound: float) -> tuple[int, ...]:
-    return tuple(int(j) for j in np.flatnonzero(np.abs(w) >= b_bound - 1e-9))
+    return tuple(int(j) for j in np.flatnonzero(np.abs(w) >= b_bound * (1 - 1e-9)))
 
 
 def _hessian_product(pairs: np.ndarray, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -245,7 +238,7 @@ def mle_fit(obs: ObservationSet, config: FitConfig) -> FitResult:
         raise ConnectivityError("comparison graph of the design is disconnected; fit refused")
 
     spec, b_bound = obs.model, config.b_bound
-    tol = _grad_tol(config, obs.n)
+    tol = 1e-8 * obs.n
     w = np.zeros(obs.d)
     f = models.neg_log_likelihood(spec, w, obs)
     g = models.gradient(spec, w, obs)

@@ -74,15 +74,35 @@ def index_pairs(d: int, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray
     return np.column_stack((codes // d, codes % d)), index
 
 
+def integer_array(values, what: str, dtype=np.int64) -> np.ndarray:
+    """``values`` (at least 1-d) cast to the integer ``dtype``, truncating nothing.
+
+    An integer array is cast without a scan, and without a copy when it has
+    ``dtype`` already.  Any other array must hold whole numbers in range:
+    otherwise ``ValueError`` names ``what`` and the first row the cast would change.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind in "iu":
+        return array.astype(dtype, copy=False)
+    with np.errstate(invalid="ignore"):  # NaN, infinity and out-of-range values cast to garbage
+        cast = array.astype(dtype)
+    changed = np.argwhere(cast != array)
+    if changed.size:
+        row = int(changed[0, 0])
+        raise ValueError(f"{what} {row} holds a non-integer value: {array[row].tolist()}")
+    return cast
+
+
 def _merge_edges(d: int, weighted_edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate ``(left, right, weight)`` triples and merge each pair's triples.
 
     ``weighted_edges`` is an (E, 3) array or an iterable of triples; all of
-    them are checked at once, and the first bad triple in input order decides
-    the error.  Returns ``(left, right, weight)`` int64 arrays with
-    ``left < right`` in lexicographic order, each weight the exact sum over
-    both orientations and all duplicates of that pair.  A merged weight or a
-    total that would not fit in int64 (reaching 2**63) raises ``ValueError``.
+    them are checked at once.  A non-integer entry is reported first;
+    otherwise the first bad triple in input order decides the error.  Returns
+    ``(left, right, weight)`` int64 arrays with ``left < right`` in
+    lexicographic order, each weight the exact sum over both orientations and
+    all duplicates of that pair.  A merged weight or a total that would not
+    fit in int64 (reaching 2**63) raises ``ValueError``.
     """
     if d < 2:
         raise ValueError(f"need at least 2 items, got d={d}")
@@ -93,7 +113,7 @@ def _merge_edges(d: int, weighted_edges) -> tuple[np.ndarray, np.ndarray, np.nda
         triples = triples.reshape(0, 3)
     if triples.ndim != 2 or triples.shape[1] != 3:
         raise ValueError(f"expected (left, right, weight) triples, got shape {triples.shape}")
-    left, right, weight = triples.astype(np.int64, copy=False).T
+    left, right, weight = integer_array(triples, "edge").T
     bad = (left == right) | (left < 0) | (left >= d) | (right < 0) | (right >= d) | (weight <= 0)
     first_bad = np.flatnonzero(bad)
     if first_bad.size:

@@ -70,7 +70,7 @@ class QualityVector:
         if self.b_bound is not None:
             if not 0 < self.b_bound < np.inf:
                 raise ValueError(f"box bound must be positive and finite, got {self.b_bound}")
-            if np.max(np.abs(values)) > self.b_bound + 1e-9:
+            if np.max(np.abs(values)) > self.b_bound * (1 + 1e-9):
                 raise ValueError("quality vector violates its box bound")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -162,7 +162,7 @@ class ObservationSet:
     _outcome_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        design = np.asarray(self.design, dtype=np.intp)
+        design = np.asarray(self.design)
         outcomes = np.asarray(self.outcomes, dtype=float)
         if self.d < 2:
             raise ValueError(f"need at least 2 items, got d={self.d}")
@@ -174,6 +174,7 @@ class ObservationSet:
         else:
             if design.ndim != 1:
                 raise ValueError(f"cardinal design must have shape (n,), got {design.shape}")
+        design = graph.integer_array(design, "design row", np.intp)
         if design.size == 0:
             raise ValueError("observation set is empty")
         if design.min() < 0 or design.max() >= self.d:

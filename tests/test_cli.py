@@ -1,12 +1,16 @@
 import csv
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rateorank as rr
-from rateorank import cli
+from rateorank import cli, estimate
 
 
 def _write(path, text):
@@ -108,6 +112,28 @@ class TestFit:
         assert doc["sigma_used"] in (0.5, 1.0, 2.0)
         best = max(table, key=lambda entry: entry["heldout_loglik"])
         assert doc["sigma_used"] == best["sigma"]
+
+    def test_default_cv_grid(self, tmp_path):
+        data, _ = _ordinal_csv(tmp_path / "cmp.csv")
+        out = tmp_path / "fit.json"
+        assert cli.main(["fit", data, "--model", "btl", "--cv-grid", "default", "--out", str(out)]) == 0
+        table = cli.load_result_document(out)["metrics"]["cv_table"]
+        assert [entry["sigma"] for entry in table] == list(rr.DEFAULT_SIGMA_GRID)
+
+    def test_cv_grid_rejected_where_unread(self, tmp_path, capsys):
+        data, _ = _ordinal_csv(tmp_path / "cmp.csv")
+        assert cli.main(["fit", data, "--model", "btl", "--cv-grid", "1,x"]) == 2
+        assert "--cv-grid" in capsys.readouterr().err
+        # The cardinal fit is closed-form: there is no noise scale to cross-validate.
+        ratings = _write(tmp_path / "r.csv", "a,1\nb,2\n")
+        assert cli.main(["fit", ratings, "--model", "cardinal", "--cv-grid", "0.5,1"]) == 2
+        assert "--cv-grid" in capsys.readouterr().err
+
+    def test_nonconvergence_warns_and_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(estimate, "_arc_search", lambda *args: None)
+        data, _ = _ordinal_csv(tmp_path / "cmp.csv")
+        assert cli.main(["fit", data, "--model", "btl", "--sigma", "1"]) == 3
+        assert "warning: solver did not converge" in capsys.readouterr().err
 
     def test_ordinal_fit_needs_a_sigma_choice(self, tmp_path, capsys):
         data, _ = _ordinal_csv(tmp_path / "cmp.csv")
@@ -293,11 +319,11 @@ class TestSimulate:
             (json.dumps({k: v for k, v in self._config_doc().items() if k != "w_true"}), "w_true"),
             (json.dumps(self._config_doc(sweep={"param": "delta", "values": [1]})), "cannot sweep"),
             (json.dumps(self._config_doc(sweep={"param": "n", "values": []})), "nonempty"),
-            (json.dumps(self._config_doc(fit={"max_iters": "10"})), "fit.max_iters: expected an integer"),
-            (json.dumps(self._config_doc(fit={"max_iters": 2.5})), "fit.max_iters: expected an integer"),
-            (json.dumps(self._config_doc(fit={"grad_tol": "x"})), "fit.grad_tol: expected a number"),
-            (json.dumps(self._config_doc(fit={"b_bound": "1"})), "fit.b_bound: expected a number"),
-            (json.dumps(self._config_doc(fit={"sigma_grid": 5})), "fit.sigma_grid: expected list"),
+            (json.dumps(self._config_doc(fit={"max_iters": 10})), "config field fit: unknown"),
+            (json.dumps(self._config_doc(seeed=4)), "config field seeed: unknown"),
+            (json.dumps(self._config_doc(model={"kind": "paired_linear", "sigma": 1.0, "sigmaa": 9})),
+             "config field model.sigmaa: unknown"),
+            (json.dumps(self._config_doc(w_true={"rule": "uniform_box", "bb": 0.5})), "config field w_true.bb: unknown"),
             (json.dumps(self._config_doc(sweep={"param": "n", "values": [12.9, 24]})), "sweep.values: expected an integer"),
             (json.dumps(self._config_doc(sweep={"param": "n", "values": [True]})), "sweep.values: expected an integer"),
             (json.dumps(self._config_doc(sweep={"param": "d", "values": [5, "6"]})), "sweep.values: expected an integer"),
@@ -384,6 +410,19 @@ class TestTopologyAndPack:
             cli.main(["--version"])
         assert exc_info.value.code == 0
         assert rr.__version__ in capsys.readouterr().out
+
+
+def test_module_entry_point(tmp_path):
+    src = str(Path(rr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "rateorank.cli", *argv], env=env, capture_output=True, text=True)
+
+    version = run("--version")
+    assert version.returncode == 0 and version.stdout == f"rateorank {rr.__version__}\n"
+    missing = run("simulate", "--config", str(tmp_path / "missing.json"))
+    assert missing.returncode == 2 and "missing.json" in missing.stderr
 
 
 def _thurstone_config(tmp_path, **model):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rateorank as rr
+from rateorank import estimate
 from helpers import grid_minimum, reference_projection
 
 
@@ -193,6 +194,44 @@ class TestMleFit:
         res = rr.mle_fit(obs, rr.FitConfig(b_bound=1.0, max_iters=1))
         assert not res.converged
         assert res.iterations == 1
+
+    def test_gradient_arc_rescues_a_failed_newton_arc(self):
+        # Covers mle_fit's rescue path: on this Thurstone instance the second Newton arc
+        # shrinks onto w without descent (_arc_search returns None), and the
+        # projected-gradient arc -g takes the step.  Found by a random search over small fits.
+        spec = rr.ModelSpec("thurstone", sigma=0.7802456179271613, b_bound=0.12532333464971926)
+        rows = np.array([[7, 5], [4, 2], [6, 2], [1, 4], [2, 7], [1, 2], [0, 1],
+                         [1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7]])
+        outcomes = np.array([-1, 1, 1, -1, -1, -1, 1, -1, -1, -1, -1, -1, -1], dtype=float)
+        res = rr.mle_fit(rr.ObservationSet(spec, 8, rows, outcomes), rr.FitConfig(b_bound=spec.b_bound))
+        assert res.converged and res.stop_reason == "converged"
+        assert np.all(np.diff(res.nll_path) <= 0.0)
+
+    def test_ascent_arc_finds_no_step(self):
+        # Along +g no step size gives descent, so the arc search halves down to its floor.
+        spec = rr.ModelSpec("btl", sigma=1.0, b_bound=1.0)
+        obs = rr.sample(spec, rr.QualityVector.centered([0.5, 0.0, -0.5]), _complete_design(3, 4), 1)
+        w = np.zeros(3)
+        g = rr.gradient(spec, w, obs)
+        assert estimate._arc_search(spec, obs, w, rr.neg_log_likelihood(spec, w, obs), g, g, 1.0) is None
+
+    def test_no_descent_stops_on_line_search(self, monkeypatch):
+        monkeypatch.setattr(estimate, "_arc_search", lambda *args: None)
+        spec = rr.ModelSpec("btl", sigma=1.0, b_bound=1.0)
+        obs = rr.sample(spec, rr.QualityVector.centered([0.5, 0.0, -0.5]), _complete_design(3, 4), 1)
+        res = rr.mle_fit(obs, rr.FitConfig(b_bound=1.0))
+        assert res.stop_reason == "line_search"
+        assert not res.converged
+        assert len(res.nll_path) == 1
+
+    def test_active_box_is_relative_to_the_bound(self):
+        # Balanced outcomes: the fit stays at w = 0, which is nowhere near a box of 1e-10.
+        spec = rr.ModelSpec("btl", sigma=1.0, b_bound=1e-10)
+        design = np.array([[0, 1], [1, 2], [0, 2]] * 2)
+        obs = rr.ObservationSet(spec, 3, design, np.array([1, 1, 1, -1, -1, -1.0]))
+        res = rr.mle_fit(obs, rr.FitConfig(b_bound=1e-10))
+        assert res.converged and np.array_equal(res.w_hat.values, np.zeros(3))
+        assert res.active_box == ()
 
     def test_result_carries_the_design_laplacian(self):
         design = _complete_design(4, 5)

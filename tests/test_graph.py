@@ -71,6 +71,16 @@ def test_graph_validation():
         build_laplacian_from_design(3, np.array([[0, 1], [0, 3], [2, 2]]))
 
 
+def test_non_integer_entries_rejected():
+    with pytest.raises(ValueError, match=r"edge 0 holds a non-integer value: \[0.9, 1.7, 2.0\]"):
+        comparison_graph(3, [(0.9, 1.7, 2)])
+    with pytest.raises(ValueError, match=r"edge 1 holds a non-integer value: \[1.0, 2.0, 2.5\]"):
+        build_laplacian(3, [(0, 1, 1), (1, 2, 2.5)])
+    with pytest.raises(ValueError, match="edge 0 holds a non-integer value"):
+        comparison_graph(3, np.array([[0, 1, np.inf]]))
+    assert comparison_graph(3, [(0.0, 1.0, 2.0), (2, 1, 1)]) == comparison_graph(3, [(0, 1, 2), (2, 1, 1)])
+
+
 def test_merged_weight_overflow_rejected(tmp_path):
     # Two rows of one pair that each fit in int64 but whose sum does not.
     halves = [(0, 1, 2**62), (1, 0, 2**62)]

@@ -68,6 +68,9 @@ class TestQualityVector:
             rr.QualityVector(np.array([1.5, -1.5]), b_bound=1.0)
         with pytest.raises(ValueError, match="positive"):
             rr.QualityVector(np.array([0.0, 0.0]), b_bound=0.0)
+        # The slack is relative: five times a tiny bound is a violation.
+        with pytest.raises(ValueError, match="box"):
+            rr.QualityVector(np.array([5e-10, -5e-10]), b_bound=1e-10)
 
     def test_immutable_and_finite(self):
         w = rr.QualityVector.centered([0.0, 1.0, 2.0])
@@ -115,6 +118,17 @@ class TestObservationSet:
         cardinal = rr.ModelSpec("cardinal", sigma=1.0)
         with pytest.raises(ValueError, match="shape"):
             rr.ObservationSet(cardinal, 3, np.array([[0, 1]]), np.zeros(1))
+
+    def test_design_entries_must_be_integers(self):
+        spec = rr.ModelSpec("paired_linear", sigma=1.0)
+        with pytest.raises(ValueError, match=r"design row 0 holds a non-integer value: \[0.9, 1.7\]"):
+            rr.ObservationSet(spec, 3, [[0.9, 1.7], [1, 2]], np.zeros(2))
+        with pytest.raises(ValueError, match="design row 1 holds a non-integer value: nan"):
+            rr.ObservationSet(rr.ModelSpec("cardinal", sigma=1.0), 3, [0.0, np.nan], np.zeros(2))
+        whole = rr.ObservationSet(spec, 3, [[0.0, 1.0], [1.0, 2.0]], np.zeros(2))
+        assert whole.design.dtype == np.intp and whole.design.tolist() == [[0, 1], [1, 2]]
+        design = np.array([[0, 1], [1, 2]], dtype=np.intp)
+        assert rr.ObservationSet(spec, 3, design, np.zeros(2)).design is design
 
     def test_binary_outcomes_validated(self):
         spec = rr.ModelSpec("thurstone", sigma=1.0, b_bound=1.0)

@@ -157,6 +157,13 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match="failed to converge.*stopped on max_iters after 1 iterations"):
             rr.run_experiment(cfg)
 
+    def test_line_search_failures_named(self, monkeypatch):
+        monkeypatch.setattr(rr.estimate, "_arc_search", lambda *args: None)
+        cfg = _config(model=rr.ModelSpec("btl", sigma=1.0, b_bound=1.0),
+                      topology=rr.TopologySpec("complete", d=6, n=60), trials=20)
+        with pytest.raises(RuntimeError, match="failed to converge.*stopped on line_search"):
+            rr.run_experiment(cfg)
+
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             _config(trials=0)
