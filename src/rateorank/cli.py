@@ -144,6 +144,10 @@ def _parse_sigma_grid(text: str) -> tuple[float, ...] | None:
 
 
 def cmd_fit(args) -> int:
+    if args.cv_grid is not None and args.sigma is not None:
+        raise DataFormatError("--sigma: --cv-grid picks the noise scale, so a fixed --sigma would be ignored")
+    if args.seed is not None and args.cv_grid is None:
+        raise DataFormatError("--seed: it seeds only the --cv-grid fold shuffle, and there is no --cv-grid")
     if args.model == "cardinal":
         if args.cv_grid is not None:
             raise DataFormatError("--cv-grid: the cardinal fit is closed-form and has no noise scale to cross-validate")
@@ -158,7 +162,7 @@ def cmd_fit(args) -> int:
     config = estimate.FitConfig(
         b_bound=args.b_bound,
         sigma_grid=_parse_sigma_grid(args.cv_grid) if args.cv_grid is not None else None,
-        seed=args.seed,
+        seed=args.seed or 0,
     )
     obs = dataset.to_observations(spec)
 
@@ -354,12 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit quality scores from a CSV dataset")
     fit.add_argument("data", help="CSV file: item,rating or left,right,outcome rows")
     fit.add_argument("--model", choices=FIT_MODELS, required=True)
-    fit.add_argument("--sigma", type=float, default=None, help="noise scale (fixed)")
+    fit.add_argument("--sigma", type=float, default=None, help="noise scale (fixed); not with --cv-grid")
     fit.add_argument("--cv-grid", default=None,
                      help="'default' or comma-separated sigmas to cross-validate over")
     fit.add_argument("--b-bound", type=float, default=1.0)
     fit.add_argument("--id-order", choices=ID_ORDERS, default="first-appearance")
-    fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--seed", type=int, default=None, help="seed of the --cv-grid fold shuffle (default 0)")
     fit.add_argument("--out", default=None, help="write the fit document (JSON) here")
     fit.set_defaults(func=cmd_fit)
 

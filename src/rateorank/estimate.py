@@ -94,13 +94,23 @@ def project_feasible(v: np.ndarray, b_bound: float) -> np.ndarray:
     knots at a slope equal to the number of coordinates free there.  One sorted
     sweep over the 2d knots, O(d log d), accumulates ``g`` from ``d b`` and
     solves for ``mu`` on the first segment where it reaches zero.
+
+    The sweep's sum carries a rounding error of about ``d * eps * scale``,
+    ``scale`` the largest centred entry.  A ``b_bound`` at or below that
+    raises ``ValueError``: the knots blur together, and the point returned
+    would miss the box or the zero sum.
     """
     x = np.asarray(v, dtype=float)
     x = x - x.mean()
-    if np.max(np.abs(x)) <= b_bound:
+    scale = float(np.max(np.abs(x)))
+    if scale <= b_bound:
         return x
 
     d = x.size
+    rounding = d * np.finfo(float).eps * scale
+    if b_bound <= rounding:
+        raise ValueError(f"box bound {b_bound:g} is within the rounding of the centred entries "
+                         f"(largest |c_i| = {scale:g}, d = {d}): it must exceed d * eps * scale = {rounding:g}")
     knots = np.concatenate((x - b_bound, x + b_bound))
     order = np.argsort(knots)
     knots = knots[order]

@@ -16,13 +16,20 @@ Building a graph or a Laplacian is array work from start to end: the
 the diagonal.  Weights are integers, so ``M`` holds exact integer values.
 
 The module also owns the one CSV row reader, :func:`read_rows`: edge lists,
-ratings and comparisons differ only in their :class:`RowFormat`.
+ratings and comparisons differ only in their :class:`RowFormat`.  It reads
+about ``_BLOCK_BYTES`` of lines at a time and checks and parses each block
+with list operations, so memory stays bounded by the block and the parsed
+arrays.  A block that fails a check is parsed again line by line, which
+names the first bad line.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -38,6 +45,9 @@ TOPOLOGY_KINDS = ("complete", "dumbbell", "expander", "star")
 # a random regular graph, and the cap on resampling attempts.
 _EXPANDER_LAMBDA2_FRACTION = 0.1
 _EXPANDER_MAX_ATTEMPTS = 5000
+
+# read_rows reads and parses about this many bytes of lines at a time.
+_BLOCK_BYTES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -336,39 +346,81 @@ def _weight(text: str) -> int:
 EDGE_ROWS = RowFormat("left,right,weight", "edge", _weight, "a positive 64-bit integer")
 
 
-def read_rows(path, row_format: RowFormat, id_order: str = "first-appearance"):
-    """Read a CSV file's rows in one pass; returns ``(item_ids, index, values)``.
+def _parse_lines(path, first_line: int, lines: list[str], row_format: RowFormat, width: int):
+    """Parse a block line by line: ``(names, values)`` as :func:`_split_rows` gives them.
 
-    Blank lines and ``#`` comments are skipped and fields are stripped.  Item
-    ids are numbered by first appearance as they are read; ``id_order="sorted"``
-    renumbers them at the end.  ``index`` is an intp array of shape (n,) for one
-    id column or (n, k) for k; ``values`` has the dtype numpy infers for the
-    parsed values.  The first bad row raises :class:`DataFormatError` naming the
-    file and the line; the two ids of a row must differ.
+    The first bad line raises :class:`DataFormatError` naming the file and
+    the line's number, counted from ``first_line``.  Every message the reader
+    gives for a bad row is made here.
+    """
+    value_name = row_format.header.rsplit(",", 1)[1]
+    names: list[str] = []
+    values: list = []
+    for line_no, line in enumerate(lines, start=first_line):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = [part.strip() for part in text.split(",")]
+        if len(parts) != width:
+            raise DataFormatError(f"{path}, line {line_no}: expected {row_format.header!r}, got {','.join(parts)!r}")
+        try:
+            values.append(row_format.parse(parts[-1]))
+        except (ValueError, KeyError):
+            raise DataFormatError(
+                f"{path}, line {line_no}: {value_name} must be {row_format.expects}, got {parts[-1]!r}"
+            ) from None
+        if width == 3 and parts[0] == parts[1]:
+            raise DataFormatError(f"{path}, line {line_no}: an item cannot be compared with itself")
+        names.extend(parts[:-1])
+    return names, values
+
+
+def _split_rows(lines: list[str], row_format: RowFormat, width: int):
+    """Parse a block with list operations: the id fields in row order and the values.
+
+    Returns ``None`` when any row fails a check (a comment-only block
+    included), so that :func:`_parse_lines` can name the first bad line.
+    """
+    rows = [text for text in map(str.strip, lines) if text and text[0] != "#"]
+    if set(map(str.count, rows, repeat(","))) != {width - 1}:
+        return None
+    fields = list(map(str.strip, ",".join(rows).split(",")))
+    try:
+        values = list(map(row_format.parse, fields[width - 1::width]))
+    except (ValueError, KeyError):
+        return None
+    del fields[width - 1::width]  # what is left is the rows' ids, row by row
+    if width == 3 and not all(map(str.__ne__, fields[0::2], fields[1::2])):
+        return None
+    return fields, values
+
+
+def read_rows(path, row_format: RowFormat, id_order: str = "first-appearance"):
+    """Read a CSV file's rows a block at a time; returns ``(item_ids, index, values)``.
+
+    Blank lines and ``#`` comments are skipped and fields are stripped.  The
+    file is read in blocks of about ``_BLOCK_BYTES``, each checked and parsed
+    with list operations; a block that fails a check is parsed again line by
+    line, and the first bad row raises :class:`DataFormatError` naming the
+    file and the line.  The two ids of a row must differ.  Item ids are
+    numbered by first appearance as they are read; ``id_order="sorted"``
+    renumbers them at the end.  ``index`` is an intp array of shape (n,) for
+    one id column or (n, k) for k; ``values`` has the dtype numpy infers for
+    the parsed values.
     """
     width = row_format.header.count(",") + 1
-    value_name = row_format.header.rsplit(",", 1)[1]
-    ids: dict[str, int] = {}
-    index: list[int] = []
+    ids: defaultdict[str, int] = defaultdict()
+    ids.default_factory = ids.__len__  # an unseen id gets the next number
+    index = array("q")
     values: list = []
+    first_line = 1
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = [part.strip() for part in text.split(",")]
-            if len(parts) != width:
-                raise DataFormatError(f"{path}, line {line_no}: expected {row_format.header!r}, got {','.join(parts)!r}")
-            try:
-                values.append(row_format.parse(parts[-1]))
-            except (ValueError, KeyError):
-                raise DataFormatError(
-                    f"{path}, line {line_no}: {value_name} must be {row_format.expects}, got {parts[-1]!r}"
-                ) from None
-            if width == 3 and parts[0] == parts[1]:
-                raise DataFormatError(f"{path}, line {line_no}: an item cannot be compared with itself")
-            for name in parts[:-1]:
-                index.append(ids.setdefault(name, len(ids)))
+        while lines := fh.readlines(_BLOCK_BYTES):
+            names, block_values = _split_rows(lines, row_format, width) or _parse_lines(
+                path, first_line, lines, row_format, width)
+            first_line += len(lines)
+            index.fromlist(list(map(ids.__getitem__, names)))
+            values.extend(block_values)
     if not values:
         raise DataFormatError(f"{path}: no {row_format.noun} rows found")
     item_ids = list(ids)

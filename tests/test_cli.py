@@ -129,6 +129,23 @@ class TestFit:
         assert cli.main(["fit", ratings, "--model", "cardinal", "--cv-grid", "0.5,1"]) == 2
         assert "--cv-grid" in capsys.readouterr().err
 
+    def test_sigma_and_seed_rejected_where_unread(self, tmp_path, capsys):
+        data, _ = _ordinal_csv(tmp_path / "cmp.csv")
+        # --cv-grid picks sigma, so a fixed --sigma beside it would be ignored.
+        assert cli.main(["fit", data, "--model", "btl", "--sigma", "5", "--cv-grid", "0.5,1"]) == 2
+        assert "error: --sigma" in capsys.readouterr().err
+        # --seed only shuffles the CV folds.
+        ratings = _write(tmp_path / "r.csv", "a,1\nb,2\n")
+        for argv in (["fit", data, "--model", "btl", "--sigma", "1", "--seed", "3"],
+                     ["fit", ratings, "--model", "cardinal", "--seed", "3"]):
+            assert cli.main(argv) == 2
+            assert "error: --seed" in capsys.readouterr().err
+        # With --cv-grid the seed is read, and it defaults to 0.
+        out_default, out_zero = tmp_path / "default.json", tmp_path / "zero.json"
+        assert cli.main(["fit", data, "--model", "btl", "--cv-grid", "0.5,1", "--out", str(out_default)]) == 0
+        assert cli.main(["fit", data, "--model", "btl", "--cv-grid", "0.5,1", "--seed", "0", "--out", str(out_zero)]) == 0
+        assert out_default.read_text(encoding="utf-8") == out_zero.read_text(encoding="utf-8")
+
     def test_nonconvergence_warns_and_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(estimate, "_arc_search", lambda *args: None)
         data, _ = _ordinal_csv(tmp_path / "cmp.csv")

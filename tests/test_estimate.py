@@ -26,6 +26,13 @@ class TestProjection:
         x = rr.project_feasible(np.array([100.0, 100.0, 100.0, -5.0]), 1.0)
         assert np.allclose(x, [1 / 3, 1 / 3, 1 / 3, -1.0], atol=1e-9)
 
+    def test_bound_within_rounding_raises(self):
+        # The knots c_i -+ 1 vanish in the rounding of 1e20; the sweep would return a point summing to -2.
+        with pytest.raises(ValueError, match=r"box bound 1 .*largest \|c_i\| = 1e\+20, d = 4"):
+            rr.project_feasible(np.array([1e20, -1e20, 0.0, 5.0]), 1.0)
+        x = rr.project_feasible(np.array([1e12, -1e12, 0.0, 5.0]), 1.0)
+        assert abs(x.sum()) <= 1e-9 and np.max(np.abs(x)) <= 1.0
+
     def test_feasible_points_are_fixed(self):
         rng = np.random.default_rng(0)
         for _ in range(50):

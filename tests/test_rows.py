@@ -147,3 +147,52 @@ def test_edge_weight_round_trips_exactly(tmp_path):
     assert ids == ["a", "b", "c"]
     assert back.edges == ((0, 1, weight), (1, 2, 1))
     assert back.n == weight + 1
+
+
+@pytest.mark.parametrize("kind, text, fragment", [
+    ("comparison", "a,b,+1,c\nx,+1\n", "expected 'left,right,outcome'"),
+    ("rating", "x\ny,1,2\n", "expected 'item,rating'"),
+])
+def test_rows_that_balance_each_others_fields_are_refused(tmp_path, kind, text, fragment):
+    # Together the two rows hold the right number of fields; each row alone does not.
+    with pytest.raises(rr.DataFormatError, match=f"{kind}.csv, line 1: {fragment}"):
+        _read(tmp_path, kind, text)
+
+
+@pytest.fixture
+def tiny_blocks(monkeypatch):
+    """Read a few bytes at a time, so that every table spans many blocks."""
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", 7)
+
+
+def test_reader_matches_rows_across_blocks(tiny_blocks):
+    test_reader_matches_rows()
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+def test_first_bad_line_decides_across_blocks(tmp_path, kind, tiny_blocks):
+    test_first_bad_line_decides(tmp_path, kind)
+
+
+# Rows on lines 1-3 and 9-10 with comment-only lines between; ``late`` first appears on line 10.
+MULTI_BLOCK_LINES = ("a,b,+1", " b , c ,-1", "c,a,1", "# one", "#two", "", "   ", "# three", "c,b,-1", "late,a,+1")
+
+
+def test_multi_block_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", 8)
+    path = tmp_path / "comparison.csv"
+    path.write_bytes("\r\n".join(MULTI_BLOCK_LINES).encode())  # CRLF, no trailing newline
+    with open(path, encoding="utf-8") as fh:
+        blocks = [[line.strip() for line in block] for block in iter(lambda: fh.readlines(graph._BLOCK_BYTES), [])]
+    assert ["#two", "", ""] in blocks  # a block with no rows
+    assert blocks[-1] == ["late,a,+1"] and len(blocks) == 5
+    item_ids, index, values = rr.read_rows(path, cli.COMPARISON_ROWS)
+    assert item_ids == ("a", "b", "c", "late")
+    assert index.tolist() == [[0, 1], [1, 2], [2, 0], [2, 1], [3, 0]]
+    assert values.tolist() == [1.0, -1.0, 1.0, -1.0, 1.0]
+
+    lines = list(MULTI_BLOCK_LINES)
+    lines[8] = "c,c,-1"
+    path.write_bytes("\r\n".join(lines).encode())
+    with pytest.raises(rr.DataFormatError, match="comparison.csv, line 9: an item cannot be compared with itself"):
+        rr.read_rows(path, cli.COMPARISON_ROWS)
