@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -71,16 +70,9 @@ class Dataset:
         return models.ObservationSet(spec, self.d, self.design, self.outcomes)
 
 
-def _rating(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(value)
-    return value
-
-
 _OUTCOMES = {"+1": 1.0, "1": 1.0, "-1": -1.0}
 COMPARISON_ROWS = graph.RowFormat("left,right,outcome", "comparison", _OUTCOMES.__getitem__, "+1 or -1")
-RATING_ROWS = graph.RowFormat("item,rating", "rating", _rating, "a number")
+RATING_ROWS = graph.RowFormat("item,rating", "rating", float, "a number")
 
 
 def read_ordinal_csv(path, id_order: str = "first-appearance") -> Dataset:
@@ -196,6 +188,9 @@ def cmd_fit(args) -> int:
 
 def cmd_decide(args) -> int:
     if args.grid is not None:
+        for flag, value in (("--sigma-c", args.sigma_c), ("--sigma-o", args.sigma_o)):
+            if value is not None:
+                raise DataFormatError(f"{flag}: --grid sweeps the noise scales, so a fixed {flag} would be ignored")
         sc_lo, sc_hi, so_lo, so_hi = args.grid
         rows = bounds.decision_grid((sc_lo, sc_hi), (so_lo, so_hi), args.b_bound, args.resolution)
         if args.out:
@@ -204,6 +199,10 @@ def cmd_decide(args) -> int:
         names = (bounds.VERDICT_CARDINAL, bounds.VERDICT_ORDINAL, bounds.VERDICT_INDETERMINATE)
         print(f"decision grid {args.resolution}x{args.resolution}: " + ", ".join(f"{v}={seen.count(v)}" for v in names))
         return EXIT_OK
+    if args.out is not None:
+        raise DataFormatError("--out: it writes only the --grid table, and there is no --grid")
+    if args.sigma_c is None or args.sigma_o is None:
+        raise DataFormatError("decide needs --sigma-c and --sigma-o (or --grid)")
     decision = bounds.decide(args.sigma_c, args.sigma_o, args.b_bound)
     lo, hi = decision.ordinal_interval
     print(f"verdict: {decision.verdict}")
@@ -403,9 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "decide" and args.grid is None and (args.sigma_c is None or args.sigma_o is None):
-        print("error: decide needs --sigma-c and --sigma-o (or --grid)", file=sys.stderr)
-        return EXIT_DATA
     try:
         return args.func(args)
     except (DataFormatError, FileNotFoundError) as exc:

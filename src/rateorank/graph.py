@@ -19,12 +19,13 @@ The module also owns the one CSV row reader, :func:`read_rows`: edge lists,
 ratings and comparisons differ only in their :class:`RowFormat`.  It reads
 about ``_BLOCK_BYTES`` of lines at a time and checks and parses each block
 with list operations, so memory stays bounded by the block and the parsed
-arrays.  A block that fails a check is parsed again line by line, which
-names the first bad line.
+arrays.  A block that fails a check is read again one line at a time by the
+same parser, which names the first bad line.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
@@ -326,8 +327,8 @@ def write_edge_list(graph: ComparisonGraph, path, item_ids: list[str] | None = N
 class RowFormat:
     """A CSV row schema: item-id columns, then one value column converted by ``parse``.
 
-    ``parse`` raises ``ValueError`` or ``KeyError`` on a bad value, reported as
-    "<value column> must be <expects>"; ``noun`` names the rows of an empty file.
+    ``parse`` returns a number or raises ``ValueError`` or ``KeyError``; a bad or non-finite
+    value is reported as "<value column> must be <expects>".  ``noun`` names the rows of an empty file.
     """
 
     header: str
@@ -346,52 +347,28 @@ def _weight(text: str) -> int:
 EDGE_ROWS = RowFormat("left,right,weight", "edge", _weight, "a positive 64-bit integer")
 
 
-def _parse_lines(path, first_line: int, lines: list[str], row_format: RowFormat, width: int):
-    """Parse a block line by line: ``(names, values)`` as :func:`_split_rows` gives them.
-
-    The first bad line raises :class:`DataFormatError` naming the file and
-    the line's number, counted from ``first_line``.  Every message the reader
-    gives for a bad row is made here.
-    """
-    value_name = row_format.header.rsplit(",", 1)[1]
-    names: list[str] = []
-    values: list = []
-    for line_no, line in enumerate(lines, start=first_line):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        parts = [part.strip() for part in text.split(",")]
-        if len(parts) != width:
-            raise DataFormatError(f"{path}, line {line_no}: expected {row_format.header!r}, got {','.join(parts)!r}")
-        try:
-            values.append(row_format.parse(parts[-1]))
-        except (ValueError, KeyError):
-            raise DataFormatError(
-                f"{path}, line {line_no}: {value_name} must be {row_format.expects}, got {parts[-1]!r}"
-            ) from None
-        if width == 3 and parts[0] == parts[1]:
-            raise DataFormatError(f"{path}, line {line_no}: an item cannot be compared with itself")
-        names.extend(parts[:-1])
-    return names, values
-
-
 def _split_rows(lines: list[str], row_format: RowFormat, width: int):
-    """Parse a block with list operations: the id fields in row order and the values.
+    """Check and parse a block with list operations: ``(ids, values)``, or why a row fails.
 
-    Returns ``None`` when any row fails a check (a comment-only block
-    included), so that :func:`_parse_lines` can name the first bad line.
+    ``ids`` are the id fields in row order.  The reason comes from the first
+    check that fails: comma count, then values (parsed and finite), then the
+    two ids of a row.  The checks are per row, so a one-line block fails with
+    that line's reason, quoting its stripped fields.
     """
     rows = [text for text in map(str.strip, lines) if text and text[0] != "#"]
-    if set(map(str.count, rows, repeat(","))) != {width - 1}:
-        return None
-    fields = list(map(str.strip, ",".join(rows).split(",")))
+    fields = list(map(str.strip, ",".join(rows).split(","))) if rows else []
+    if set(map(str.count, rows, repeat(","))) - {width - 1}:
+        return f"expected {row_format.header!r}, got {','.join(fields)!r}"
+    texts = fields[width - 1::width]
     try:
-        values = list(map(row_format.parse, fields[width - 1::width]))
-    except (ValueError, KeyError):
-        return None
+        values = list(map(row_format.parse, texts))
+        if not all(map(math.isfinite, values)):
+            raise ValueError
+    except (ValueError, KeyError, OverflowError):  # OverflowError: an int no float holds
+        return f"{row_format.header.rsplit(',', 1)[1]} must be {row_format.expects}, got {','.join(texts)!r}"
     del fields[width - 1::width]  # what is left is the rows' ids, row by row
     if width == 3 and not all(map(str.__ne__, fields[0::2], fields[1::2])):
-        return None
+        return "an item cannot be compared with itself"
     return fields, values
 
 
@@ -399,11 +376,11 @@ def read_rows(path, row_format: RowFormat, id_order: str = "first-appearance"):
     """Read a CSV file's rows a block at a time; returns ``(item_ids, index, values)``.
 
     Blank lines and ``#`` comments are skipped and fields are stripped.  The
-    file is read in blocks of about ``_BLOCK_BYTES``, each checked and parsed
-    with list operations; a block that fails a check is parsed again line by
-    line, and the first bad row raises :class:`DataFormatError` naming the
-    file and the line.  The two ids of a row must differ.  Item ids are
-    numbered by first appearance as they are read; ``id_order="sorted"``
+    file is read in blocks of about ``_BLOCK_BYTES``, each checked and parsed by
+    :func:`_split_rows`; a block that fails is read again one line at a time by the
+    same function, and the first bad row raises :class:`DataFormatError` naming the
+    file and the line.  Values must be finite and the two ids of a row must differ.
+    Item ids are numbered by first appearance as they are read; ``id_order="sorted"``
     renumbers them at the end.  ``index`` is an intp array of shape (n,) for
     one id column or (n, k) for k; ``values`` has the dtype numpy infers for
     the parsed values.
@@ -416,8 +393,12 @@ def read_rows(path, row_format: RowFormat, id_order: str = "first-appearance"):
     first_line = 1
     with open(path, "r", encoding="utf-8") as fh:
         while lines := fh.readlines(_BLOCK_BYTES):
-            names, block_values = _split_rows(lines, row_format, width) or _parse_lines(
-                path, first_line, lines, row_format, width)
+            if isinstance(block := _split_rows(lines, row_format, width), str):
+                # Some line of a failing block fails alone; next() raises StopIteration if none did.
+                reasons = (_split_rows([line], row_format, width) for line in lines)
+                line_no, reason = next((n, r) for n, r in enumerate(reasons, first_line) if isinstance(r, str))
+                raise DataFormatError(f"{path}, line {line_no}: {reason}")
+            names, block_values = block
             first_line += len(lines)
             index.fromlist(list(map(ids.__getitem__, names)))
             values.extend(block_values)

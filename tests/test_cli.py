@@ -243,6 +243,17 @@ class TestDecide:
     def test_grid_range_validation(self, capsys):
         assert cli.main(["decide", "--grid", "10", "0.1", "0.1", "10"]) == 2
 
+    def test_flags_rejected_where_unread(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        # --out writes only the grid table.
+        assert cli.main(["decide", "--sigma-c", "1", "--sigma-o", "1", "--out", str(out)]) == 2
+        assert "error: --out" in capsys.readouterr().err
+        assert not out.exists()
+        # The grid sweeps both scales, so a fixed one beside it would be ignored.
+        for flag in ("--sigma-c", "--sigma-o"):
+            assert cli.main(["decide", "--grid", "0.1", "10", "0.1", "10", flag, "5"]) == 2
+            assert f"error: {flag}" in capsys.readouterr().err
+
 
 class TestSimulate:
     def _config_doc(self, **extra):

@@ -159,6 +159,14 @@ def test_rows_that_balance_each_others_fields_are_refused(tmp_path, kind, text, 
         _read(tmp_path, kind, text)
 
 
+def test_value_beyond_the_float_range_is_refused(tmp_path):
+    # Values must be finite, and a format that parses with int can give one that no float holds.
+    path = tmp_path / "counts.csv"
+    path.write_text(f"a,b,1\na,b,{10**400}\n", encoding="utf-8")
+    with pytest.raises(rr.DataFormatError, match="counts.csv, line 2: count must be an integer, got '1000"):
+        rr.read_rows(path, rr.RowFormat("left,right,count", "count", int, "an integer"))
+
+
 @pytest.fixture
 def tiny_blocks(monkeypatch):
     """Read a few bytes at a time, so that every table spans many blocks."""
@@ -196,3 +204,62 @@ def test_multi_block_file(tmp_path, monkeypatch):
     path.write_bytes("\r\n".join(lines).encode())
     with pytest.raises(rr.DataFormatError, match="comparison.csv, line 9: an item cannot be compared with itself"):
         rr.read_rows(path, cli.COMPARISON_ROWS)
+
+
+# Bad rows, each with the whole message that follows "<path>, line <n>: " when the reader refuses it.
+FULL_TEXTS = {
+    "comparison": [
+        ("a,b", "expected 'left,right,outcome', got 'a,b'"),
+        (" a , b ", "expected 'left,right,outcome', got 'a,b'"),
+        ("a,b,+1,c", "expected 'left,right,outcome', got 'a,b,+1,c'"),
+        ("a,b,2", "outcome must be +1 or -1, got '2'"),
+        (" a , b , 2 ", "outcome must be +1 or -1, got '2'"),
+        ("a,b,+2", "outcome must be +1 or -1, got '+2'"),
+        ("a,b,1.0", "outcome must be +1 or -1, got '1.0'"),
+        ("a,b,1e400", "outcome must be +1 or -1, got '1e400'"),
+        (",,", "outcome must be +1 or -1, got ''"),
+        ("a,a,+1", "an item cannot be compared with itself"),
+        (" a , a , +1 ", "an item cannot be compared with itself"),
+    ],
+    "rating": [
+        ("x", "expected 'item,rating', got 'x'"),
+        ("x,1,2", "expected 'item,rating', got 'x,1,2'"),
+        (" x , 1 , 2 ", "expected 'item,rating', got 'x,1,2'"),
+        (",,", "expected 'item,rating', got ',,'"),
+        ("x,abc", "rating must be a number, got 'abc'"),
+        ("x,", "rating must be a number, got ''"),
+        ("x, nan", "rating must be a number, got 'nan'"),
+        ("x,NaN", "rating must be a number, got 'NaN'"),
+        ("x, inf", "rating must be a number, got 'inf'"),
+        ("x,-inf", "rating must be a number, got '-inf'"),
+        ("x,1e400", "rating must be a number, got '1e400'"),
+    ],
+    "edge": [
+        ("a,b", "expected 'left,right,weight', got 'a,b'"),
+        ("a,b,x", "weight must be a positive 64-bit integer, got 'x'"),
+        ("a,b,0", "weight must be a positive 64-bit integer, got '0'"),
+        (" a , b , 0 ", "weight must be a positive 64-bit integer, got '0'"),
+        ("a,b,-2", "weight must be a positive 64-bit integer, got '-2'"),
+        ("a,b,1.5", "weight must be a positive 64-bit integer, got '1.5'"),
+        ("a,b,9223372036854775808", "weight must be a positive 64-bit integer, got '9223372036854775808'"),
+        ("a,b,1e400", "weight must be a positive 64-bit integer, got '1e400'"),
+        (",,", "weight must be a positive 64-bit integer, got ''"),
+        ("a,a,3", "an item cannot be compared with itself"),
+        (" a , a , 3 ", "an item cannot be compared with itself"),
+    ],
+}
+GOOD_ROWS = {"comparison": "p,q,-1", "rating": "p,0.5", "edge": "p,q,4"}
+
+
+@pytest.mark.parametrize("block_bytes", [7, graph._BLOCK_BYTES])
+@pytest.mark.parametrize("kind, row, reason", [(kind, *case) for kind, cases in FULL_TEXTS.items() for case in cases])
+def test_error_texts_in_full(tmp_path, monkeypatch, block_bytes, kind, row, reason):
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", block_bytes)
+    good = GOOD_ROWS[kind]
+    path = tmp_path / f"{kind}.csv"
+    # The bad row first, in the middle, and last with no newline after it.
+    for line_no, lines in ((1, [row, good]), (3, [good, "# note", row, good]), (3, [good, "", row])):
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(rr.DataFormatError) as caught:
+            rr.read_rows(path, FORMATS[kind][0])
+        assert str(caught.value) == f"{path}, line {line_no}: {reason}"

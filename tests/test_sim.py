@@ -168,6 +168,13 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             _config(trials=0)
 
+    def test_fit_box_must_be_the_model_box(self):
+        # The bound reports the model's B, so a fit in another box would be scored against the wrong interval.
+        with pytest.raises(ValueError, match="model.b_bound 2.0 differs from fit.b_bound 1.0"):
+            _config(model=rr.ModelSpec("btl", 1.0, b_bound=2.0), w_true={"rule": "uniform_box", "b": 1.8})
+        _config(model=rr.ModelSpec("btl", 1.0, b_bound=2.0), fit=rr.FitConfig(b_bound=2.0))
+        _config(model=rr.ModelSpec("cardinal", 1.0), fit=rr.FitConfig(b_bound=5.0))  # no box in the cardinal fit
+
     def test_experiment_builds_the_laplacian_once(self, monkeypatch):
         calls = []
         original = rr.graph.build_laplacian
