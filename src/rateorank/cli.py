@@ -36,16 +36,13 @@ FIT_MODELS = ("cardinal", "thurstone", "btl")
 
 ID_ORDERS = ("first-appearance", "sorted")
 
-_SWEEP_TYPES = {"n": int, "d": int, "sigma": float, "topology.kind": str}
-
-#: The fields a simulate config may carry: each top-level key with the keys its object may hold.
+#: Every field a simulate config may carry, by dotted path, with the type ``_checked`` reads it as.
+#: A rule object's ``rule`` is checked by ``sim.resolve_w_true``; ``w_true`` may instead be a vector.
 _CONFIG_FIELDS = {
-    "model": ("kind", "sigma", "b_bound"),
-    "topology": ("kind", "d", "n", "k"),
-    "w_true": ("rule", "b", "delta", "alpha", "index"),  # keys of the rule object
-    "trials": (),
-    "seed": (),
-    "sweep": ("param", "values"),
+    "model.kind": str, "model.sigma": float, "model.b_bound": float,
+    "topology.kind": str, "topology.d": int, "topology.n": int, "topology.k": int,
+    "w_true.rule": object, "w_true.b": float, "w_true.delta": float, "w_true.alpha": float, "w_true.index": int,
+    "trials": int, "seed": int, "sweep.param": str, "sweep.values": list,
 }
 
 
@@ -192,15 +189,18 @@ def cmd_decide(args) -> int:
             if value is not None:
                 raise DataFormatError(f"{flag}: --grid sweeps the noise scales, so a fixed {flag} would be ignored")
         sc_lo, sc_hi, so_lo, so_hi = args.grid
-        rows = bounds.decision_grid((sc_lo, sc_hi), (so_lo, so_hi), args.b_bound, args.resolution)
+        res = args.resolution if args.resolution is not None else 20
+        rows = bounds.decision_grid((sc_lo, sc_hi), (so_lo, so_hi), args.b_bound, res)
         if args.out:
             bounds.write_decision_grid(rows, args.out)
         seen = [verdict for _, _, verdict in rows]
         names = (bounds.VERDICT_CARDINAL, bounds.VERDICT_ORDINAL, bounds.VERDICT_INDETERMINATE)
-        print(f"decision grid {args.resolution}x{args.resolution}: " + ", ".join(f"{v}={seen.count(v)}" for v in names))
+        print(f"decision grid {res}x{res}: " + ", ".join(f"{v}={seen.count(v)}" for v in names))
         return EXIT_OK
     if args.out is not None:
         raise DataFormatError("--out: it writes only the --grid table, and there is no --grid")
+    if args.resolution is not None:
+        raise DataFormatError("--resolution: it sizes only the --grid table, and there is no --grid")
     if args.sigma_c is None or args.sigma_o is None:
         raise DataFormatError("decide needs --sigma-c and --sigma-o (or --grid)")
     decision = bounds.decide(args.sigma_c, args.sigma_o, args.b_bound)
@@ -209,17 +209,6 @@ def cmd_decide(args) -> int:
     print(f"cardinal risk ~ {decision.cardinal_risk:.6g} * d/n")
     print(f"ordinal risk in [{lo:.6g}, {hi:.6g}] * d/n")
     return EXIT_OK
-
-
-def _config_value(doc: dict, path: str, expected, required: bool = True, default=None):
-    node = doc
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if required:
-                raise DataFormatError(f"config field {path}: missing")
-            return default
-        node = node[part]
-    return _checked(path, node, expected)
 
 
 def _checked(path: str, node, expected):
@@ -237,38 +226,50 @@ def _checked(path: str, node, expected):
     return node
 
 
-def _reject_unknown_fields(doc) -> None:
+def _flatten(doc) -> dict:
+    """Each top-level value, and each key of an object value, by dotted path; refuses a key no field lives under."""
+    flat = {}
     for key, node in doc.items() if isinstance(doc, dict) else ():
-        if key not in _CONFIG_FIELDS:
+        if not any(path.split(".")[0] == key for path in _CONFIG_FIELDS):
             raise DataFormatError(f"config field {key}: unknown")
-        for name in node if isinstance(node, dict) else ():
-            if name not in _CONFIG_FIELDS[key]:
+        flat[key] = node
+        for name, value in node.items() if isinstance(node, dict) else ():
+            if f"{key}.{name}" not in _CONFIG_FIELDS:
                 raise DataFormatError(f"config field {key}.{name}: unknown")
+            flat[f"{key}.{name}"] = value
+    return flat
 
 
 def parse_experiment_config(doc: dict) -> tuple[sim.ExperimentConfig, str | None, list]:
-    """Validate a simulate config document, unknown fields included; returns (config, sweep_param, sweep_values)."""
-    _reject_unknown_fields(doc)
-    kind = _config_value(doc, "model.kind", str)
+    """Validate a simulate config: unknown fields first, then each field as its ``_CONFIG_FIELDS`` type and each
+    sweep value as its ``sim.SWEEPABLE`` cast; returns (config, sweep_param, sweep_values)."""
+    flat = _flatten(doc)
+
+    def field(path: str, required: bool = True, default=None):
+        if path not in flat:
+            if required:
+                raise DataFormatError(f"config field {path}: missing")
+            return default
+        return _checked(path, flat[path], _CONFIG_FIELDS[path])
+
+    kind = field("model.kind")
     if kind not in models.MODEL_KINDS:
         raise DataFormatError(f"config field model.kind: unknown model {kind!r}")
-    sigma = _config_value(doc, "model.sigma", float)
-    b_bound = _config_value(doc, "model.b_bound", float, required=kind in models.BINARY_KINDS, default=None)
-    topo_kind = _config_value(doc, "topology.kind", str, required=kind != models.CARDINAL, default="complete")
-    d = _config_value(doc, "topology.d", int)
-    n = _config_value(doc, "topology.n", int)
-    k = _config_value(doc, "topology.k", int, required=False)
-    trials = _config_value(doc, "trials", int)
-    seed = _config_value(doc, "seed", int, required=False, default=0)
+    sigma = field("model.sigma")
+    b_bound = field("model.b_bound", required=kind in models.BINARY_KINDS)
+    topo_kind = field("topology.kind", required=kind != models.CARDINAL, default="complete")
+    d, n, k = field("topology.d"), field("topology.n"), field("topology.k", required=False)
+    trials, seed = field("trials"), field("seed", required=False, default=0)
 
-    if "w_true" not in doc:
+    if "w_true" not in flat:
         raise DataFormatError("config field w_true: missing")
-    w_true = doc["w_true"]
+    w_true = flat["w_true"]
     if isinstance(w_true, list):
         w_true = models.QualityVector(np.array([_checked("w_true", value, float) for value in w_true]))
     elif isinstance(w_true, dict):
-        for name, expected in (("b", float), ("delta", float), ("alpha", float), ("index", int)):
-            _config_value(doc, f"w_true.{name}", expected, required=False)
+        for path in _CONFIG_FIELDS:
+            if path.startswith("w_true."):
+                field(path, required=False)
     else:
         raise DataFormatError("config field w_true: expected a vector or a generator rule object")
 
@@ -286,15 +287,14 @@ def parse_experiment_config(doc: dict) -> tuple[sim.ExperimentConfig, str | None
         raise DataFormatError(f"config rejected: {exc}") from exc
 
     sweep_param, sweep_values = None, []
-    if "sweep" in doc:
-        sweep_param = _config_value(doc, "sweep.param", str)
-        sweep_values = _config_value(doc, "sweep.values", list)
+    if "sweep" in flat:
+        sweep_param, sweep_values = field("sweep.param"), field("sweep.values")
         if sweep_param not in sim.SWEEPABLE:
             raise DataFormatError(f"config field sweep.param: cannot sweep {sweep_param!r}")
         if not sweep_values:
             raise DataFormatError("config field sweep.values: must be a nonempty list")
         for value in sweep_values:
-            _checked("sweep.values", value, _SWEEP_TYPES[sweep_param])
+            _checked("sweep.values", value, sim.SWEEPABLE[sweep_param][2])
     return config, sweep_param, sweep_values
 
 
@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     decide.add_argument("--b-bound", type=float, default=1.0)
     decide.add_argument("--grid", type=float, nargs=4, metavar=("SC_LO", "SC_HI", "SO_LO", "SO_HI"),
                         default=None, help="evaluate a log-spaced verdict grid instead")
-    decide.add_argument("--resolution", type=int, default=20)
+    decide.add_argument("--resolution", type=int, default=None, help="points per --grid axis (default 20)")
     decide.add_argument("--out", default=None, help="write the grid as CSV here")
     decide.set_defaults(func=cmd_decide)
 

@@ -4,8 +4,9 @@ An experiment fixes a model, a comparison topology (or an even rating
 schedule for the cardinal model), and a true quality vector; each trial
 samples a fresh dataset, refits, and scores the fit against the truth under
 four metrics.  Everything is seeded: trial ``t`` uses ``seed + t``, so runs
-are bit-reproducible, and sweeps rerun the experiment across one varying
-parameter to produce flat tables ready for CSV.
+are bit-reproducible.  A sweep reruns the experiment across one parameter,
+each declared once in ``SWEEPABLE`` with the config field it replaces and the
+cast of its values, and yields flat tables ready for CSV.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ METRIC_PER_ITEM = "per_item_l2_sq"
 METRIC_KENDALL = "kendall_tau"
 METRIC_SCALED = "scaled_l2_sq"
 
-SWEEPABLE = ("n", "d", "sigma", "topology.kind")
+#: Each sweepable parameter: the config part and field a sweep value replaces, and the cast applied to it.
+SWEEPABLE = {"n": ("topology", "n", int), "d": ("topology", "d", int),
+             "sigma": ("model", "sigma", float), "topology.kind": ("topology", "kind", str)}
 
 _MAX_FAILURE_FRACTION = 0.05
 _W_SEED_OFFSET = 10**6
@@ -222,17 +225,12 @@ class SweepRow:
 
 
 def _sweep_point(config: ExperimentConfig, param: str, value, index: int) -> ExperimentConfig:
-    """The experiment a sweep runs for its ``index``-th value, reseeded at ``seed + 10**7 * index``."""
-    config = replace(config, seed=config.seed + _SWEEP_SEED_STRIDE * index)
-    if param == "n":
-        return replace(config, topology=replace(config.topology, n=int(value)))
-    if param == "d":
-        return replace(config, topology=replace(config.topology, d=int(value)))
-    if param == "sigma":
-        return replace(config, model=replace(config.model, sigma=float(value)))
-    if param == "topology.kind":
-        return replace(config, topology=replace(config.topology, kind=str(value)))
-    raise ValueError(f"cannot sweep {param!r}; choose one of {SWEEPABLE}")
+    """Sweep point ``index``: ``value`` cast into its ``SWEEPABLE`` field, reseeded at ``seed + 10**7 * index``."""
+    if param not in SWEEPABLE:
+        raise ValueError(f"cannot sweep {param!r}; choose one of {tuple(SWEEPABLE)}")
+    part, name, cast = SWEEPABLE[param]
+    return replace(config, seed=config.seed + _SWEEP_SEED_STRIDE * index,
+                   **{part: replace(getattr(config, part), **{name: cast(value)})})
 
 
 def sweep(config: ExperimentConfig, param: str, values: Sequence) -> list[SweepRow]:

@@ -240,6 +240,10 @@ class TestDecide:
             expected = rr.decide(float(row["sigma_c"]), float(row["sigma_o"]), 1.0).verdict
             assert row["verdict"] == expected
 
+    def test_grid_resolution_defaults_to_20(self, capsys):
+        assert cli.main(["decide", "--grid", "0.1", "10", "0.1", "10"]) == 0
+        assert "decision grid 20x20:" in capsys.readouterr().out
+
     def test_grid_range_validation(self, capsys):
         assert cli.main(["decide", "--grid", "10", "0.1", "0.1", "10"]) == 2
 
@@ -249,6 +253,9 @@ class TestDecide:
         assert cli.main(["decide", "--sigma-c", "1", "--sigma-o", "1", "--out", str(out)]) == 2
         assert "error: --out" in capsys.readouterr().err
         assert not out.exists()
+        # --resolution sizes only the grid table.
+        assert cli.main(["decide", "--sigma-c", "1", "--sigma-o", "1", "--resolution", "5"]) == 2
+        assert "error: --resolution" in capsys.readouterr().err
         # The grid sweeps both scales, so a fixed one beside it would be ignored.
         for flag in ("--sigma-c", "--sigma-o"):
             assert cli.main(["decide", "--grid", "0.1", "10", "0.1", "10", flag, "5"]) == 2
@@ -380,6 +387,74 @@ class TestSimulate:
         cfg.write_text(json.dumps(doc))
         assert cli.main(["simulate", "--config", str(cfg)]) == 2
         assert "b_bound" in capsys.readouterr().err
+
+    def test_bad_config_full_text(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        thurstone = {"kind": "thurstone", "sigma": 1.0, "b_bound": 1.0}
+        without_w_true = {k: v for k, v in self._config_doc().items() if k != "w_true"}
+        # Each bad document with the whole stderr text it exits 2 with; a document with
+        # several faults names the first one the parser checks.
+        cases = [
+            ("not json {", f"{cfg}: invalid JSON (Expecting value: line 1 column 1 (char 0))"),
+            ({"model": {"kind": "mystery", "sigma": 1}}, "config field model.kind: unknown model 'mystery'"),
+            (self._config_doc(trials="many"), "config field trials: expected an integer, got 'many'"),
+            (without_w_true, "config field w_true: missing"),
+            (self._config_doc(sweep={"param": "delta", "values": [1]}),
+             "config field sweep.param: cannot sweep 'delta'"),
+            (self._config_doc(sweep={"param": "n", "values": []}),
+             "config field sweep.values: must be a nonempty list"),
+            (self._config_doc(fit={"max_iters": 10}), "config field fit: unknown"),
+            (self._config_doc(seeed=4), "config field seeed: unknown"),
+            (self._config_doc(model={"kind": "paired_linear", "sigma": 1.0, "sigmaa": 9}),
+             "config field model.sigmaa: unknown"),
+            (self._config_doc(w_true={"rule": "uniform_box", "bb": 0.5}), "config field w_true.bb: unknown"),
+            (self._config_doc(sweep={"param": "n", "values": [12.9, 24]}),
+             "config field sweep.values: expected an integer, got 12.9"),
+            (self._config_doc(sweep={"param": "n", "values": [True]}),
+             "config field sweep.values: expected an integer, got True"),
+            (self._config_doc(sweep={"param": "d", "values": [5, "6"]}),
+             "config field sweep.values: expected an integer, got '6'"),
+            (self._config_doc(sweep={"param": "sigma", "values": ["1"]}),
+             "config field sweep.values: expected a number, got '1'"),
+            (self._config_doc(sweep={"param": "sigma", "values": [False]}),
+             "config field sweep.values: expected a number, got False"),
+            (self._config_doc(sweep={"param": "topology.kind", "values": [3]}),
+             "config field sweep.values: expected str, got 3"),
+            (self._config_doc(w_true={"rule": "uniform_box", "b": None}),
+             "config field w_true.b: expected a number, got None"),
+            (self._config_doc(w_true={"rule": "uniform_box", "b": True}),
+             "config field w_true.b: expected a number, got True"),
+            (self._config_doc(w_true={"rule": "packing_vertex", "delta": [1]}),
+             "config field w_true.delta: expected a number, got [1]"),
+            (self._config_doc(w_true={"rule": "packing_vertex", "index": 1.7}),
+             "config field w_true.index: expected an integer, got 1.7"),
+            (self._config_doc(w_true=[0.5, "-0.5", 0, 0, 0]), "config field w_true: expected a number, got '-0.5'"),
+            (self._config_doc(w_true=[True, -1, 0, 0, 0]), "config field w_true: expected a number, got True"),
+            (self._config_doc(w_true=["x", 1, -1, 0, 0]), "config field w_true: expected a number, got 'x'"),
+            (self._config_doc(model={"kind": "btl", "sigma": 1.0}), "config field model.b_bound: missing"),
+            (self._config_doc(model={**thurstone, "b_bound": float("inf")}),
+             "config field model.b_bound: expected a number, got inf"),
+            (self._config_doc(model={**thurstone, "sigma": float("nan")}),
+             "config field model.sigma: expected a number, got nan"),
+            (self._config_doc(model={**thurstone, "sigma": 10**400}),
+             f"config field model.sigma: expected a number, got {10**400}"),
+            (self._config_doc(trials=0), "config rejected: trials must be >= 1, got 0"),
+            (self._config_doc(model=5), "config field model.kind: missing"),
+            ([self._config_doc()], "config field model.kind: missing"),
+            (self._config_doc(sweep=5), "config field sweep.param: missing"),
+            (self._config_doc(w_true=5), "config field w_true: expected a vector or a generator rule object"),
+            (self._config_doc(w_true={"rule": 5}), "unknown w_true rule 5"),
+            (self._config_doc(trials="x", zzz=1), "config field zzz: unknown"),
+            (self._config_doc(trials="x", model={"kind": "paired_linear", "sigma": "s"}),
+             "config field model.sigma: expected a number, got 's'"),
+        ]
+        got = []
+        for doc, _ in cases:
+            cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+            code = cli.main(["simulate", "--config", str(cfg)])
+            captured = capsys.readouterr()
+            got.append((code, captured.err, captured.out))
+        assert got == [(2, f"error: {text}\n", "") for _, text in cases]
 
 
 class TestTopologyAndPack:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -223,6 +224,30 @@ class TestSweep:
         rows = rr.sweep(_config(trials=10), "topology.kind", ["complete", "star"])
         kinds = {row.value for row in rows}
         assert kinds == {"complete", "star"}
+
+    def test_each_point_changes_only_its_own_field(self, monkeypatch):
+        base = _config(trials=5)
+        points = []
+        monkeypatch.setattr(rr.sim, "run_experiment", lambda point: points.append(point) or {})
+        own_field = {"n": "topology.n", "d": "topology.d", "sigma": "model.sigma", "topology.kind": "topology.kind"}
+        values = {"n": [200.0, 300, 900], "d": [7, 8, 4], "sigma": [2.5, 0.5, 1.5],
+                  "topology.kind": ["star", "path", "cycle"]}
+        assert list(rr.SWEEPABLE) == list(own_field)
+
+        def settings(config):
+            return {"seed": config.seed, "trials": config.trials, "w_true": config.w_true, "fit": config.fit,
+                    **{f"model.{k}": v for k, v in dataclasses.asdict(config.model).items()},
+                    **{f"topology.{k}": v for k, v in dataclasses.asdict(config.topology).items()}}
+
+        for param in rr.SWEEPABLE:
+            points.clear()
+            assert rr.sweep(base, param, values[param]) == []
+            assert len(points) == len(values[param])
+            for index, (point, value) in enumerate(zip(points, values[param])):
+                assert settings(point) == {**settings(base), "seed": base.seed + 10**7 * index, own_field[param]: value}
+        # A library caller's float budget reaches the topology as the int it holds.
+        rr.sweep(base, "n", [200.0])
+        assert points[-1].topology.n == 200 and type(points[-1].topology.n) is int
 
     def test_sweep_rejects_unknown_param(self):
         with pytest.raises(ValueError, match="sweep"):
