@@ -8,8 +8,9 @@ Subcommands:
 * ``topology``  -- spectral report for a named comparison topology.
 * ``pack``      -- build a separated vector family on the complete design.
 
-Exit codes: 0 on success, 2 for malformed input data or config, 3 for model
-failures (disconnected designs, unusable folds, failed constructions).
+Exit codes: 0 on success, 2 for malformed input data or config or a file that
+cannot be opened, 3 for model failures (disconnected designs, unusable folds,
+failed constructions).
 """
 
 from __future__ import annotations
@@ -302,7 +303,7 @@ def cmd_simulate(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{args.config}: invalid JSON ({exc})") from exc
     config, sweep_param, sweep_values = parse_experiment_config(doc)
 
@@ -323,15 +324,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_topology(args) -> int:
-    g = graph.generate_topology(args.kind, args.d, args.n, seed=args.seed, k=args.k)
+    if args.kind != "expander":
+        for flag, value, role in (("--k", args.k, "sets only the expander degree"),
+                                  ("--seed", args.seed, "seeds only the expander sampling")):
+            if value is not None:
+                raise DataFormatError(f"{flag}: it {role}, and --kind is {args.kind}")
+    g = graph.generate_topology(args.kind, args.d, args.n, seed=args.seed or 0, k=args.k)
+    if args.out:
+        graph.write_edge_list(g, args.out)
     lap = graph.laplacian_of(g)
     print(f"topology {args.kind}: d={args.d} n={args.n} edges={len(g.edges)}")
     print(f"connected: {lap.connected}")
     print(f"lambda2(std): {lap.lambda2_std:.6g}")
     print(f"trace_pinv(std): {lap.trace_pinv_std:.6g}")
     print(f"rate factor d/lambda2(std): {args.d / lap.lambda2_std:.6g}  (x sigma^2/n)")
-    if args.out:
-        graph.write_edge_list(g, args.out)
     return EXIT_OK
 
 
@@ -386,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     topology.add_argument("--d", type=int, required=True)
     topology.add_argument("--n", type=int, required=True)
     topology.add_argument("--k", type=int, default=None, help="degree for the expander kind")
-    topology.add_argument("--seed", type=int, default=0)
+    topology.add_argument("--seed", type=int, default=None, help="seed of the expander sampling (default 0)")
     topology.add_argument("--out", default=None, help="write the edge list here")
     topology.set_defaults(func=cmd_topology)
 
@@ -404,7 +410,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataFormatError, FileNotFoundError) as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, IndexError) as exc:

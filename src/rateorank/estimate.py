@@ -152,9 +152,7 @@ def _active_box(w: np.ndarray, b_bound: float) -> tuple[int, ...]:
 
 def _hessian_product(pairs: np.ndarray, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
     """H v for the Hessian whose per-group :func:`models.curvature` weights are ``weights``; O(groups)."""
-    left, right = pairs[:, 0], pairs[:, 1]
-    t = weights * (v[left] - v[right])
-    return np.bincount(left, t, v.size) - np.bincount(right, t, v.size)
+    return models._scatter(pairs, weights * models._margins(v, pairs), v.size)
 
 
 def _free_newton_step(pairs: np.ndarray, weights: np.ndarray, free: np.ndarray, g: np.ndarray) -> np.ndarray:

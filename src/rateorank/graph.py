@@ -391,17 +391,20 @@ def read_rows(path, row_format: RowFormat, id_order: str = "first-appearance"):
     index = array("q")
     values: list = []
     first_line = 1
-    with open(path, "r", encoding="utf-8") as fh:
-        while lines := fh.readlines(_BLOCK_BYTES):
-            if isinstance(block := _split_rows(lines, row_format, width), str):
-                # Some line of a failing block fails alone; next() raises StopIteration if none did.
-                reasons = (_split_rows([line], row_format, width) for line in lines)
-                line_no, reason = next((n, r) for n, r in enumerate(reasons, first_line) if isinstance(r, str))
-                raise DataFormatError(f"{path}, line {line_no}: {reason}")
-            names, block_values = block
-            first_line += len(lines)
-            index.fromlist(list(map(ids.__getitem__, names)))
-            values.extend(block_values)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            while lines := fh.readlines(_BLOCK_BYTES):
+                if isinstance(block := _split_rows(lines, row_format, width), str):
+                    # Some line of a failing block fails alone; next() raises StopIteration if none did.
+                    reasons = (_split_rows([line], row_format, width) for line in lines)
+                    line_no, reason = next((n, r) for n, r in enumerate(reasons, first_line) if isinstance(r, str))
+                    raise DataFormatError(f"{path}, line {line_no}: {reason}")
+                names, block_values = block
+                first_line += len(lines)
+                index.fromlist(list(map(ids.__getitem__, names)))
+                values.extend(block_values)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc.reason} (0x{exc.object[exc.start]:02x})") from None
     if not values:
         raise DataFormatError(f"{path}: no {row_format.noun} rows found")
     item_ids = list(ids)

@@ -16,10 +16,15 @@ cardinal) sufficient statistics, so it is evaluated on an observation set's
 :class:`Groups` table rather than on its rows: the negative log-likelihood,
 gradient and Hessian cost O(groups), and a design that compares few pairs
 many times costs no more than its distinct pairs.  Sampling stays per row.
+The two binary links are stated once, in ``_LINKS``: each loss with its two
+derivatives in the outcome-signed standardized margin, which the NLL, gradient,
+curvature and curvature scalar all read.  ``_scatter`` (the transpose of the
+margin gather) turns per-group coefficients into a gradient or Hessian product.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,10 +46,6 @@ BINARY_KINDS = (THURSTONE, BTL)
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 _CENTER_TOL = 1e-9
-
-
-def _log_norm_pdf(z: np.ndarray) -> np.ndarray:
-    return -0.5 * z * z - _LOG_SQRT_2PI
 
 
 def _off_centre(values: np.ndarray) -> bool:
@@ -260,6 +261,13 @@ def _margins(w: np.ndarray, design: np.ndarray) -> np.ndarray:
     return w[design[:, 0]] - w[design[:, 1]]
 
 
+def _scatter(items: np.ndarray, coef: np.ndarray, d: int) -> np.ndarray:
+    """A' c for the rows of :func:`_margins`: each coefficient added at its item, or at left and taken off at right."""
+    if items.ndim == 1:
+        return np.bincount(items, coef, d)
+    return np.bincount(items[:, 0], coef, d) - np.bincount(items[:, 1], coef, d)
+
+
 def _require_kind(spec: ModelSpec, allowed: tuple[str, ...], op: str) -> None:
     if spec.kind not in allowed:
         raise ModelKindError(f"{op} is not defined for the {spec.kind!r} model")
@@ -310,31 +318,33 @@ def _check_kind(spec: ModelSpec, obs: ObservationSet) -> None:
         raise ModelKindError(f"spec kind {spec.kind!r} does not match observations ({obs.model.kind!r})")
 
 
-def _thurstone_ratio(y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """phi(z) / Phi(yz), evaluated in log space."""
-    return np.exp(_log_norm_pdf(z) - log_ndtr(y * z))
+def _mills(s: np.ndarray) -> np.ndarray:
+    """phi(s) / Phi(s), evaluated in log space."""
+    return np.exp(-0.5 * s * s - _LOG_SQRT_2PI - log_ndtr(s))
+
+
+#: Each binary link's loss -log P(y | z) and its first two derivatives in s = y * z, the outcome-signed standardized
+#: margin.  The probit curvature reads the Mills ratio once; the logit loss softplus(-s) has no overflowing branch, and
+#: expit(-s) is 1 - expit(s) without the cancellation.  Every term stays finite for |s| out to 40 and beyond.
+_Link = namedtuple("_Link", "loss slope curvature")
+_LINKS = {
+    THURSTONE: _Link(lambda s: -log_ndtr(s), lambda s: -_mills(s),
+                     lambda s: np.maximum((r := _mills(s)) * (r + s), 0.0)),
+    BTL: _Link(lambda s: np.maximum(-s, 0.0) + np.log1p(np.exp(-np.abs(s))), lambda s: -expit(-s),
+               lambda s: expit(s) * expit(-s)),
+}
 
 
 def neg_log_likelihood(spec: ModelSpec, w, obs: ObservationSet) -> float:
-    """Negative log-likelihood of ``w`` (squared error for the two linear kinds).
-
-    Uses asymptotic-safe log-CDF evaluation, so it stays finite for
-    standardized margins out to |z| ~ 40 and beyond.
-    """
+    """Negative log-likelihood of ``w`` (squared error for the two linear kinds)."""
     _check_kind(spec, obs)
     groups = obs.groups
     y, count = groups.value, groups.count
     margins = _margins(as_values(w), groups.items)
-    if spec.kind not in BINARY_KINDS:
-        r = y - margins
-        return float(count @ (r * r) + groups.spread)
-    z = margins / spec.sigma
-    if spec.kind == THURSTONE:
-        return float(-(count @ log_ndtr(y * z)))
-    # softplus(x) = log(1 + e^x), written so that neither branch overflows; several
-    # times faster than np.logaddexp(0, x).
-    x = -y * z
-    return float(count @ (np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))))
+    if spec.kind in BINARY_KINDS:
+        return float(count @ _LINKS[spec.kind].loss(y * margins / spec.sigma))
+    r = y - margins
+    return float(count @ (r * r) + groups.spread)
 
 
 def gradient(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
@@ -344,20 +354,12 @@ def gradient(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
     groups = obs.groups
     y, count = groups.value, groups.count
     margins = _margins(w, groups.items)
-    if spec.kind not in BINARY_KINDS:
-        coef = -2.0 * count * (y - margins)
+    if spec.kind in BINARY_KINDS:
+        # The margin derivative of loss(y * margin / sigma) is the link's slope times y / sigma.
+        coef = count * y * _LINKS[spec.kind].slope(y * margins / spec.sigma) / spec.sigma
     else:
-        z = margins / spec.sigma
-        if spec.kind == THURSTONE:
-            # d/dz of -log Phi(yz) = -y * phi(z) / Phi(yz).
-            coef = -count * y * _thurstone_ratio(y, z) / spec.sigma
-        else:
-            coef = -count * y * expit(-y * z) / spec.sigma
-    d = w.size
-    if spec.kind == CARDINAL:
-        return np.bincount(groups.items, weights=coef, minlength=d)
-    left, right = groups.items[:, 0], groups.items[:, 1]
-    return np.bincount(left, weights=coef, minlength=d) - np.bincount(right, weights=coef, minlength=d)
+        coef = -2.0 * count * (y - margins)
+    return _scatter(groups.items, coef, w.size)
 
 
 def curvature(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
@@ -369,15 +371,10 @@ def curvature(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
     """
     _check_kind(spec, obs)
     groups = obs.groups
-    count = groups.count
-    if spec.kind in (CARDINAL, PAIRED_LINEAR):
-        return 2.0 * count
-    z = _margins(as_values(w), groups.items) / spec.sigma
-    if spec.kind == THURSTONE:
-        ratio = _thurstone_ratio(groups.value, z)
-        return count * np.maximum(ratio * (ratio + groups.value * z), 0.0) / spec.sigma**2
-    # expit(-z) is 1 - expit(z) without the cancellation that 1 - p suffers for z > 0.
-    return count * expit(z) * expit(-z) / spec.sigma**2
+    if spec.kind not in BINARY_KINDS:
+        return 2.0 * groups.count
+    s = groups.value * _margins(as_values(w), groups.items) / spec.sigma
+    return groups.count * _LINKS[spec.kind].curvature(s) / spec.sigma**2
 
 
 def hessian(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
@@ -397,17 +394,11 @@ def hessian(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
 
 
 def strong_convexity_scalar(spec: ModelSpec, t: float) -> float:
-    """Per-comparison curvature of the binary losses at standardized margin ``t``.
+    """Per-comparison curvature of the binary losses at standardized margin ``t``: the link's curvature at s = -t.
 
-    Returns the second derivative (in the margin) of the single-observation
-    loss whose likelihood at margin ``t`` is ``1 - Phi(t)`` (Thurstone) or
-    ``1 / (1 + e^t)`` (BTL).  By the mirror symmetry between the two outcome
-    branches, minimizing this expression over a symmetric margin interval
-    gives the strong-convexity constant of either branch.
+    That is the loss of a -1 outcome, whose likelihood is ``1 - Phi(t)`` (Thurstone) or ``1 / (1 + e^t)`` (BTL).
+    By the mirror symmetry between the two outcomes, its minimum over a symmetric margin interval is the
+    strong-convexity constant of either.
     """
     _require_kind(spec, BINARY_KINDS, "strong_convexity_scalar")
-    t = float(t)
-    if spec.kind == THURSTONE:
-        hazard = float(np.exp(_log_norm_pdf(np.array(t)) - log_ndtr(-t)))
-        return hazard * (hazard - t)
-    return float(expit(t) * expit(-t))
+    return float(_LINKS[spec.kind].curvature(-float(t)))

@@ -170,6 +170,12 @@ class TestFit:
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["fit", str(tmp_path / "nope.csv"), "--model", "cardinal"]) == 2
 
+    def test_non_utf8_csv_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("a,b,+1\nb,c\u00e9,-1\n".encode("latin-1"))
+        assert cli.main(["fit", str(path), "--model", "btl", "--sigma", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text: invalid continuation byte (0xe9)\n"
+
     def test_id_order_does_not_change_scores(self, tmp_path):
         data, _ = _ordinal_csv(tmp_path / "cmp.csv")
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
@@ -380,6 +386,12 @@ class TestSimulate:
             assert cli.main(["simulate", "--config", str(cfg)]) == 2
             assert fragment in capsys.readouterr().err
 
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"model": {"kind": "b\u00e9"}}'.encode("latin-1"))
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON ('utf-8' codec can't decode byte 0xe9")
+
     def test_binary_model_needs_b_bound(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         doc = self._config_doc()
@@ -469,6 +481,25 @@ class TestTopologyAndPack:
         assert g.d == len(ids) == 6
         assert sum(w for _, _, w in g.edges) == 30
 
+    def test_expander_flags_rejected_for_other_kinds(self, tmp_path, capsys):
+        out = tmp_path / "edges.csv"
+        for kind in ("complete", "dumbbell", "star"):
+            for flag, text in (("--k", "it sets only the expander degree"),
+                               ("--seed", "it seeds only the expander sampling")):
+                argv = ["topology", "--kind", kind, "--d", "6", "--n", "30", flag, "3", "--out", str(out)]
+                assert cli.main(argv) == 2
+                assert capsys.readouterr().err == f"error: {flag}: {text}, and --kind is {kind}\n"
+                assert not out.exists()
+
+    def test_expander_seed_defaults_to_0(self, tmp_path, capsys):
+        edges = []
+        for seed in ([], ["--seed", "0"], ["--seed", "1"]):
+            out = tmp_path / f"edges{len(edges)}.csv"
+            argv = ["topology", "--kind", "expander", "--d", "12", "--n", "60", "--k", "3", *seed, "--out", str(out)]
+            assert cli.main(argv) == 0
+            edges.append(out.read_text(encoding="utf-8"))
+        assert edges[0] == edges[1] != edges[2]
+
     def test_topology_argparse_rejects_unknown_kind(self):
         with pytest.raises(SystemExit):
             cli.main(["topology", "--kind", "mystery", "--d", "6", "--n", "30"])
@@ -526,6 +557,23 @@ def test_module_entry_point(tmp_path):
     assert version.returncode == 0 and version.stdout == f"rateorank {rr.__version__}\n"
     missing = run("simulate", "--config", str(tmp_path / "missing.json"))
     assert missing.returncode == 2 and "missing.json" in missing.stderr
+
+
+@pytest.mark.parametrize("command", ["fit", "fit --out", "simulate", "topology --out"])
+def test_os_errors_exit_2(tmp_path, capsys, command):
+    # A directory given where a file is read or written raises an OSError other than FileNotFoundError.
+    data, _ = _ordinal_csv(tmp_path / "cmp.csv")
+    argv = {
+        "fit": ["fit", str(tmp_path), "--model", "btl", "--sigma", "1"],
+        "fit --out": ["fit", data, "--model", "btl", "--sigma", "1", "--out", str(tmp_path)],
+        "simulate": ["simulate", "--config", str(tmp_path)],
+        "topology --out": ["topology", "--kind", "star", "--d", "10", "--n", "100", "--out", str(tmp_path)],
+    }[command]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    # The file is opened before anything is printed.
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno ") and captured.err.endswith(f"'{tmp_path}'\n")
 
 
 def _thurstone_config(tmp_path, **model):

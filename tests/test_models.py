@@ -10,6 +10,7 @@ from scipy.stats import norm
 import rateorank as rr
 from helpers import fd_gradient, fd_hessian
 from rateorank.estimate import _hessian_product
+from rateorank.models import _LINKS
 
 
 def _pairwise_design(d, reps):
@@ -506,6 +507,29 @@ class TestDerivatives:
             spec, w, obs = self._random_instance(kind, rng)
             eigs = np.linalg.eigvalsh(rr.hessian(spec, w, obs))
             assert eigs.min() >= -1e-10
+
+
+class TestLinkTable:
+    GRID = np.linspace(-40.0, 40.0, 1601)
+
+    @pytest.mark.parametrize("kind", rr.BINARY_KINDS)
+    def test_terms_finite(self, kind):
+        for term in _LINKS[kind]:
+            assert np.all(np.isfinite(term(self.GRID)))
+
+    @pytest.mark.parametrize("kind", rr.BINARY_KINDS)
+    def test_derivatives_match_central_differences(self, kind):
+        link, s, h = _LINKS[kind], self.GRID[np.abs(self.GRID) <= 6.0], 1e-5
+        assert link.slope(s) == pytest.approx((link.loss(s + h) - link.loss(s - h)) / (2 * h), rel=1e-5)
+        assert link.curvature(s) == pytest.approx((link.slope(s + h) - link.slope(s - h)) / (2 * h), rel=1e-5)
+
+    @pytest.mark.parametrize("kind", rr.BINARY_KINDS)
+    def test_scalar_is_the_curvature_of_a_losing_comparison(self, kind):
+        # One group of one comparison at sigma = 1, outcome -1 and margin t.
+        spec = rr.ModelSpec(kind, sigma=1.0, b_bound=1.0)
+        obs = rr.ObservationSet(spec, 2, np.array([[0, 1]]), np.array([-1.0]))
+        for t in self.GRID:
+            assert rr.strong_convexity_scalar(spec, t) == rr.curvature(spec, np.array([t / 2, -t / 2]), obs)[0]
 
 
 class TestCurvatureScalar:

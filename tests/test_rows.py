@@ -167,6 +167,18 @@ def test_value_beyond_the_float_range_is_refused(tmp_path):
         rr.read_rows(path, rr.RowFormat("left,right,count", "count", int, "an integer"))
 
 
+@pytest.mark.parametrize("block_bytes", [7, graph._BLOCK_BYTES])
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+def test_non_utf8_file_names_the_path(tmp_path, monkeypatch, block_bytes, kind):
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", block_bytes)
+    good = GOOD_ROWS[kind].encode()
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(b"\n".join([good] * 5 + [b"\xff" + good]))  # the bad byte opens the last line
+    with pytest.raises(rr.DataFormatError) as caught:
+        rr.read_rows(path, FORMATS[kind][0])
+    assert str(caught.value) == f"{path}: not UTF-8 text: invalid start byte (0xff)"
+
+
 @pytest.fixture
 def tiny_blocks(monkeypatch):
     """Read a few bytes at a time, so that every table spans many blocks."""
