@@ -15,10 +15,9 @@ import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ModelKindError
-from .models import BTL, CARDINAL, PAIRED_LINEAR, THURSTONE, ObservationSet
+from .models import _LINKS, BTL, CARDINAL, PAIRED_LINEAR, THURSTONE, ObservationSet
 
 #: Even-budget (one-rating-at-a-time vs round-robin comparisons) model names.
 CVO_MODELS = (CARDINAL, "thurstone_even")
@@ -71,11 +70,12 @@ class Decision:
 
 
 def kappa(b_bound: float, sigma: float) -> float:
-    """Probability-range factor Phi(2B/sigma) * (1 - Phi(2B/sigma))."""
+    """Probability-range factor Phi(2B/sigma) * (1 - Phi(2B/sigma)), with Phi the Thurstone link's CDF."""
     if not (0 < b_bound < np.inf and 0 < sigma < np.inf):
         raise ValueError(f"kappa needs positive, finite b_bound and sigma, got B={b_bound}, sigma={sigma}")
     u = 2.0 * b_bound / sigma
-    return float(ndtr(u) * ndtr(-u))
+    cdf = _LINKS[THURSTONE].cdf
+    return float(cdf(u) * cdf(-u))
 
 
 def _validate_common(d: int, n: int, sigma: float, b_bound: float) -> None:
@@ -111,17 +111,11 @@ def minimax_cvo(model: str, d: int, n: int, sigma: float, b_bound: float) -> Bou
     )
 
 
-def _upper_over_kappa_sq(k: float, rate: float) -> float:
-    """5/kappa^2 times the rate; infinite when kappa^2 underflows to zero."""
-    k_sq = k**2
-    if k_sq == 0.0:
-        return float("inf")
-    return _THURSTONE_UPPER / k_sq * rate
-
-
 def _thurstone_interval(k: float, rate: float) -> tuple[float, float]:
-    """The Thurstone risk interval ``[0.0008 kappa, 5 / kappa^2]`` times the rate."""
-    return _THURSTONE_LOWER * k * rate, _upper_over_kappa_sq(k, rate)
+    """The Thurstone risk interval ``[0.0008 kappa, 5 / kappa^2]`` times the rate; the upper end is infinite when
+    kappa^2 underflows to zero."""
+    k_sq = k**2
+    return _THURSTONE_LOWER * k * rate, _THURSTONE_UPPER / k_sq * rate if k_sq > 0.0 else float("inf")
 
 
 def minimax_seminorm(

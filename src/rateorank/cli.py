@@ -16,7 +16,9 @@ failed constructions).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -138,22 +140,23 @@ def cmd_fit(args) -> int:
         raise DataFormatError("--sigma: --cv-grid picks the noise scale, so a fixed --sigma would be ignored")
     if args.seed is not None and args.cv_grid is None:
         raise DataFormatError("--seed: it seeds only the --cv-grid fold shuffle, and there is no --cv-grid")
+    sigma = args.sigma if args.sigma is not None else 1.0
     if args.model == "cardinal":
         if args.cv_grid is not None:
             raise DataFormatError("--cv-grid: the cardinal fit is closed-form and has no noise scale to cross-validate")
-        dataset = read_cardinal_csv(args.data, args.id_order)
-        spec = models.ModelSpec(models.CARDINAL, sigma=args.sigma if args.sigma is not None else 1.0)
+        spec = models.ModelSpec(models.CARDINAL, sigma=sigma)
     else:
-        dataset = read_ordinal_csv(args.data, args.id_order)
         if args.sigma is None and args.cv_grid is None:
             raise DataFormatError(f"the {args.model} model needs --sigma or --cv-grid")
-        spec = models.ModelSpec(args.model, sigma=args.sigma if args.sigma is not None else 1.0, b_bound=args.b_bound)
-
+        spec = models.ModelSpec(args.model, sigma=sigma, b_bound=args.b_bound)
     config = estimate.FitConfig(
         b_bound=args.b_bound,
         sigma_grid=_parse_sigma_grid(args.cv_grid) if args.cv_grid is not None else None,
         seed=args.seed or 0,
     )
+    # Every flag is judged before the CSV is read.
+    read = read_cardinal_csv if args.model == "cardinal" else read_ordinal_csv
+    dataset = read(args.data, args.id_order)
     obs = dataset.to_observations(spec)
 
     metrics: dict = {}
@@ -405,10 +408,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """Raise what opening ``path`` for writing would when it is a directory or its directory is missing."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Every subcommand has --out; a path that cannot be written fails before any work.
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

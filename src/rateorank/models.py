@@ -16,7 +16,8 @@ cardinal) sufficient statistics, so it is evaluated on an observation set's
 :class:`Groups` table rather than on its rows: the negative log-likelihood,
 gradient and Hessian cost O(groups), and a design that compares few pairs
 many times costs no more than its distinct pairs.  Sampling stays per row.
-The two binary links are stated once, in ``_LINKS``: each loss with its two
+The two binary links are stated once, in ``_LINKS``: each CDF, which sampling,
+``prob_positive`` and ``bounds.kappa`` read, and each loss with its two
 derivatives in the outcome-signed standardized margin, which the NLL, gradient,
 curvature and curvature scalar all read.  ``_scatter`` (the transpose of the
 margin gather) turns per-group coefficients into a gradient or Hessian product.
@@ -28,7 +29,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit, log_ndtr
+from scipy.special import expit, log_ndtr, ndtr
 
 from . import graph
 from .errors import ModelKindError
@@ -276,17 +277,14 @@ def _require_kind(spec: ModelSpec, allowed: tuple[str, ...], op: str) -> None:
 def prob_positive(spec: ModelSpec, w, edge: tuple[int, int]) -> float:
     """Probability that comparing ``edge`` under ``spec`` comes out positive.
 
-    For paired_linear this is P(y > 0); both links reduce to a CDF applied to
-    the standardized margin.
+    It is the link's CDF at the standardized margin; for paired_linear, P(y > 0)
+    is the probit CDF.
     """
     _require_kind(spec, PAIRWISE_KINDS, "prob_positive")
     if spec.sigma <= 0:
         raise ValueError("prob_positive needs sigma > 0")
     w = as_values(w)
-    z = (w[edge[0]] - w[edge[1]]) / spec.sigma
-    if spec.kind == BTL:
-        return float(expit(z))
-    return float(np.exp(log_ndtr(z)))
+    return float(_LINKS[BTL if spec.kind == BTL else THURSTONE].cdf((w[edge[0]] - w[edge[1]]) / spec.sigma))
 
 
 def sample(spec: ModelSpec, w, design, seed: int) -> ObservationSet:
@@ -304,7 +302,7 @@ def sample(spec: ModelSpec, w, design, seed: int) -> ObservationSet:
     design = on.design if on is not None else np.asarray(design, dtype=np.intp)
     margins = _margins(w, design)
     if spec.kind == BTL:
-        y = np.where(rng.uniform(size=margins.size) < expit(margins / spec.sigma), 1.0, -1.0)
+        y = np.where(rng.uniform(size=margins.size) < _LINKS[BTL].cdf(margins / spec.sigma), 1.0, -1.0)
     else:
         # The two linear kinds observe the noisy margin; Thurstone observes its sign.
         y = margins + spec.sigma * rng.standard_normal(margins.size)
@@ -323,14 +321,15 @@ def _mills(s: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * s * s - _LOG_SQRT_2PI - log_ndtr(s))
 
 
-#: Each binary link's loss -log P(y | z) and its first two derivatives in s = y * z, the outcome-signed standardized
-#: margin.  The probit curvature reads the Mills ratio once; the logit loss softplus(-s) has no overflowing branch, and
-#: expit(-s) is 1 - expit(s) without the cancellation.  Every term stays finite for |s| out to 40 and beyond.
-_Link = namedtuple("_Link", "loss slope curvature")
+#: Each binary link's CDF P(y = +1 | z), and its loss -log P(y | z) with two derivatives in s = y * z, the outcome-
+#: signed standardized margin.  The probit curvature reads the Mills ratio once; the logit loss softplus(-s) has no
+#: overflowing branch, and expit(-s) is 1 - expit(s) without the cancellation.  Every term stays finite for |s| out to
+#: 40 and beyond.
+_Link = namedtuple("_Link", "cdf loss slope curvature")
 _LINKS = {
-    THURSTONE: _Link(lambda s: -log_ndtr(s), lambda s: -_mills(s),
+    THURSTONE: _Link(ndtr, lambda s: -log_ndtr(s), lambda s: -_mills(s),
                      lambda s: np.maximum((r := _mills(s)) * (r + s), 0.0)),
-    BTL: _Link(lambda s: np.maximum(-s, 0.0) + np.log1p(np.exp(-np.abs(s))), lambda s: -expit(-s),
+    BTL: _Link(expit, lambda s: np.maximum(-s, 0.0) + np.log1p(np.exp(-np.abs(s))), lambda s: -expit(-s),
                lambda s: expit(s) * expit(-s)),
 }
 

@@ -49,7 +49,7 @@ class TopologySpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One Monte Carlo experiment: model + topology + truth + budget; a binary model's box is the fit's."""
+    """One Monte Carlo experiment: model + topology + truth + budget; a pairwise model's box, when set, is the fit's."""
 
     model: ModelSpec
     topology: TopologySpec
@@ -61,7 +61,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.model.kind in models.BINARY_KINDS and self.model.b_bound != self.fit.b_bound:
+        if self.model.kind in models.PAIRWISE_KINDS and self.model.b_bound not in (None, self.fit.b_bound):
             raise ValueError(f"model.b_bound {self.model.b_bound} differs from fit.b_bound {self.fit.b_bound}")
 
 

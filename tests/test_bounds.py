@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rateorank as rr
+from rateorank.models import _LINKS
 
 
 class TestKappa:
@@ -24,6 +25,12 @@ class TestKappa:
         values = [rr.kappa(1.0, s) for s in (4.0, 2.0, 1.0, 0.5, 0.25)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert rr.kappa(1.0, 0.01) == 0.0  # underflows cleanly rather than negative
+
+    def test_is_the_thurstone_cdf_product(self):
+        cdf = _LINKS["thurstone"].cdf
+        for b, s in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.7), (1.0, 10.0), (1.0, 0.07), (1.0, 1e-6)):
+            u = 2.0 * b / s
+            assert rr.kappa(b, s) == cdf(u) * cdf(-u)
 
     def test_depends_on_ratio_only(self):
         assert rr.kappa(2.0, 4.0) == pytest.approx(rr.kappa(0.5, 1.0), rel=1e-14)
@@ -97,6 +104,17 @@ class TestMinimaxSeminorm:
         assert rr.minimax_seminorm("btl", 10, 2, 1.0, 1.0, 40.5).sample_condition_met
         assert not rr.minimax_seminorm("btl", 10, 1, 1.0, 1.0, 40.5).sample_condition_met
         assert btl_thresh < 2.0
+
+    @pytest.mark.parametrize("n, b_bound, message", [
+        (0, 1.0, "need a positive budget, got n=0"),
+        (100, float("nan"), "b_bound must be positive and finite, got nan"),
+        (100, -1.0, "b_bound must be positive and finite, got -1.0"),
+    ], ids=["n-0", "b-nan", "b-negative"])
+    def test_rejects_budget_and_box(self, n, b_bound, message):
+        for report in (lambda: rr.minimax_seminorm("thurstone", 10, n, 1.0, b_bound, 40.5),
+                       lambda: rr.minimax_cvo("cardinal", 10, n, 1.0, b_bound)):
+            with pytest.raises(ValueError, match=message):
+                report()
 
     def test_rejects_cardinal_and_bad_trace(self):
         with pytest.raises(rr.ModelKindError):

@@ -146,6 +146,20 @@ class TestFit:
         assert cli.main(["fit", data, "--model", "btl", "--cv-grid", "0.5,1", "--seed", "0", "--out", str(out_zero)]) == 0
         assert out_default.read_text(encoding="utf-8") == out_zero.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("flags, text", [
+        ([], "the btl model needs --sigma or --cv-grid"),
+        (["--cv-grid", "1,x"], "--cv-grid must be 'default' or comma-separated numbers, got '1,x'"),
+        (["--cv-grid", "nan,1"], "sigma_grid must be nonempty, positive and finite, got (nan, 1.0)"),
+        (["--sigma", "1", "--b-bound", "nan"], "btl needs a positive, finite box bound, got nan"),
+    ], ids=["no-sigma", "cv-grid-text", "cv-grid-nan", "b-bound-nan"])
+    def test_flags_judged_before_the_csv_is_read(self, tmp_path, monkeypatch, capsys, flags, text):
+        def unread(*args):
+            raise AssertionError("the CSV was read")
+
+        monkeypatch.setattr(rr.graph, "read_rows", unread)
+        assert cli.main(["fit", str(tmp_path / "cmp.csv"), "--model", "btl", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {text}\n"
+
     def test_nonconvergence_warns_and_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(estimate, "_arc_search", lambda *args: None)
         data, _ = _ordinal_csv(tmp_path / "cmp.csv")
@@ -491,6 +505,11 @@ class TestTopologyAndPack:
                 assert capsys.readouterr().err == f"error: {flag}: {text}, and --kind is {kind}\n"
                 assert not out.exists()
 
+    def test_expander_needs_a_degree(self, capsys):
+        assert cli.main(["topology", "--kind", "expander", "--d", "12", "--n", "60"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: expander topology needs a degree k\n"
+
     def test_expander_seed_defaults_to_0(self, tmp_path, capsys):
         edges = []
         for seed in ([], ["--seed", "0"], ["--seed", "1"]):
@@ -589,6 +608,31 @@ def _thurstone_config(tmp_path, **model):
 
 def _comparisons(tmp_path):
     return _ordinal_csv(tmp_path / "cmp.csv")[0]
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate", "decide", "topology", "pack"])
+@pytest.mark.parametrize("bad", ["missing-dir", "directory"])
+def test_bad_out_fails_before_any_work(tmp_path, monkeypatch, capsys, command, bad):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    data, config = _comparisons(tmp_path), _thurstone_config(tmp_path)
+    monkeypatch.setattr(rr.graph, "read_rows", no_work)
+    monkeypatch.setattr(rr.sim, "sweep", no_work)
+    out, errno_text = {"missing-dir": (tmp_path / "missing" / "x.csv", "[Errno 2] No such file or directory"),
+                       "directory": (tmp_path, "[Errno 21] Is a directory")}[bad]
+    argv = {
+        "fit": ["fit", data, "--model", "btl", "--sigma", "1"],
+        "simulate": ["simulate", "--config", config],
+        "decide": ["decide", "--grid", "0.1", "10", "0.1", "10"],
+        "topology": ["topology", "--kind", "star", "--d", "10", "--n", "100"],
+        "pack": ["pack", "--d", "8", "--delta", "1.0", "--alpha", "0.15"],
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {errno_text}: '{out}'\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("argv, fragment", [

@@ -350,6 +350,13 @@ class TestSolverProperties:
         assert np.max(np.abs(fit.w_hat.values - sigma * unit.w_hat.values)) <= 1e-6
         assert fit.final_nll == pytest.approx(unit.final_nll, rel=1e-9, abs=1e-12)
 
+    def test_newton_step_is_zero_without_curvature(self):
+        # CG meets no curvature on its first direction and returns the zero step it started from.
+        pairs = np.array([[0, 1], [1, 2], [0, 2]])
+        free = np.ones(3, dtype=bool)
+        step = estimate._free_newton_step(pairs, np.zeros(3), free, np.array([1.0, -2.0, 0.5]))
+        assert np.array_equal(step, np.zeros(3))
+
 
 class TestFitConfig:
     def test_validation(self):

@@ -71,6 +71,13 @@ def test_graph_validation():
         build_laplacian_from_design(3, np.array([[0, 1], [0, 3], [2, 2]]))
 
 
+@pytest.mark.parametrize("edges, shape", [([(0, 1)], r"\(1, 2\)"), ([(0, 1, 1, 1)], r"\(1, 4\)"),
+                                          (np.array([0, 1, 1]), r"\(3,\)")])
+def test_non_triples_rejected(edges, shape):
+    with pytest.raises(ValueError, match=r"expected \(left, right, weight\) triples, got shape " + shape):
+        comparison_graph(3, edges)
+
+
 def test_non_integer_entries_rejected():
     with pytest.raises(ValueError, match=r"edge 0 holds a non-integer value: \[0.9, 1.7, 2.0\]"):
         comparison_graph(3, [(0.9, 1.7, 2)])
@@ -274,6 +281,13 @@ def test_edge_list_roundtrip(tmp_path):
     assert {(ids[a], ids[b], w) for a, b, w in back.edges} == {
         (f"item{a}", f"item{b}", w) for a, b, w in g.edges
     }
+
+
+def test_edge_list_needs_one_id_per_item(tmp_path):
+    path = tmp_path / "edges.csv"
+    with pytest.raises(ValueError, match="expected 3 item ids, got 2"):
+        write_edge_list(comparison_graph(3, [(0, 1, 1), (1, 2, 1)]), path, item_ids=["a", "b"])
+    assert not path.exists()
 
 
 def test_edge_list_parsing(tmp_path):

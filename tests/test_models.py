@@ -1,4 +1,6 @@
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +139,17 @@ class TestObservationSet:
         with pytest.raises(ValueError, match=r"\+1 or -1"):
             rr.ObservationSet(spec, 3, np.array([[0, 1]]), np.array([0.5]))
 
+    @pytest.mark.parametrize("d, design, outcomes, message", [
+        (1, [[0, 1]], [0.0], "need at least 2 items, got d=1"),
+        (3, np.zeros((0, 2), dtype=int), [], "observation set is empty"),
+        (3, [[0, 1], [1, 2]], [0.0, 1.0, 2.0], r"expected 2 outcomes, got \(3,\)"),
+        (3, [[0, 1], [1, 2]], [0.0, np.inf], "outcomes contain non-finite values"),
+    ], ids=["one-item", "empty", "outcome-count", "non-finite"])
+    def test_rejects_sizes_and_outcomes(self, d, design, outcomes, message):
+        spec = rr.ModelSpec("paired_linear", sigma=1.0)
+        with pytest.raises(ValueError, match=message):
+            rr.ObservationSet(spec, d, np.asarray(design), np.asarray(outcomes))
+
     def test_subset_and_with_sigma(self):
         spec = rr.ModelSpec("btl", sigma=2.0, b_bound=1.0)
         obs = rr.ObservationSet(spec, 3, np.array([[0, 1], [1, 2], [0, 2]]), np.array([1.0, -1.0, 1.0]))
@@ -158,6 +171,15 @@ class TestProbPositive:
     def test_rejects_cardinal(self):
         with pytest.raises(rr.ModelKindError):
             rr.prob_positive(rr.ModelSpec("cardinal", sigma=1.0), np.zeros(2), (0, 1))
+
+    def test_rejects_noiseless_paired_linear(self):
+        with pytest.raises(ValueError, match="prob_positive needs sigma > 0"):
+            rr.prob_positive(rr.ModelSpec("paired_linear", sigma=0.0), np.zeros(2), (0, 1))
+
+    def test_paired_linear_is_the_probit_cdf(self):
+        w = rr.QualityVector.centered([2.0, 0.0])
+        spec = rr.ModelSpec("paired_linear", sigma=0.5)
+        assert rr.prob_positive(spec, w, (0, 1)) == pytest.approx(norm.cdf(4.0), rel=1e-15)
 
 
 class TestSampling:
@@ -524,12 +546,44 @@ class TestLinkTable:
         assert link.curvature(s) == pytest.approx((link.slope(s + h) - link.slope(s - h)) / (2 * h), rel=1e-5)
 
     @pytest.mark.parametrize("kind", rr.BINARY_KINDS)
+    def test_cdf_is_a_symmetric_probability(self, kind):
+        p, q = _LINKS[kind].cdf(self.GRID), _LINKS[kind].cdf(-self.GRID)
+        assert np.all((0.0 <= p) & (p <= 1.0))  # also rules out nan
+        assert np.max(np.abs(p + q - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", rr.BINARY_KINDS)
+    def test_loss_is_minus_log_cdf(self, kind):
+        link, s = _LINKS[kind], self.GRID[np.abs(self.GRID) <= 8.0]
+        assert np.exp(-link.loss(s)) == pytest.approx(link.cdf(s), rel=1e-12)
+
+    def test_logit_derivatives_are_cdf_products(self):
+        link = _LINKS["btl"]
+        assert np.array_equal(link.slope(self.GRID), -link.cdf(-self.GRID))
+        assert np.array_equal(link.curvature(self.GRID), link.cdf(self.GRID) * link.cdf(-self.GRID))
+
+    @pytest.mark.parametrize("kind", rr.BINARY_KINDS)
     def test_scalar_is_the_curvature_of_a_losing_comparison(self, kind):
         # One group of one comparison at sigma = 1, outcome -1 and margin t.
         spec = rr.ModelSpec(kind, sigma=1.0, b_bound=1.0)
         obs = rr.ObservationSet(spec, 2, np.array([[0, 1]]), np.array([-1.0]))
         for t in self.GRID:
             assert rr.strong_convexity_scalar(spec, t) == rr.curvature(spec, np.array([t / 2, -t / 2]), obs)[0]
+
+
+def test_scipy_is_imported_by_models_alone():
+    # Every scipy.special call sits in the link table or the Mills ratio beside it.
+    importers = set()
+    for path in sorted(Path(rr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.name)
+    assert importers == {"models.py"}
 
 
 class TestCurvatureScalar:

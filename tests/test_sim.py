@@ -176,6 +176,15 @@ class TestRunExperiment:
         _config(model=rr.ModelSpec("btl", 1.0, b_bound=2.0), fit=rr.FitConfig(b_bound=2.0))
         _config(model=rr.ModelSpec("cardinal", 1.0), fit=rr.FitConfig(b_bound=5.0))  # no box in the cardinal fit
 
+    def test_paired_linear_fit_box_must_be_the_model_box(self):
+        # A stated paired_linear box is checked as a binary one: the default fit box of 1 would clip a truth of 1.8.
+        with pytest.raises(ValueError, match="model.b_bound 2.0 differs from fit.b_bound 1.0"):
+            _config(model=rr.ModelSpec("paired_linear", 0.5, b_bound=2.0), fit=rr.FitConfig(),
+                    w_true={"rule": "uniform_box", "b": 1.8})
+        _config(model=rr.ModelSpec("paired_linear", 0.5, b_bound=2.0), fit=rr.FitConfig(b_bound=2.0))
+        _config(model=rr.ModelSpec("paired_linear", 0.5), fit=rr.FitConfig())  # an unset box is the fit's default 1
+        _config(model=rr.ModelSpec("cardinal", 0.5, b_bound=2.0), fit=rr.FitConfig())  # the cardinal fit has no box
+
     def test_experiment_builds_the_laplacian_once(self, monkeypatch):
         calls = []
         original = rr.graph.build_laplacian
