@@ -39,12 +39,14 @@ FIT_MODELS = ("cardinal", "thurstone", "btl")
 
 ID_ORDERS = ("first-appearance", "sorted")
 
-#: Every field a simulate config may carry, by dotted path, with the type ``_checked`` reads it as.
-#: A rule object's ``rule`` is checked by ``sim.resolve_w_true``; ``w_true`` may instead be a vector.
+#: Every field a simulate config may carry, by dotted path, with the type ``_checked`` reads it as.  ``w_true`` may
+#: be a vector or a rule object: its ``rule`` and which fields that rule reads are judged by ``sim._rule_fields``,
+#: and each rule field is typed by its default in ``sim.W_TRUE_RULES``.
 _CONFIG_FIELDS = {
     "model.kind": str, "model.sigma": float, "model.b_bound": float,
     "topology.kind": str, "topology.d": int, "topology.n": int, "topology.k": int,
-    "w_true.rule": object, "w_true.b": float, "w_true.delta": float, "w_true.alpha": float, "w_true.index": int,
+    "w_true.rule": object,
+    **{f"w_true.{name}": type(default) for rule in sim.W_TRUE_RULES.values() for name, default in rule.items()},
     "trials": int, "seed": int, "sweep.param": str, "sweep.values": list,
 }
 
@@ -135,6 +137,13 @@ def _parse_sigma_grid(text: str) -> tuple[float, ...] | None:
         raise DataFormatError(f"--cv-grid must be 'default' or comma-separated numbers, got {text!r}") from None
 
 
+def _seed(args) -> int:
+    """``--seed``, 0 when unset; a negative seed is refused by name before numpy refuses it without one."""
+    if args.seed is not None and args.seed < 0:
+        raise DataFormatError(f"--seed: must be a non-negative integer, got {args.seed}")
+    return args.seed or 0
+
+
 def cmd_fit(args) -> int:
     if args.cv_grid is not None and args.sigma is not None:
         raise DataFormatError("--sigma: --cv-grid picks the noise scale, so a fixed --sigma would be ignored")
@@ -152,7 +161,7 @@ def cmd_fit(args) -> int:
     config = estimate.FitConfig(
         b_bound=args.b_bound,
         sigma_grid=_parse_sigma_grid(args.cv_grid) if args.cv_grid is not None else None,
-        seed=args.seed or 0,
+        seed=_seed(args),
     )
     # Every flag is judged before the CSV is read.
     read = read_cardinal_csv if args.model == "cardinal" else read_ordinal_csv
@@ -274,6 +283,7 @@ def parse_experiment_config(doc: dict) -> tuple[sim.ExperimentConfig, str | None
         for path in _CONFIG_FIELDS:
             if path.startswith("w_true."):
                 field(path, required=False)
+        sim._rule_fields(w_true)  # judged here, so its message is not wrapped as "config rejected"
     else:
         raise DataFormatError("config field w_true: expected a vector or a generator rule object")
 
@@ -332,7 +342,7 @@ def cmd_topology(args) -> int:
                                   ("--seed", args.seed, "seeds only the expander sampling")):
             if value is not None:
                 raise DataFormatError(f"{flag}: it {role}, and --kind is {args.kind}")
-    g = graph.generate_topology(args.kind, args.d, args.n, seed=args.seed or 0, k=args.k)
+    g = graph.generate_topology(args.kind, args.d, args.n, seed=_seed(args), k=args.k)
     if args.out:
         graph.write_edge_list(g, args.out)
     lap = graph.laplacian_of(g)
@@ -409,11 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out(path: str) -> None:
-    """Raise what opening ``path`` for writing would when it is a directory or its directory is missing."""
+    """Raise what opening ``path`` for writing would when it is a directory or its directory cannot be reached."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not os.path.isdir(os.path.dirname(path) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    try:  # "dir/." resolves every component of dir: a missing one is ENOENT, a regular file ENOTDIR
+        os.stat(os.path.join(os.path.dirname(path), "."))
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
 
 
 def main(argv=None) -> int:

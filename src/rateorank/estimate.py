@@ -60,6 +60,8 @@ class FitConfig:
             raise ValueError(f"box bound must be positive and finite, got {self.b_bound}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.sigma_grid is not None:
             grid = tuple(float(s) for s in self.sigma_grid)
             if len(grid) == 0 or not all(0 < s < np.inf for s in grid):
@@ -77,10 +79,13 @@ class FitResult:
     sigma_used: float
     final_nll: float
     iterations: int
-    converged: bool
     active_box: tuple[int, ...]
     nll_path: tuple[float, ...] = field(repr=False, default=())
     stop_reason: str = "converged"  # or "max_iters", or "line_search" when no step gives descent
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def project_feasible(v: np.ndarray, b_bound: float) -> np.ndarray:
@@ -140,7 +145,6 @@ def _fit_cardinal(obs: ObservationSet, config: FitConfig) -> FitResult:
         sigma_used=obs.model.sigma,
         final_nll=nll,
         iterations=0,
-        converged=True,
         active_box=_active_box(w, config.b_bound),
         nll_path=(nll,),
     )
@@ -279,7 +283,6 @@ def mle_fit(obs: ObservationSet, config: FitConfig) -> FitResult:
         sigma_used=spec.sigma,
         final_nll=f,
         iterations=iterations,
-        converged=stop_reason == "converged",
         active_box=_active_box(w, b_bound),
         nll_path=tuple(path),
         stop_reason=stop_reason,

@@ -11,9 +11,10 @@ pseudoinverse and its spectrum, so those objects live here.  A
 once, on first read, and no eigenvectors are kept.
 
 Building a graph or a Laplacian is array work from start to end: the
-``(left, right, weight)`` triples are validated at once, merged by
-:func:`index_pairs`, and scattered into ``M`` with ``bincount`` degrees on
-the diagonal.  Weights are integers, so ``M`` holds exact integer values.
+``(left, right, weight)`` triples are validated at once, merged by :func:`index_pairs`,
+and scattered into ``M`` by ``_laplacian_matrix``, the one assembly of weighted pair
+outer products (``models.hessian`` shares it).  ``M`` is exact while its entries stay
+below 2**53; :func:`comparison_graph` accepts merged weights up to 2**63 - 1.
 
 The module also owns the one CSV row reader, :func:`read_rows`: edge lists,
 ratings and comparisons differ only in their :class:`RowFormat`.  It reads
@@ -216,20 +217,24 @@ class Laplacian:
         return int(np.count_nonzero(self.eigenvalues))
 
 
+def _laplacian_matrix(d: int, left: np.ndarray, right: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum of ``w_p (e_l - e_r)(e_l - e_r)'`` over pairs, d x d; negated weights leave untouched entries +0.0."""
+    m = np.zeros((d, d))
+    for codes in (left * d + right, right * d + left):
+        np.add.at(m.reshape(-1), codes, -weights)  # into m itself, unbuffered: a repeated pair adds up
+    m[np.diag_indices(d)] = np.bincount(left, weights, d) + np.bincount(right, weights, d)
+    return m
+
+
 def build_laplacian(d: int, weighted_edges) -> Laplacian:
     """Assemble the Laplacian of a weighted comparison graph; its spectrum waits until read.
 
     ``weighted_edges`` is an (E, 3) array or an iterable of
-    ``(left, right, weight)`` triples.  ``M`` is filled from the merged edge
-    arrays without a Python loop; its entries are exact integer sums.
+    ``(left, right, weight)`` triples.  ``M`` is :func:`_laplacian_matrix` of the
+    merged edges; its entries are exact integer sums while they stay below 2**53.
     """
     left, right, weight = _merge_edges(d, weighted_edges)
-    w = weight.astype(float)
-    m = np.zeros((d, d))
-    m[left, right] = -w
-    m[right, left] = -w
-    m[np.diag_indices(d)] = np.bincount(left, w, minlength=d) + np.bincount(right, w, minlength=d)
-    return Laplacian(m=m, n=int(weight.sum()))
+    return Laplacian(m=_laplacian_matrix(d, left, right, weight.astype(float)), n=int(weight.sum()))
 
 
 def laplacian_of(graph: ComparisonGraph) -> Laplacian:
@@ -303,6 +308,8 @@ def generate_topology(kind: str, d: int, n: int, seed: int = 0, k: int | None = 
     """
     if d < 2:
         raise ValueError(f"need at least 2 items, got d={d}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     base = _base_edges(kind, d, k, rng)
     if n < len(base):

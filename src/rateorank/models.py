@@ -19,8 +19,8 @@ many times costs no more than its distinct pairs.  Sampling stays per row.
 The two binary links are stated once, in ``_LINKS``: each CDF, which sampling,
 ``prob_positive`` and ``bounds.kappa`` read, and each loss with its two
 derivatives in the outcome-signed standardized margin, which the NLL, gradient,
-curvature and curvature scalar all read.  ``_scatter`` (the transpose of the
-margin gather) turns per-group coefficients into a gradient or Hessian product.
+curvature and curvature scalar all read.  ``_scatter`` (the margin gather's transpose) makes
+gradients and Hessian products; the dense Hessian is the Laplacian of the curvature weights.
 """
 
 from __future__ import annotations
@@ -377,19 +377,12 @@ def curvature(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
 
 
 def hessian(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
-    """Dense Hessian of :func:`neg_log_likelihood`: the :func:`curvature` weights scattered into a d x d matrix."""
+    """Dense Hessian of :func:`neg_log_likelihood`: the Laplacian of the :func:`curvature` weights, or its diagonal."""
     weights = curvature(spec, w, obs)
-    d = obs.d
     items = obs.groups.items
     if spec.kind == CARDINAL:
-        return np.diag(np.bincount(items, weights=weights, minlength=d))
-    left, right = items[:, 0], items[:, 1]
-    # Groups have left < right, so the scatter fills the strict upper triangle; a pair can
-    # hold two groups (one per outcome), which bincount sums.
-    upper = np.bincount(left * d + right, weights=weights, minlength=d * d).reshape(d, d)
-    h = -(upper + upper.T)
-    h[np.diag_indices(d)] = np.bincount(left, weights, minlength=d) + np.bincount(right, weights, minlength=d)
-    return h
+        return np.diag(np.bincount(items, weights=weights, minlength=obs.d))
+    return graph._laplacian_matrix(obs.d, items[:, 0], items[:, 1], weights)
 
 
 def strong_convexity_scalar(spec: ModelSpec, t: float) -> float:

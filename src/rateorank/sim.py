@@ -32,6 +32,9 @@ METRIC_SCALED = "scaled_l2_sq"
 SWEEPABLE = {"n": ("topology", "n", int), "d": ("topology", "d", int),
              "sigma": ("model", "sigma", float), "topology.kind": ("topology", "kind", str)}
 
+#: Each ``w_true`` generator rule: the fields it reads, with their defaults.
+W_TRUE_RULES = {"uniform_box": {"b": 1.0}, "packing_vertex": {"delta": 1.0, "alpha": 0.15, "index": 0}}
+
 _MAX_FAILURE_FRACTION = 0.05
 _W_SEED_OFFSET = 10**6
 _SWEEP_SEED_STRIDE = 10**7
@@ -61,6 +64,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if isinstance(self.w_true, dict):
+            _rule_fields(self.w_true)
         if self.model.kind in models.PAIRWISE_KINDS and self.model.b_bound not in (None, self.fit.b_bound):
             raise ValueError(f"model.b_bound {self.model.b_bound} differs from fit.b_bound {self.fit.b_bound}")
 
@@ -119,34 +126,47 @@ def cardinal_design(d: int, n: int) -> np.ndarray:
     return np.arange(n, dtype=np.intp) % d
 
 
+def _rule_fields(w_true: dict) -> tuple[str, dict]:
+    """A generator rule object's rule, and every field that rule reads with its ``W_TRUE_RULES`` default filled in.
+
+    ``ValueError`` names an unknown rule, or a field the rule does not read.
+    """
+    rule = w_true.get("rule")
+    if not isinstance(rule, str) or rule not in W_TRUE_RULES:
+        raise ValueError(f"unknown w_true rule {rule!r}")
+    fields = W_TRUE_RULES[rule]
+    unread = sorted(w_true.keys() - fields.keys() - {"rule"})
+    if unread:
+        raise ValueError(f"w_true.{unread[0]}: the {rule} rule reads only {', '.join(fields)}")
+    return rule, {**fields, **w_true}
+
+
 def resolve_w_true(config: ExperimentConfig, laplacian: Laplacian | None) -> QualityVector:
     """Materialize the configured truth, drawing generator rules from the master seed."""
     w = config.w_true
     if isinstance(w, QualityVector):
         return w
-    if isinstance(w, dict):
-        rule = w.get("rule")
-        if rule == "uniform_box":
-            b = float(w.get("b", 1.0))
-            if b <= 0:
-                raise ValueError(f"w_true.b must be positive, got {b}")
-            rng = np.random.default_rng(config.seed + _W_SEED_OFFSET)
-            v = rng.uniform(-b, b, config.topology.d)
-            v -= v.mean()
-            v *= b / np.max(np.abs(v))
-            return QualityVector(v)
-        if rule == "packing_vertex":
-            if laplacian is None:
-                raise ValueError("packing_vertex truth needs a pairwise topology")
-            from .packing import build_packing  # local import: only this rule needs it
+    if not isinstance(w, dict):
+        return QualityVector(np.asarray(w, dtype=float))
+    rule, fields = _rule_fields(w)
+    if rule == "uniform_box":
+        b = float(fields["b"])
+        if b <= 0:
+            raise ValueError(f"w_true.b must be positive, got {b}")
+        rng = np.random.default_rng(config.seed + _W_SEED_OFFSET)
+        v = rng.uniform(-b, b, config.topology.d)
+        v -= v.mean()
+        v *= b / np.max(np.abs(v))
+        return QualityVector(v)
+    if laplacian is None:
+        raise ValueError("packing_vertex truth needs a pairwise topology")
+    from .packing import build_packing  # local import: only this rule needs it
 
-            pack = build_packing(laplacian, float(w.get("delta", 1.0)), float(w.get("alpha", 0.15)))
-            index = int(w.get("index", 0))
-            if not 0 <= index < pack.count:
-                raise IndexError(f"packing_vertex index {index} out of range ({pack.count} vectors)")
-            return pack.vectors[index]
-        raise ValueError(f"unknown w_true rule {rule!r}")
-    return QualityVector(np.asarray(w, dtype=float))
+    pack = build_packing(laplacian, float(fields["delta"]), float(fields["alpha"]))
+    index = int(fields["index"])
+    if not 0 <= index < pack.count:
+        raise IndexError(f"packing_vertex index {index} out of range ({pack.count} vectors)")
+    return pack.vectors[index]
 
 
 def run_experiment(config: ExperimentConfig) -> dict[str, RiskEstimate]:

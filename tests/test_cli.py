@@ -470,6 +470,11 @@ class TestSimulate:
             (self._config_doc(sweep=5), "config field sweep.param: missing"),
             (self._config_doc(w_true=5), "config field w_true: expected a vector or a generator rule object"),
             (self._config_doc(w_true={"rule": 5}), "unknown w_true rule 5"),
+            (self._config_doc(w_true={"rule": "uniform_box", "b": 0.5, "alpha": 0.3, "index": 7}),
+             "w_true.alpha: the uniform_box rule reads only b"),
+            (self._config_doc(w_true={"rule": "packing_vertex", "b": 0.5}),
+             "w_true.b: the packing_vertex rule reads only delta, alpha, index"),
+            (self._config_doc(seed=-5), "config rejected: seed must be a non-negative integer, got -5"),
             (self._config_doc(trials="x", zzz=1), "config field zzz: unknown"),
             (self._config_doc(trials="x", model={"kind": "paired_linear", "sigma": "s"}),
              "config field model.sigma: expected a number, got 's'"),
@@ -633,6 +638,41 @@ def test_bad_out_fails_before_any_work(tmp_path, monkeypatch, capsys, command, b
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {errno_text}: '{out}'\n"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_bad_out_reports_what_open_would(tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    data = _comparisons(tmp_path)
+    monkeypatch.setattr(rr.graph, "read_rows", no_work)
+    afile = _write(tmp_path / "afile", "")
+    # A directory, a missing directory, and a regular file as a directory, at two depths.
+    outs = [tmp_path, tmp_path / "missing" / "out.json", Path(afile, "out.json"), Path(afile, "sub", "out.json")]
+    before = sorted(tmp_path.rglob("*"))
+    for out in outs:
+        with pytest.raises(OSError) as opened:
+            open(out, "w")
+        assert cli.main(["fit", data, "--model", "btl", "--sigma", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {opened.value}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda p: ["fit", _comparisons(p), "--model", "btl", "--cv-grid", "default", "--seed", "-3"],
+     "--seed: must be a non-negative integer, got -3"),
+    (lambda p: ["topology", "--kind", "expander", "--d", "12", "--n", "60", "--k", "3", "--seed", "-1"],
+     "--seed: must be a non-negative integer, got -1"),
+], ids=["fit", "topology"])
+def test_negative_seed_refused_by_name_before_any_work(tmp_path, monkeypatch, capsys, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the seed was checked")
+
+    argv = argv(tmp_path)
+    for module, name in ((rr.graph, "read_rows"), (rr.graph, "_base_edges")):
+        monkeypatch.setattr(module, name, no_work)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, fragment", [

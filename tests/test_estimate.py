@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,6 +204,14 @@ class TestMleFit:
         assert not res.converged
         assert res.iterations == 1
 
+    def test_converged_is_read_from_the_stop_reason(self):
+        obs = rr.sample(rr.ModelSpec("btl", sigma=1.0, b_bound=1.0), np.zeros(4), _complete_design(4, 5), 2)
+        res = rr.mle_fit(obs, rr.FitConfig())
+        assert res.stop_reason == "converged" and res.converged
+        assert not dataclasses.replace(res, stop_reason="max_iters").converged
+        with pytest.raises(TypeError):
+            dataclasses.replace(res, converged=False)  # not a field: it cannot disagree with stop_reason
+
     def test_gradient_arc_rescues_a_failed_newton_arc(self):
         # Covers mle_fit's rescue path: on this Thurstone instance the second Newton arc
         # shrinks onto w without descent (_arc_search returns None), and the
@@ -368,6 +378,8 @@ class TestFitConfig:
             rr.FitConfig(sigma_grid=(2.0, 1.0))
         with pytest.raises(ValueError):
             rr.FitConfig(sigma_grid=())
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
+            rr.FitConfig(seed=-3)
 
     def test_default_grid_is_log_spaced(self):
         grid = np.array(rr.DEFAULT_SIGMA_GRID)

@@ -155,6 +155,7 @@ def test_array_build_matches_loop_reference(case):
     assert all(type(x) is int for edge in g.edges for x in edge)
     lap = build_laplacian(d, triples)
     assert np.all(lap.m == _loop_laplacian(d, g.edges))
+    assert np.array_equal(lap.m, _loop_laplacian(d, triples))  # unmerged: repeats and reversals add up
     assert lap.n == sum(w for _, _, w in triples)
     # Small weights keep the row expansion short.
     small = comparison_graph(d, [(a, b, 1 + w % 4) for a, b, w in triples])
@@ -229,6 +230,11 @@ def test_topology_budget_allocation():
         assert laplacian_of(g).connected
         weights = [w for _, _, w in g.edges]
         assert max(weights) - min(weights) <= 1
+
+
+def test_topology_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        generate_topology("expander", 12, 60, seed=-1, k=3)
 
 
 def test_dumbbell_shape():

@@ -523,6 +523,16 @@ class TestDerivatives:
             if kind != "cardinal":
                 assert np.allclose(h @ np.ones(len(w)), 0.0, atol=1e-9)
 
+    def test_paired_linear_hessian_is_twice_the_laplacian(self):
+        # Curvature 2 per row: the Hessian is the design Laplacian with every weight doubled, to the bit.
+        rng = np.random.default_rng(404)
+        spec = rr.ModelSpec("paired_linear", sigma=1.0)
+        for d in (2, 5, 9):
+            pairs = rng.integers(0, d, (60, 2))
+            design = pairs[pairs[:, 0] != pairs[:, 1]]  # repeats and both orientations
+            obs = rr.sample(spec, np.zeros(d), design, int(rng.integers(2**31)))
+            assert np.array_equal(rr.hessian(spec, rng.uniform(-1, 1, d), obs), 2 * obs.laplacian.m)
+
     def test_hessian_positive_semidefinite(self):
         rng = np.random.default_rng(303)
         for kind in rr.BINARY_KINDS:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,25 @@ class TestResolveWTrue:
         with pytest.raises(ValueError):
             rr.resolve_w_true(cfg, None)
 
+    def test_fields_a_rule_does_not_read_are_refused(self):
+        for w_true, message in (
+            ({"rule": "uniform_box", "bee": 3}, "w_true.bee: the uniform_box rule reads only b"),
+            ({"rule": "uniform_box", "b": 0.5, "alpha": 0.3, "index": 7},
+             "w_true.alpha: the uniform_box rule reads only b"),
+            ({"rule": "packing_vertex", "b": 0.5}, "w_true.b: the packing_vertex rule reads only delta, alpha, index"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                _config(w_true=w_true)
+
+    def test_rule_defaults_are_the_table_defaults(self):
+        lap = rr.laplacian_of(rr.generate_topology("complete", 6, 15))
+        assert rr.sim.W_TRUE_RULES == {"uniform_box": {"b": 1.0},
+                                       "packing_vertex": {"delta": 1.0, "alpha": 0.15, "index": 0}}
+        for rule, fields in rr.sim.W_TRUE_RULES.items():
+            bare = rr.resolve_w_true(_config(w_true={"rule": rule}), lap)
+            spelt = rr.resolve_w_true(_config(w_true={"rule": rule, **fields}), lap)
+            assert np.array_equal(bare.values, spelt.values)
+
     def test_unknown_rule(self):
         with pytest.raises(ValueError, match="rule"):
             rr.resolve_w_true(_config(w_true={"rule": "martian"}), None)
@@ -168,6 +188,10 @@ class TestRunExperiment:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             _config(trials=0)
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -5"):
+            _config(seed=-5)
 
     def test_fit_box_must_be_the_model_box(self):
         # The bound reports the model's B, so a fit in another box would be scored against the wrong interval.
