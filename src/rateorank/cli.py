@@ -420,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_out(path: str) -> None:
     """Raise what opening ``path`` for writing would when it is a directory or its directory cannot be reached."""
-    if os.path.isdir(path):
+    # A trailing separator names a directory whether or not one exists there.
+    if os.path.isdir(path) or path.endswith(tuple(sep for sep in (os.sep, os.altsep) if sep)):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:  # "dir/." resolves every component of dir: a missing one is ENOENT, a regular file ENOTDIR
         os.stat(os.path.join(os.path.dirname(path), "."))

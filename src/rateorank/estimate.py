@@ -16,6 +16,11 @@ sorted sweep over the breakpoints finds the shift that zeroes the sum of the
 clipped vector (the continuous quadratic knapsack problem, Kiwiel 2008).  The
 cardinal model's unconstrained closed form (centered per-item means) skips the
 iteration; its ``active_box`` lists the items at or beyond ``B``.
+
+A fit starts at zero unless given a start point.  Cross-validation warm-starts
+each fold along the sigma grid from that fold's solution at the previous sigma
+(a regularization path, Friedman, Hastie & Tibshirani 2010); the final fit at
+the chosen sigma is left to the caller, and the CLI starts it at zero.
 """
 
 from __future__ import annotations
@@ -235,14 +240,26 @@ def _arc_search(spec: ModelSpec, obs: ObservationSet, w: np.ndarray, f: float, g
     return None
 
 
-def mle_fit(obs: ObservationSet, config: FitConfig) -> FitResult:
+def mle_fit(obs: ObservationSet, config: FitConfig, *, start=None) -> FitResult:
     """Constrained MLE for any model kind.
 
     Pairwise designs must form a connected comparison graph, otherwise the
     quality differences across components are not identifiable and the fit is
     refused.  The result reports ``converged=False`` rather than silently
     returning a poor point when the iteration budget runs out.
+
+    The iteration starts at zero, or at ``start`` (a length-d finite vector)
+    projected once onto the feasible set.  The start moves only the path: the
+    problem is strictly convex on the feasible set, so every start converges to
+    the same optimum.  The cardinal closed form reads no start.  A start of the
+    wrong shape or with a non-finite entry raises ``ValueError``.
     """
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (obs.d,):
+            raise ValueError(f"start must have shape ({obs.d},), got {start.shape}")
+        if not np.all(np.isfinite(start)):
+            raise ValueError("start has non-finite entries")
     if obs.model.kind == CARDINAL:
         return _fit_cardinal(obs, config)
 
@@ -251,7 +268,7 @@ def mle_fit(obs: ObservationSet, config: FitConfig) -> FitResult:
 
     spec, b_bound = obs.model, config.b_bound
     tol = 1e-8 * obs.n
-    w = np.zeros(obs.d)
+    w = np.zeros(obs.d) if start is None else project_feasible(start, b_bound)
     f = models.neg_log_likelihood(spec, w, obs)
     g = models.gradient(spec, w, obs)
     path = [f]
@@ -296,6 +313,11 @@ def cv_sigma(obs: ObservationSet, config: FitConfig) -> tuple[float, list[tuple[
     every candidate sigma is scored by the average held-out log-likelihood.
     Ties break toward the smaller sigma.  Returns the winner together with the
     full (sigma, score) table.
+
+    Each fold's fits warm-start along the grid: the binary likelihoods depend
+    on w only through w / sigma, so the fold's solution at the previous sigma,
+    scaled by sigma / sigma_prev, starts its fit at the next one.  The first
+    sigma of each fold starts at zero.
     """
     grid = config.sigma_grid if config.sigma_grid is not None else DEFAULT_SIGMA_GRID
     if obs.n < 3:
@@ -316,10 +338,13 @@ def cv_sigma(obs: ObservationSet, config: FitConfig) -> tuple[float, list[tuple[
 
     table: list[tuple[float, float]] = []
     best_sigma, best_score = None, -np.inf
-    for sigma in grid:
+    last_fit = [None] * len(splits)
+    for sigma_prev, sigma in zip((None, *grid), grid):
         scores = []
-        for train, held in splits:
-            result = mle_fit(train.with_sigma(sigma), config)
+        for k, (train, held) in enumerate(splits):
+            start = None if sigma_prev is None else last_fit[k] * (sigma / sigma_prev)
+            result = mle_fit(train.with_sigma(sigma), config, start=start)
+            last_fit[k] = result.w_hat.values
             held_sigma = held.with_sigma(sigma)
             scores.append(-models.neg_log_likelihood(held_sigma.model, result.w_hat, held_sigma))
         score = float(np.mean(scores))

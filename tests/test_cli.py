@@ -229,6 +229,24 @@ class TestFit:
         # One per training fold, shared by its four fits, and one for the final fit.
         assert calls == [4, 4, 4, 4]
 
+    def test_cv_warm_starts_fold_fits_and_not_the_final_fit(self, tmp_path, monkeypatch):
+        data, _ = _ordinal_csv(tmp_path / "cmp.csv")
+        calls = []
+        original = estimate.mle_fit
+
+        def recording(obs, config, **kwargs):
+            calls.append((obs.model.sigma, kwargs))
+            return original(obs, config, **kwargs)
+
+        monkeypatch.setattr(estimate, "mle_fit", recording)
+        assert cli.main(["fit", data, "--model", "thurstone", "--cv-grid", "0.25,0.5,1,2"]) == 0
+        folds, (_, final_kwargs) = calls[:-1], calls[-1]
+        # Three folds at each of the four sigma; each fold's first fit starts at zero.
+        assert [sigma for sigma, _ in folds] == [s for s in (0.25, 0.5, 1.0, 2.0) for _ in range(3)]
+        assert all(kwargs.get("start") is None for _, kwargs in folds[:3])
+        assert all(kwargs["start"].shape == (4,) for _, kwargs in folds[3:])
+        assert "start" not in final_kwargs
+
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps({"schema_version": "99"}), encoding="utf-8")
@@ -655,6 +673,24 @@ def test_bad_out_reports_what_open_would(tmp_path, monkeypatch, capsys):
             open(out, "w")
         assert cli.main(["fit", data, "--model", "btl", "--sigma", "1", "--out", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: {opened.value}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("target", ["newdir", "afile"])
+def test_out_with_trailing_slash_is_a_directory(tmp_path, monkeypatch, capsys, target):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    data = _comparisons(tmp_path)
+    monkeypatch.setattr(rr.graph, "read_rows", no_work)
+    _write(tmp_path / "afile", "")
+    out = str(tmp_path / target) + os.sep
+    before = sorted(tmp_path.rglob("*"))
+    # open() refuses both with EISDIR: a missing directory is not ENOENT, nor a regular file ENOTDIR.
+    with pytest.raises(IsADirectoryError):
+        open(out, "w")
+    assert cli.main(["fit", data, "--model", "btl", "--sigma", "1", "--out", out]) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{out}'\n")
     assert sorted(tmp_path.rglob("*")) == before
 
 

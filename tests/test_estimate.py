@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -273,14 +274,19 @@ class TestMleFit:
                 rr.mle_fit(obs, rr.FitConfig(b_bound=1.0))
 
 
-def _c11_fold0_training_set():
-    """Replicate 0 of the C11 worker study (d=8, five copies of all 28 pairs, Thurstone
-    sigma=0.5, truth linspace(0.8, -0.8), outcome stream 1000), minus its CV fold 0."""
+def _c11_replicate(rep):
+    """Replicate ``rep`` of the C11 worker study (d=8, five copies of all 28 pairs, Thurstone
+    sigma=0.5, truth linspace(0.8, -0.8), outcome stream 1000 + rep)."""
     pairs = np.array([(a, b) for a in range(8) for b in range(a + 1, 8)])
     design = np.tile(pairs, (5, 1))
     w = np.linspace(0.8, -0.8, 8)
-    noisy = w[design[:, 0]] - w[design[:, 1]] + 0.5 * np.random.default_rng(1000).standard_normal(design.shape[0])
-    y = np.where(noisy >= 0, 1.0, -1.0)
+    noisy = w[design[:, 0]] - w[design[:, 1]] + 0.5 * np.random.default_rng(1000 + rep).standard_normal(design.shape[0])
+    return design, np.where(noisy >= 0, 1.0, -1.0)
+
+
+def _c11_fold0_training_set():
+    """Replicate 0 of the C11 worker study, minus its CV fold 0."""
+    design, y = _c11_replicate(0)
     # cv_sigma's folds at seed 0; fold 0 is held out.
     folds = np.array_split(np.random.default_rng(0).permutation(y.size), 3)
     train = np.concatenate(folds[1:])
@@ -304,6 +310,61 @@ def test_c11_fold_converges_at_every_labelling():
     for nll, w in fits[1:]:
         assert nll == pytest.approx(nll0, rel=1e-9, abs=0.0)
         assert np.max(np.abs(w - w0)) <= 1e-6
+
+
+class TestStart:
+    def _obs(self, sigma=0.5, rep=0):
+        design, y = _c11_replicate(rep)
+        return rr.ObservationSet(rr.ModelSpec("thurstone", sigma=sigma, b_bound=1.0), 8, design, y)
+
+    def test_start_is_keyword_only(self):
+        param = inspect.signature(rr.mle_fit).parameters["start"]
+        assert param.kind is inspect.Parameter.KEYWORD_ONLY and param.default is None
+        with pytest.raises(TypeError):
+            rr.mle_fit(self._obs(), rr.FitConfig(), np.zeros(8))
+
+    @pytest.mark.parametrize("start", [np.zeros(7), np.zeros((8, 1)), np.zeros(()),
+                                       np.r_[np.nan, np.zeros(7)], np.r_[np.inf, np.zeros(7)]],
+                             ids=["short", "column", "scalar", "nan", "inf"])
+    def test_bad_start_raises(self, start):
+        with pytest.raises(ValueError, match="start"):
+            rr.mle_fit(self._obs(), rr.FitConfig(), start=start)
+
+    def test_infeasible_start_is_projected(self):
+        obs, config = self._obs(), rr.FitConfig()
+        cold = rr.mle_fit(obs, config)
+        # Outside the box and off the mean-zero subspace.
+        start = np.array([5.0, 3.0, 2.0, 1.5, 1.0, 0.5, -0.5, 9.0])
+        res = rr.mle_fit(obs, config, start=start)
+        w0 = rr.project_feasible(start, 1.0)
+        assert res.nll_path[0] == rr.neg_log_likelihood(obs.model, w0, obs)
+        assert res.converged and np.max(np.abs(res.w_hat.values - cold.w_hat.values)) <= 1e-6
+
+    def test_start_at_the_solution_takes_no_iteration(self):
+        obs, config = self._obs(), rr.FitConfig()
+        cold = rr.mle_fit(obs, config)
+        assert cold.iterations > 0
+        again = rr.mle_fit(obs, config, start=cold.w_hat.values)
+        assert again.converged and again.iterations == 0
+
+    def test_cardinal_fit_ignores_start(self):
+        spec = rr.ModelSpec("cardinal", sigma=1.0)
+        obs = rr.sample(spec, rr.QualityVector.centered([0.5, 0.0, -0.5]), np.tile(np.arange(3), 4), seed=1)
+        cold = rr.mle_fit(obs, rr.FitConfig())
+        warm = rr.mle_fit(obs, rr.FitConfig(), start=np.array([9.0, -9.0, 4.0]))
+        assert np.array_equal(cold.w_hat.values, warm.w_hat.values) and warm.iterations == 0
+
+    @pytest.mark.parametrize("rep", [0, 1])
+    @pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0, 2.0])
+    def test_random_starts_reach_the_cold_solution(self, rep, sigma):
+        # The NLL is strictly convex on the feasible set, so the start moves only the path.
+        obs, config = self._obs(sigma, rep), rr.FitConfig()
+        cold = rr.mle_fit(obs, config)
+        rng = np.random.default_rng(rep)
+        for _ in range(5):
+            res = rr.mle_fit(obs, config, start=rng.uniform(-3.0, 3.0, 8))
+            assert res.converged
+            assert np.max(np.abs(res.w_hat.values - cold.w_hat.values)) <= 1e-6
 
 
 @st.composite
@@ -438,3 +499,65 @@ class TestCvSigma:
             assert best in (0.25, 1.0)
             scores = dict(table)
             assert scores[4.0] < max(scores[0.25], scores[1.0])
+
+
+def _cv_warm_and_cold(monkeypatch, obs, config):
+    """``cv_sigma`` as written and with every fold fit started at zero; each with its total fold iterations."""
+    original = estimate.mle_fit
+    runs = []
+    for keep_start in (True, False):
+        iterations = []
+
+        def fit(obs, config, *, start=None):
+            result = original(obs, config, start=start if keep_start else None)
+            iterations.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(estimate, "mle_fit", fit)
+        best, table = rr.cv_sigma(obs, config)
+        runs.append((best, table, sum(iterations)))
+    return runs
+
+
+def _plateau_obs():
+    # The box binds at none of the five smallest sigma of the default grid, so their fits are one w / sigma
+    # and their scores tie: the winner is the first of them, by the strict > of the table scan.
+    w = rr.QualityVector.centered(np.linspace(-0.9, 0.9, 6), b_bound=1.0)
+    return rr.sample(rr.ModelSpec("btl", sigma=1.0, b_bound=1.0), w, _complete_design(6, 40), 3), rr.FitConfig(seed=3)
+
+
+def _cv_fixtures():
+    for rep in (0, 1):
+        design, y = _c11_replicate(rep)
+        obs = rr.ObservationSet(rr.ModelSpec("thurstone", sigma=0.5, b_bound=1.0), 8, design, y)
+        yield pytest.param(obs, rr.FitConfig(sigma_grid=(0.25, 0.5, 1.0, 2.0), seed=0), id=f"c11-{rep}")
+    w = rr.QualityVector.centered(np.linspace(-0.9, 0.9, 6), b_bound=1.0)
+    obs = rr.sample(rr.ModelSpec("btl", sigma=1.0, b_bound=1.0), w, _complete_design(6, 10), 0)
+    yield pytest.param(obs, rr.FitConfig(sigma_grid=(0.5, 1.0, 2.0), seed=5), id="btl")
+    yield pytest.param(*_plateau_obs(), id="plateau")
+    # Item 0 wins every comparison, so the box binds from the smallest sigma of the default grid on.
+    design = _complete_design(6, 6)
+    y = rr.sample(rr.ModelSpec("btl", sigma=0.3, b_bound=1.0), -w.values, design, 0).outcomes.copy()
+    y[design[:, 0] == 0] = 1.0
+    yield pytest.param(rr.ObservationSet(rr.ModelSpec("btl", sigma=1.0, b_bound=1.0), 6, design, y),
+                       rr.FitConfig(seed=0), id="saturated")
+
+
+@pytest.mark.parametrize("obs, config", _cv_fixtures())
+def test_cv_warm_starts_match_cold_starts(monkeypatch, obs, config):
+    (warm_best, warm_table, warm_iterations), (cold_best, cold_table, cold_iterations) = \
+        _cv_warm_and_cold(monkeypatch, obs, config)
+    assert warm_best == cold_best
+    assert [s for s, _ in warm_table] == [s for s, _ in cold_table]
+    for (_, warm), (_, cold) in zip(warm_table, cold_table):
+        assert warm == pytest.approx(cold, rel=1e-7, abs=0.0)
+    assert warm_iterations < cold_iterations
+
+
+def test_cv_plateau_ties_go_to_the_smallest_sigma():
+    # Each fold's warm start at the next plateau sigma is its last solution scaled, which is already
+    # optimal there: the scores tie to the bit, and the documented tie rule picks the smallest sigma.
+    best, table = rr.cv_sigma(*_plateau_obs())
+    scores = [score for _, score in table]
+    assert best == rr.DEFAULT_SIGMA_GRID[0]
+    assert scores[:5] == [scores[0]] * 5 and max(scores) == scores[0]
