@@ -92,7 +92,7 @@ def result_document(
     result: estimate.FitResult,
     model_kind: str,
     b_bound: float,
-    metrics: dict | None = None,
+    metrics: dict,
     bound_report: bounds.BoundReport | None = None,
 ) -> dict:
     """Assemble the JSON-ready fit document, items sorted by score descending."""
@@ -104,9 +104,8 @@ def result_document(
         "sigma_used": result.sigma_used,
         "b_bound": b_bound,
         "items": [{"id": item_ids[i], "w_hat": float(w[i])} for i in order],
+        "metrics": metrics,
     }
-    if metrics:
-        doc["metrics"] = metrics
     if bound_report is not None:
         keys = ("model_kind", "norm", "lower", "upper", "kappa", "sample_condition_met", "in_regime")
         doc["bounds"] = {key: getattr(bound_report, key) for key in keys}
@@ -128,8 +127,8 @@ def _write_json(doc: dict, path) -> None:
         fh.write("\n")
 
 
-def _parse_sigma_grid(text: str) -> tuple[float, ...] | None:
-    if text == "default":
+def _parse_sigma_grid(text: str | None) -> tuple[float, ...] | None:
+    if text is None or text == "default":
         return None  # estimate.cv_sigma falls back to its default grid
     try:
         return tuple(float(part) for part in text.split(","))
@@ -149,20 +148,13 @@ def cmd_fit(args) -> int:
         raise DataFormatError("--sigma: --cv-grid picks the noise scale, so a fixed --sigma would be ignored")
     if args.seed is not None and args.cv_grid is None:
         raise DataFormatError("--seed: it seeds only the --cv-grid fold shuffle, and there is no --cv-grid")
-    sigma = args.sigma if args.sigma is not None else 1.0
-    if args.model == "cardinal":
-        if args.cv_grid is not None:
-            raise DataFormatError("--cv-grid: the cardinal fit is closed-form and has no noise scale to cross-validate")
-        spec = models.ModelSpec(models.CARDINAL, sigma=sigma)
-    else:
-        if args.sigma is None and args.cv_grid is None:
-            raise DataFormatError(f"the {args.model} model needs --sigma or --cv-grid")
-        spec = models.ModelSpec(args.model, sigma=sigma, b_bound=args.b_bound)
-    config = estimate.FitConfig(
-        b_bound=args.b_bound,
-        sigma_grid=_parse_sigma_grid(args.cv_grid) if args.cv_grid is not None else None,
-        seed=_seed(args),
-    )
+    if args.model == "cardinal" and args.cv_grid is not None:
+        raise DataFormatError("--cv-grid: the cardinal fit is closed-form and has no noise scale to cross-validate")
+    if args.model != "cardinal" and args.sigma is None and args.cv_grid is None:
+        raise DataFormatError(f"the {args.model} model needs --sigma or --cv-grid")
+    # ModelSpec judges which kinds need the box; the cardinal kind carries it unread.
+    spec = models.ModelSpec(args.model, sigma=args.sigma if args.sigma is not None else 1.0, b_bound=args.b_bound)
+    config = estimate.FitConfig(b_bound=args.b_bound, sigma_grid=_parse_sigma_grid(args.cv_grid), seed=_seed(args))
     # Every flag is judged before the CSV is read.
     read = read_cardinal_csv if args.model == "cardinal" else read_ordinal_csv
     dataset = read(args.data, args.id_order)
@@ -295,7 +287,6 @@ def parse_experiment_config(doc: dict) -> tuple[sim.ExperimentConfig, str | None
             w_true=w_true,
             trials=trials,
             seed=seed,
-            fit=estimate.FitConfig(b_bound=b_bound if b_bound is not None else 1.0),
         )
     except (ValueError, ModelKindError) as exc:
         raise DataFormatError(f"config rejected: {exc}") from exc
@@ -419,7 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out(path: str) -> None:
-    """Raise what opening ``path`` for writing would when it is a directory or its directory cannot be reached."""
+    """Raise what opening ``path`` for writing would when it is empty, a directory, or in a directory not reached."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     # A trailing separator names a directory whether or not one exists there.
     if os.path.isdir(path) or path.endswith(tuple(sep for sep in (os.sep, os.altsep) if sep)):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -434,7 +427,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # Every subcommand has --out; a path that cannot be written fails before any work.
-        if args.out:
+        if args.out is not None:
             _check_out(args.out)
         return args.func(args)
     except (DataFormatError, OSError) as exc:

@@ -42,6 +42,7 @@ DEFAULT_SIGMA_GRID = tuple(2.0**k for k in range(-4, 5))
 
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-18
+_MAX_ITERS = 2000
 # The Armijo test allows this fraction of |NLL| for the NLL's own rounding: close to a
 # minimum the decrease it asks for falls below what the sum can resolve.
 _ROUNDING = 1e-14
@@ -53,18 +54,15 @@ _CG_RTOL = 1e-3
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Solver settings shared by every model fit."""
+    """The box, the cross-validation grid and the fold-shuffle seed of a fit; the iteration cap is fixed."""
 
     b_bound: float = 1.0
-    max_iters: int = 2000
     sigma_grid: tuple[float, ...] | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0 < self.b_bound < np.inf:
             raise ValueError(f"box bound must be positive and finite, got {self.b_bound}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.sigma_grid is not None:
@@ -275,7 +273,7 @@ def mle_fit(obs: ObservationSet, config: FitConfig, *, start=None) -> FitResult:
     stop_reason = "max_iters"
     iterations = 0
 
-    for iterations in range(1, config.max_iters + 1):
+    for iterations in range(1, _MAX_ITERS + 1):
         # Fixed-point residual of the projected-gradient map with unit step.
         residual = float(np.linalg.norm(w - project_feasible(w - g, b_bound)))
         if residual <= tol:

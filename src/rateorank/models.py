@@ -104,7 +104,7 @@ def as_values(w) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which observation model, its noise scale, and (for binary kinds) the box bound."""
+    """Which observation model, its noise scale, and the box bound (required for binary kinds)."""
 
     kind: str
     sigma: float

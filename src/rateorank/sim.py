@@ -52,24 +52,25 @@ class TopologySpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One Monte Carlo experiment: model + topology + truth + budget; a pairwise model's box, when set, is the fit's."""
+    """One Monte Carlo experiment: model + topology + truth + budget; ``fit`` is derived: the model's box, else 1."""
 
     model: ModelSpec
     topology: TopologySpec
     w_true: QualityVector | dict
     trials: int
     seed: int = 0
-    fit: estimate.FitConfig = field(default_factory=estimate.FitConfig)
+    fit: estimate.FitConfig = field(init=False)
 
     def __post_init__(self) -> None:
+        # Derived first, so that a bad box is named before any other field.
+        box = self.model.b_bound
+        object.__setattr__(self, "fit", estimate.FitConfig(b_bound=1.0 if box is None else box))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if isinstance(self.w_true, dict):
             _rule_fields(self.w_true)
-        if self.model.kind in models.PAIRWISE_KINDS and self.model.b_bound not in (None, self.fit.b_bound):
-            raise ValueError(f"model.b_bound {self.model.b_bound} differs from fit.b_bound {self.fit.b_bound}")
 
 
 @dataclass(frozen=True)
@@ -226,7 +227,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, RiskEstimate]:
         out[metric] = RiskEstimate(metric=metric, mean=float(arr.mean()), stderr=stderr, trials=arr.size)
     headline = METRIC_PER_ITEM if is_cardinal else METRIC_SEMINORM
     # B does not enter the cardinal or paired_linear interval; those kinds may leave it unset.
-    out[headline] = replace(out[headline], bound=applicable_bound(on_design, config.model.b_bound or 1.0))
+    out[headline] = replace(out[headline], bound=applicable_bound(on_design, config.fit.b_bound))
     return out
 
 

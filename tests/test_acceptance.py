@@ -25,15 +25,8 @@ def _report(tag: str, ok: bool, detail: str) -> None:
     print(f"{tag} {'PASS' if ok else 'FAIL'}: {detail}")
 
 
-def _experiment(model, topology, *, w_rule, trials, seed, fit=None):
-    return rr.ExperimentConfig(
-        model=model,
-        topology=topology,
-        w_true=w_rule,
-        trials=trials,
-        seed=seed,
-        fit=fit if fit is not None else rr.FitConfig(b_bound=1.0),
-    )
+def _experiment(model, topology, *, w_rule, trials, seed):
+    return rr.ExperimentConfig(model=model, topology=topology, w_true=w_rule, trials=trials, seed=seed)
 
 
 def test_c01_cardinal_risk_level():
@@ -44,7 +37,6 @@ def test_c01_cardinal_risk_level():
         w_rule={"rule": "uniform_box", "b": 0.5},
         trials=400,
         seed=101,
-        fit=rr.FitConfig(b_bound=5.0),
     )
     est = rr.run_experiment(cfg)["per_item_l2_sq"]
     ok = abs(est.mean - 0.08) <= 4.0 * est.stderr and 0.05 <= est.mean <= 0.15

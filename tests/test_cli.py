@@ -634,7 +634,7 @@ def _comparisons(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["fit", "simulate", "decide", "topology", "pack"])
-@pytest.mark.parametrize("bad", ["missing-dir", "directory"])
+@pytest.mark.parametrize("bad", ["missing-dir", "directory", "empty"])
 def test_bad_out_fails_before_any_work(tmp_path, monkeypatch, capsys, command, bad):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
@@ -643,7 +643,8 @@ def test_bad_out_fails_before_any_work(tmp_path, monkeypatch, capsys, command, b
     monkeypatch.setattr(rr.graph, "read_rows", no_work)
     monkeypatch.setattr(rr.sim, "sweep", no_work)
     out, errno_text = {"missing-dir": (tmp_path / "missing" / "x.csv", "[Errno 2] No such file or directory"),
-                       "directory": (tmp_path, "[Errno 21] Is a directory")}[bad]
+                       "directory": (tmp_path, "[Errno 21] Is a directory"),
+                       "empty": ("", "[Errno 2] No such file or directory")}[bad]
     argv = {
         "fit": ["fit", data, "--model", "btl", "--sigma", "1"],
         "simulate": ["simulate", "--config", config],

@@ -16,7 +16,6 @@ def _config(**overrides):
         w_true={"rule": "uniform_box", "b": 0.5},
         trials=50,
         seed=7,
-        fit=rr.FitConfig(b_bound=1.0),
     )
     base.update(overrides)
     return rr.ExperimentConfig(**base)
@@ -142,7 +141,6 @@ class TestRunExperiment:
             topology=rr.TopologySpec("complete", d=4, n=40),
             w_true={"rule": "uniform_box", "b": 0.5},
             trials=300,
-            fit=rr.FitConfig(b_bound=5.0),
         )
         out = rr.run_experiment(cfg)
         est = out["per_item_l2_sq"]
@@ -168,12 +166,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="items"):
             rr.run_experiment(cfg)
 
-    def test_excess_failures_abort(self):
+    def test_excess_failures_abort(self, monkeypatch):
+        monkeypatch.setattr(rr.estimate, "_MAX_ITERS", 1)
         cfg = _config(
             model=rr.ModelSpec("btl", sigma=1.0, b_bound=1.0),
             topology=rr.TopologySpec("complete", d=6, n=60),
             trials=20,
-            fit=rr.FitConfig(b_bound=1.0, max_iters=1),
         )
         with pytest.raises(RuntimeError, match="failed to converge.*stopped on max_iters after 1 iterations"):
             rr.run_experiment(cfg)
@@ -193,21 +191,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -5"):
             _config(seed=-5)
 
-    def test_fit_box_must_be_the_model_box(self):
-        # The bound reports the model's B, so a fit in another box would be scored against the wrong interval.
-        with pytest.raises(ValueError, match="model.b_bound 2.0 differs from fit.b_bound 1.0"):
-            _config(model=rr.ModelSpec("btl", 1.0, b_bound=2.0), w_true={"rule": "uniform_box", "b": 1.8})
-        _config(model=rr.ModelSpec("btl", 1.0, b_bound=2.0), fit=rr.FitConfig(b_bound=2.0))
-        _config(model=rr.ModelSpec("cardinal", 1.0), fit=rr.FitConfig(b_bound=5.0))  # no box in the cardinal fit
-
-    def test_paired_linear_fit_box_must_be_the_model_box(self):
-        # A stated paired_linear box is checked as a binary one: the default fit box of 1 would clip a truth of 1.8.
-        with pytest.raises(ValueError, match="model.b_bound 2.0 differs from fit.b_bound 1.0"):
-            _config(model=rr.ModelSpec("paired_linear", 0.5, b_bound=2.0), fit=rr.FitConfig(),
-                    w_true={"rule": "uniform_box", "b": 1.8})
-        _config(model=rr.ModelSpec("paired_linear", 0.5, b_bound=2.0), fit=rr.FitConfig(b_bound=2.0))
-        _config(model=rr.ModelSpec("paired_linear", 0.5), fit=rr.FitConfig())  # an unset box is the fit's default 1
-        _config(model=rr.ModelSpec("cardinal", 0.5, b_bound=2.0), fit=rr.FitConfig())  # the cardinal fit has no box
+    def test_fit_box_is_the_model_box(self):
+        # The bound reports the model's B, so the fit is derived from it and cannot be set apart.
+        assert _config(model=rr.ModelSpec("btl", 1.0, b_bound=2.0)).fit == rr.FitConfig(b_bound=2.0)
+        assert _config(model=rr.ModelSpec("paired_linear", 0.5)).fit == rr.FitConfig()  # an unset box is 1
+        with pytest.raises(ValueError, match="box bound must be positive and finite, got -1.0"):
+            _config(model=rr.ModelSpec("paired_linear", 0.5, b_bound=-1.0))
+        with pytest.raises(TypeError):
+            _config(fit=rr.FitConfig())
 
     def test_experiment_builds_the_laplacian_once(self, monkeypatch):
         calls = []
@@ -230,7 +221,7 @@ class TestRunExperiment:
         assert out["seminorm_sq"].bound == rr.minimax_seminorm("btl", 6, 450, 1.0, 1.0, lap.trace_pinv_std)
         assert all(out[m].bound is None for m in out if m != "seminorm_sq")
 
-        cfg = _config(model=rr.ModelSpec("cardinal", sigma=0.5), trials=3, fit=rr.FitConfig(b_bound=5.0))
+        cfg = _config(model=rr.ModelSpec("cardinal", sigma=0.5), trials=3)
         out = rr.run_experiment(cfg)
         assert out["per_item_l2_sq"].bound == rr.minimax_cvo("cardinal", 6, 450, 0.5, 1.0)
         assert all(out[m].bound is None for m in out if m != "per_item_l2_sq")
