@@ -195,15 +195,22 @@ def decision_grid(
     b_bound: float = 1.0,
     resolution: int = 20,
 ) -> list[tuple[float, float, str]]:
-    """Evaluate :func:`decide` over a log-spaced grid of noise scales."""
+    """Evaluate :func:`decide` over a log-spaced grid of noise scales.
+
+    The kappa of every sigma_o comes from one array call of the Thurstone CDF, at u = 2B/sigma_o and at -u.
+    """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     for name, (lo, hi) in (("sigma_c", sigma_c_range), ("sigma_o", sigma_o_range)):
         if not 0 < lo <= hi < np.inf:
             raise ValueError(f"{name} range must satisfy 0 < lo <= hi < inf, got ({lo}, {hi})")
+    if not 0 < b_bound < np.inf:
+        raise ValueError(f"b_bound must be positive and finite, got {b_bound}")
     cs = np.geomspace(sigma_c_range[0], sigma_c_range[1], resolution)
     os_ = np.geomspace(sigma_o_range[0], sigma_o_range[1], resolution)
-    intervals = [_thurstone_interval(kappa(b_bound, so), so**2) for so in os_]
+    u = 2.0 * b_bound / os_
+    cdf = _LINKS[THURSTONE].cdf(np.concatenate((u, -u)))
+    intervals = [_thurstone_interval(k, so**2) for k, so in zip(cdf[:resolution] * cdf[resolution:], os_)]
     return [(float(sc), float(so), _verdict(sc**2, interval)) for sc in cs for so, interval in zip(os_, intervals)]
 
 

@@ -50,6 +50,10 @@ _ROUNDING = 1e-14
 _ACTIVE_MARGIN = 1e-3
 # Relative residual at which CG stops refining a Newton step.
 _CG_RTOL = 1e-3
+# The solver's hot loop runs on vectors of ten or so entries, where a numpy wrapper's Python-level dispatch costs more
+# than its arithmetic: means are written sum / size (ndarray.mean's own arithmetic) and array methods replace np.*
+# functions, with bitwise the same results.
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -109,28 +113,28 @@ def project_feasible(v: np.ndarray, b_bound: float) -> np.ndarray:
     would miss the box or the zero sum.
     """
     x = np.asarray(v, dtype=float)
-    x = x - x.mean()
-    scale = float(np.max(np.abs(x)))
+    x = x - x.sum() / x.size
+    scale = float(np.abs(x).max())
     if scale <= b_bound:
         return x
 
     d = x.size
-    rounding = d * np.finfo(float).eps * scale
+    rounding = d * _EPS * scale
     if b_bound <= rounding:
         raise ValueError(f"box bound {b_bound:g} is within the rounding of the centred entries "
                          f"(largest |c_i| = {scale:g}, d = {d}): it must exceed d * eps * scale = {rounding:g}")
     knots = np.concatenate((x - b_bound, x + b_bound))
-    order = np.argsort(knots)
+    order = knots.argsort()
     knots = knots[order]
     # Coordinate i is free from its knot c_i - b to c_i + b; n_free[j] counts them after knots[j].
-    n_free = np.cumsum(np.where(order < d, 1, -1))
-    g = d * b_bound - np.cumsum(n_free[:-1] * np.diff(knots))  # g[j] = g(knots[j + 1])
+    n_free = np.where(order < d, 1, -1).cumsum()
+    g = d * b_bound - (n_free[:-1] * (knots[1:] - knots[:-1])).cumsum()  # g[j] = g(knots[j + 1])
     # g first reaches zero on a segment where it falls, so n_free[k] >= 1.
-    k = int(np.argmax(g <= 0.0))
-    x = np.clip(x - (knots[k + 1] + g[k] / n_free[k]), -b_bound, b_bound)
+    k = int((g <= 0.0).argmax())
+    x = (x - (knots[k + 1] + g[k] / n_free[k])).clip(-b_bound, b_bound)
     # Spread any float dust in the sum over the unclipped coordinates.
     free = np.abs(x) < b_bound
-    if np.any(free):
+    if free.any():
         x[free] -= x.sum() / np.count_nonzero(free)
     return x
 
@@ -174,9 +178,10 @@ def _free_newton_step(pairs: np.ndarray, weights: np.ndarray, free: np.ndarray, 
     def product(x):
         v[free] = x
         hx = _hessian_product(pairs, weights, v)[free]
-        return hx - hx.mean()
+        return hx - hx.sum() / hx.size
 
-    r = g[free].mean() - g[free]
+    r = g[free]
+    r = r.sum() / r.size - r
     x, p = np.zeros_like(r), r.copy()
     rr = float(r @ r)
     stop = _CG_RTOL**2 * rr
@@ -206,12 +211,13 @@ def _direction(spec: ModelSpec, w: np.ndarray, g: np.ndarray, obs: ObservationSe
     The others take the Newton step on their mean-zero subspace.
     """
     near = np.abs(w) >= b_bound - eps
-    mu = g[~near].mean() if not near.all() else g.mean()
+    away = g[~near] if not near.all() else g
+    mu = away.sum() / away.size
     p = -(g - mu)
     free = ~(near & (np.sign(w) * p > 0))
     if np.count_nonzero(free) >= 2:
         step = _free_newton_step(obs.groups.items, models.curvature(spec, w, obs), free, g)
-        if np.any(step):
+        if step.any():
             p[free] = step
     # Otherwise p is the projected-gradient direction everywhere, whose arc P(w - t g)
     # descends from any point that is not stationary.
@@ -228,7 +234,7 @@ def _arc_search(spec: ModelSpec, obs: ObservationSet, w: np.ndarray, f: float, g
     t = 1.0
     while t >= _MIN_STEP:
         w_new = project_feasible(w + t * p, b_bound)
-        if np.array_equal(w_new, w):
+        if (w_new == w).all():
             return None
         f_new = models.neg_log_likelihood(spec, w_new, obs)
         slope = float(g @ (w_new - w))

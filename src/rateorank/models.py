@@ -16,11 +16,15 @@ cardinal) sufficient statistics, so it is evaluated on an observation set's
 :class:`Groups` table rather than on its rows: the negative log-likelihood,
 gradient and Hessian cost O(groups), and a design that compares few pairs
 many times costs no more than its distinct pairs.  Sampling stays per row.
-The two binary links are stated once, in ``_LINKS``: each CDF, which sampling,
-``prob_positive`` and ``bounds.kappa`` read, and each loss with its two
-derivatives in the outcome-signed standardized margin, which the NLL, gradient,
-curvature and curvature scalar all read.  ``_scatter`` (the margin gather's transpose) makes
-gradients and Hessian products; the dense Hessian is the Laplacian of the curvature weights.
+The two binary links are stated once, in ``_LINKS``, in numpy alone: each CDF, which
+sampling, ``prob_positive`` and ``bounds.kappa`` read, and one pass that gives each
+loss with its two derivatives in the outcome-signed standardized margin, which the
+NLL, gradient, curvature and curvature scalar read.  The NLL keeps the pass's
+per-group terms in the observation set's outcome tables, so the gradient and
+curvature at the same point read them back.  The probit terms come from one scaled
+complementary error function ``_erfcx``, the logit terms from one ``exp(-|s|)``.
+``_scatter`` (the margin gather's transpose) makes gradients and Hessian products;
+the dense Hessian is the Laplacian of the curvature weights.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit, log_ndtr, ndtr
 
 from . import graph
 from .errors import ModelKindError
@@ -45,7 +48,6 @@ PAIRWISE_KINDS = (PAIRED_LINEAR, THURSTONE, BTL)
 #: Kinds with binary (+1/-1) outcomes.
 BINARY_KINDS = (THURSTONE, BTL)
 
-_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 _CENTER_TOL = 1e-9
 
 
@@ -104,7 +106,8 @@ def as_values(w) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which observation model, its noise scale, and the box bound (required for binary kinds)."""
+    """Which observation model, its noise scale, and the box bound: required for binary kinds, optional (None) for
+    the linear ones, and positive and finite wherever it is given."""
 
     kind: str
     sigma: float
@@ -120,6 +123,8 @@ class ModelSpec:
                 raise ValueError(f"{self.kind} needs a positive, finite box bound, got {self.b_bound}")
         elif not 0 <= self.sigma < np.inf:
             raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
+        elif self.b_bound is not None and not 0 < self.b_bound < np.inf:
+            raise ValueError(f"box bound must be positive and finite, got {self.b_bound}")
 
 
 @dataclass(frozen=True)
@@ -316,34 +321,122 @@ def _check_kind(spec: ModelSpec, obs: ObservationSet) -> None:
         raise ModelKindError(f"spec kind {spec.kind!r} does not match observations ({obs.model.kind!r})")
 
 
-def _mills(s: np.ndarray) -> np.ndarray:
-    """phi(s) / Phi(s), evaluated in log space."""
-    return np.exp(-0.5 * s * s - _LOG_SQRT_2PI - log_ndtr(s))
+#: Shepherd & Laframboise (*Math. Comp.* 36, 1981): (1 + 2x) erfcx(x), with erfcx(x) = exp(x^2) erfc(x), is smooth on
+#: x >= 0 as a function of t = (x - K) / (x + K), which maps [0, inf) onto [-1, 1).  Row k holds the coefficients of
+#: t^(7k) ... t^(7k + 6) of one degree-27 polynomial in t, written by ``tests/erfcx_table.py``; it matches a 60-digit
+#: reference to 7.3e-16 relative on [0, 1e6].
+_ERFCX_K = 3.75
+_ERFCX = np.array([
+    [1.2375126308378275, -0.14024059858554702, 0.0035854154854636916, 0.0822767384901511, -0.10880393014170754,
+     0.0923043211601956, -0.05869339859054579],
+    [0.02836227742156145, -0.009746579547640485, 0.0017556258319879623, 0.00029371359494706955,
+     -0.0002901539767306064, 5.1649407160546035e-05, 2.2383902048770415e-05],
+    [-1.1445047333414064e-05, -9.728229167464399e-07, 1.7534398492983306e-06, -5.8312272417948304e-08,
+     -2.6114212677969865e-07, 2.4353458155057507e-08, 4.096669651366812e-08],
+    [-4.445141232036381e-09, -6.542861076135356e-09, 5.775327163299183e-10, 9.012777578541672e-10,
+     -4.814480501340427e-11, -7.325109195161962e-11, 1.5733568005313551e-12],
+])
+_SQRT_HALF = np.sqrt(0.5)
+_SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+#: A link's loss -log P(y | z) with its slope and curvature in s, the outcome-signed standardized margin, per group.
+_Terms = namedtuple("_Terms", "loss slope curvature")
 
 
-#: Each binary link's CDF P(y = +1 | z), and its loss -log P(y | z) with two derivatives in s = y * z, the outcome-
-#: signed standardized margin.  The probit curvature reads the Mills ratio once; the logit loss softplus(-s) has no
-#: overflowing branch, and expit(-s) is 1 - expit(s) without the cancellation.  Every term stays finite for |s| out to
-#: 40 and beyond.
-_Link = namedtuple("_Link", "cdf loss slope curvature")
-_LINKS = {
-    THURSTONE: _Link(ndtr, lambda s: -log_ndtr(s), lambda s: -_mills(s),
-                     lambda s: np.maximum((r := _mills(s)) * (r + s), 0.0)),
-    BTL: _Link(expit, lambda s: np.maximum(-s, 0.0) + np.log1p(np.exp(-np.abs(s))), lambda s: -expit(-s),
-               lambda s: expit(s) * expit(-s)),
-}
+def _erfcx(x: np.ndarray) -> np.ndarray:
+    """exp(x^2) erfc(x) for x >= 0 (a scalar or a 1-d array), in a fixed number of numpy calls whatever its size.
+
+    The powers t^0 ... t^6 fill a (7, ...) block in three products, one matrix product gives the four row
+    polynomials of ``_ERFCX``, and three Horner steps in t^7 join them.  The matrix product runs through BLAS,
+    whose kernel for a single point can round the last bit differently from its kernel for a batch.
+    """
+    t = (x - _ERFCX_K) / (x + _ERFCX_K)
+    powers = np.empty((7, *np.shape(t)))
+    powers[0], powers[1] = 1.0, t
+    # Slices, not rows, so that a scalar x still writes into the block.
+    np.multiply(powers[1:2], t, out=powers[2:3])  # t^2
+    np.multiply(powers[1:3], powers[2:3], out=powers[3:5])  # t^3, t^4
+    np.multiply(powers[2:4], powers[3:4], out=powers[5:7])  # t^5, t^6
+    t7 = powers[3] * powers[4]
+    rows = _ERFCX @ powers
+    return (((rows[3] * t7 + rows[2]) * t7 + rows[1]) * t7 + rows[0]) / (1.0 + 2.0 * x)
+
+
+def _probit_cdf(z: np.ndarray) -> np.ndarray:
+    """Phi(z): the lower tail Phi(-|z|) = erfcx(|z| / sqrt 2) exp(-z^2 / 2) / 2, or one minus it.
+
+    |z| is capped at 40, past which the tail underflows to 0 anyway, so that z^2 cannot overflow.
+    """
+    a = np.minimum(np.abs(z), 40.0)
+    tail = 0.5 * _erfcx(a * _SQRT_HALF) * np.exp(-0.5 * a * a)
+    return np.where(z < 0.0, tail, 1.0 - tail)
+
+
+def _probit_terms(s: np.ndarray) -> _Terms:
+    """-log Phi(s), its slope -phi(s)/Phi(s) and its curvature, from one erfcx at |s| / sqrt 2.
+
+    Below zero the loss is s^2/2 - log(erfcx/2) and the Mills ratio phi/Phi is sqrt(2/pi) / erfcx, with no
+    exponential to underflow; above zero Phi = 1 - tail is near one and the loss is -log1p(-tail).
+    """
+    half_sq = 0.5 * s * s
+    r = _erfcx(np.abs(s) * _SQRT_HALF)
+    gauss = np.exp(-half_sq)
+    tail = 0.5 * r * gauss
+    below = s < 0.0
+    loss = np.where(below, half_sq - np.log(0.5 * r), -np.log1p(-tail))
+    mills = np.where(below, _SQRT_2_OVER_PI / r, _INV_SQRT_2PI * gauss / (1.0 - tail))
+    return _Terms(loss, -mills, np.maximum(mills * (mills + s), 0.0))
+
+
+def _logit_cdf(z: np.ndarray) -> np.ndarray:
+    """expit(z) from e = exp(-|z|): 1 / (1 + e) at and above zero, e / (1 + e) below."""
+    e = np.exp(-np.abs(z))
+    p = 1.0 / (1.0 + e)
+    return np.where(z < 0.0, e * p, p)
+
+
+def _logit_terms(s: np.ndarray) -> _Terms:
+    """softplus(-s), its slope -expit(-s) and its curvature expit(s) expit(-s), from one e = exp(-|s|).
+
+    With p = expit(|s|) and q = expit(-|s|) = e p, nothing overflows and nothing cancels.
+    """
+    e = np.exp(-np.abs(s))
+    p = 1.0 / (1.0 + e)
+    q = e * p
+    return _Terms(np.maximum(-s, 0.0) + np.log1p(e), -np.where(s < 0.0, p, q), p * q)
+
+
+#: Each binary link's CDF P(y = +1 | z), and its :data:`_Terms` at s = y * z from one pass.  Every term stays finite
+#: for |s| out to 1e4 and beyond.
+_Link = namedtuple("_Link", "cdf terms")
+_LINKS = {THURSTONE: _Link(_probit_cdf, _probit_terms), BTL: _Link(_logit_cdf, _logit_terms)}
+
+
+def _terms(spec: ModelSpec, w: np.ndarray, obs: ObservationSet) -> _Terms:
+    """The link's terms at each group of ``obs``, kept in its outcome tables under (kind, sigma, w).
+
+    The table holds one entry, the last point evaluated, so a gradient or curvature at the point the NLL has
+    just evaluated reads the terms back instead of gathering the margins and running the link again.
+    """
+    key = (spec.kind, spec.sigma, w.tobytes())
+    kept = obs._outcome_tables.get("terms")
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    groups = obs.groups
+    terms = _LINKS[spec.kind].terms(groups.value * _margins(w, groups.items) / spec.sigma)
+    obs._outcome_tables["terms"] = (key, terms)
+    return terms
 
 
 def neg_log_likelihood(spec: ModelSpec, w, obs: ObservationSet) -> float:
     """Negative log-likelihood of ``w`` (squared error for the two linear kinds)."""
     _check_kind(spec, obs)
+    w = as_values(w)
     groups = obs.groups
-    y, count = groups.value, groups.count
-    margins = _margins(as_values(w), groups.items)
     if spec.kind in BINARY_KINDS:
-        return float(count @ _LINKS[spec.kind].loss(y * margins / spec.sigma))
-    r = y - margins
-    return float(count @ (r * r) + groups.spread)
+        return float(groups.count @ _terms(spec, w, obs).loss)
+    r = groups.value - _margins(w, groups.items)
+    return float(groups.count @ (r * r) + groups.spread)
 
 
 def gradient(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
@@ -351,13 +444,11 @@ def gradient(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
     _check_kind(spec, obs)
     w = as_values(w)
     groups = obs.groups
-    y, count = groups.value, groups.count
-    margins = _margins(w, groups.items)
     if spec.kind in BINARY_KINDS:
         # The margin derivative of loss(y * margin / sigma) is the link's slope times y / sigma.
-        coef = count * y * _LINKS[spec.kind].slope(y * margins / spec.sigma) / spec.sigma
+        coef = groups.count * groups.value * _terms(spec, w, obs).slope / spec.sigma
     else:
-        coef = -2.0 * count * (y - margins)
+        coef = -2.0 * groups.count * (groups.value - _margins(w, groups.items))
     return _scatter(groups.items, coef, w.size)
 
 
@@ -372,8 +463,7 @@ def curvature(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
     groups = obs.groups
     if spec.kind not in BINARY_KINDS:
         return 2.0 * groups.count
-    s = groups.value * _margins(as_values(w), groups.items) / spec.sigma
-    return groups.count * _LINKS[spec.kind].curvature(s) / spec.sigma**2
+    return groups.count * _terms(spec, as_values(w), obs).curvature / spec.sigma**2
 
 
 def hessian(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
@@ -393,4 +483,4 @@ def strong_convexity_scalar(spec: ModelSpec, t: float) -> float:
     strong-convexity constant of either.
     """
     _require_kind(spec, BINARY_KINDS, "strong_convexity_scalar")
-    return float(_LINKS[spec.kind].curvature(-float(t)))
+    return float(_LINKS[spec.kind].terms(-float(t)).curvature)

@@ -25,6 +25,7 @@ class TestKappa:
         values = [rr.kappa(1.0, s) for s in (4.0, 2.0, 1.0, 0.5, 0.25)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert rr.kappa(1.0, 0.01) == 0.0  # underflows cleanly rather than negative
+        assert rr.kappa(1.0, 1e-160) == 0.0  # and (2B / sigma)^2 does not overflow on the way
 
     def test_is_the_thurstone_cdf_product(self):
         cdf = _LINKS["thurstone"].cdf
@@ -175,16 +176,13 @@ class TestDecisionGrid:
         assert np.allclose(np.diff(np.log(cs)), np.log(cs[1] / cs[0]))
 
     def test_one_interval_per_sigma_o_column(self, monkeypatch):
-        calls = []
-        original = rr.bounds.kappa
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(rr.bounds, "kappa", counting)
-        rr.decision_grid((0.1, 10.0), (0.1, 10.0), resolution=40)
-        assert len(calls) == 40
+        # Every column's kappa comes from one array call of the CDF, at u and -u, not from 40 scalar kappa calls.
+        sizes = []
+        link = _LINKS["thurstone"]
+        monkeypatch.setitem(_LINKS, "thurstone", link._replace(cdf=lambda z: sizes.append(np.size(z)) or link.cdf(z)))
+        monkeypatch.setattr(rr.bounds, "kappa", lambda *args: pytest.fail("scalar kappa called"))
+        rows = rr.decision_grid((0.1, 10.0), (0.1, 10.0), resolution=40)
+        assert sizes == [80] and len(rows) == 1600
 
     def test_readme_range_reaches_underflow(self):
         rows = rr.decision_grid((0.01, 10.0), (0.01, 10.0), resolution=20)
@@ -204,6 +202,8 @@ class TestDecisionGrid:
             assert float(row[0]) == sc and float(row[1]) == so and row[2] == verdict
 
     def test_range_validation(self):
+        with pytest.raises(ValueError, match="b_bound must be positive and finite, got nan"):
+            rr.decision_grid((0.1, 1.0), (0.1, 1.0), b_bound=float("nan"))
         with pytest.raises(ValueError):
             rr.decision_grid((0.0, 1.0), (0.1, 1.0))
         with pytest.raises(ValueError):

@@ -718,6 +718,8 @@ def test_negative_seed_refused_by_name_before_any_work(tmp_path, monkeypatch, ca
     (lambda p: ["fit", _comparisons(p), "--model", "btl", "--cv-grid", "nan,1"], "sigma_grid"),
     (lambda p: ["fit", _write(p / "r.csv", "a,1\nb,2\n"), "--model", "cardinal", "--sigma", "inf"],
      "sigma must be nonnegative and finite, got inf"),
+    (lambda p: ["fit", _write(p / "r.csv", "a,1\nb,2\n"), "--model", "cardinal", "--b-bound", "nan"],
+     "box bound must be positive and finite, got nan"),
     (lambda p: ["fit", _write(p / "r.csv", "a,1\nb,nan\n"), "--model", "cardinal"],
      "line 2: rating must be a number, got 'nan'"),
     (lambda p: ["decide", "--sigma-c", "nan", "--sigma-o", "1"], "sigma_c=nan"),
@@ -731,9 +733,31 @@ def test_negative_seed_refused_by_name_before_any_work(tmp_path, monkeypatch, ca
     (lambda p: ["simulate", "--config", _thurstone_config(p, sigma=10**400)],
      "model.sigma: expected a number, got 1000"),
     (lambda p: ["pack", "--d", "8", "--delta", "nan", "--alpha", "0.15"], "delta must be positive and finite"),
-], ids=["fit-sigma", "fit-b-bound", "fit-cv-grid", "fit-cardinal-sigma", "rating", "decide-sigma-c",
-        "decide-sigma-o", "grid-sigma-c", "grid-sigma-o", "simulate-b-bound", "simulate-sigma",
+], ids=["fit-sigma", "fit-b-bound", "fit-cv-grid", "fit-cardinal-sigma", "fit-cardinal-b-bound", "rating",
+        "decide-sigma-c", "decide-sigma-o", "grid-sigma-c", "grid-sigma-o", "simulate-b-bound", "simulate-sigma",
         "simulate-huge-int", "pack-delta"])
 def test_non_finite_inputs_rejected(tmp_path, capsys, argv, fragment):
     assert cli.main(argv(tmp_path)) == 2
     assert fragment in capsys.readouterr().err
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # Both links are numpy: importing the CLI and running each command leaves scipy unloaded, lazily or not.
+    data, config = _comparisons(tmp_path), _thurstone_config(tmp_path)
+    argvs = [
+        ["fit", data, "--model", "btl", "--sigma", "1"],
+        ["fit", data, "--model", "thurstone", "--sigma", "1"],
+        ["decide", "--grid", "0.1", "10", "0.1", "10", "--resolution", "5"],
+        ["simulate", "--config", config],
+        ["topology", "--kind", "expander", "--d", "12", "--n", "60", "--k", "3"],
+        ["pack", "--d", "8", "--delta", "1", "--alpha", "0.15"],
+    ]
+    probe = ("import contextlib, io, json, sys\n"
+             "import rateorank.cli as cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+             "print(json.dumps([codes, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')]))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(rr.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)], env=env, capture_output=True, text=True,
+                         check=True)
+    assert json.loads(out.stdout) == [[0] * len(argvs), []]

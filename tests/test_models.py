@@ -1,16 +1,19 @@
 import ast
 import hashlib
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import expit, log_ndtr
+from scipy.special import erfcx, expit, log_ndtr, ndtr
 from scipy.stats import norm
 
+import erfcx_table
 import rateorank as rr
 from helpers import fd_gradient, fd_hessian
+from rateorank import models
 from rateorank.estimate import _hessian_product
 from rateorank.models import _LINKS
 
@@ -99,6 +102,18 @@ class TestModelSpec:
                 rr.ModelSpec(kind, sigma=0.0, b_bound=1.0)
             with pytest.raises(ValueError):
                 rr.ModelSpec(kind, sigma=1.0)
+
+    def test_a_given_box_is_positive_and_finite_for_every_kind(self):
+        # None means "no box" for the linear kinds; a box that is given is judged whatever the kind.
+        assert rr.ModelSpec("paired_linear", 1.0).b_bound is None
+        assert rr.ModelSpec("cardinal", 1.0, b_bound=2.0).b_bound == 2.0
+        with pytest.raises(ValueError, match="box bound must be positive and finite, got nan"):
+            rr.ModelSpec("paired_linear", 1.0, b_bound=float("nan"))
+        with pytest.raises(ValueError, match="box bound must be positive and finite, got -1.0"):
+            rr.ModelSpec("cardinal", 1.0, b_bound=-1.0)
+        for box in (0.0, float("inf")):
+            with pytest.raises(ValueError, match="box bound"):
+                rr.ModelSpec("paired_linear", 0.0, b_bound=box)
 
     def test_linear_kinds_allow_zero_sigma(self):
         rr.ModelSpec("cardinal", sigma=0.0)
@@ -305,9 +320,13 @@ def _row_terms(spec, w, obs):
         return r * r, -2.0 * r, np.full(obs.n, 2.0)
     z = fitted / spec.sigma
     if spec.kind == "thurstone":
-        ratio = np.exp(-0.5 * z * z - 0.5 * np.log(2.0 * np.pi) - log_ndtr(y * z))
-        hess = np.maximum(ratio * (ratio + y * z), 0.0) / spec.sigma**2
-        return -log_ndtr(y * z), -y * ratio / spec.sigma, hess
+        # phi(s) / Phi(s) at s = y z; below zero through scipy's erfcx, since exp(log phi - log Phi) loses about
+        # s^2 / 2 ulps there, which the curvature's cancellation in ratio + s then magnifies.
+        s = y * z
+        ratio = np.where(s < 0, np.sqrt(2.0 / np.pi) / erfcx(np.abs(s) / np.sqrt(2.0)),
+                         np.exp(-0.5 * s * s) / np.sqrt(2.0 * np.pi) / ndtr(np.abs(s)))
+        hess = np.maximum(ratio * (ratio + s), 0.0) / spec.sigma**2
+        return -log_ndtr(s), -y * ratio / spec.sigma, hess
     return np.logaddexp(0.0, -y * z), -y * expit(-y * z) / spec.sigma, expit(z) * expit(-z) / spec.sigma**2
 
 
@@ -558,14 +577,16 @@ class TestLinkTable:
 
     @pytest.mark.parametrize("kind", rr.BINARY_KINDS)
     def test_terms_finite(self, kind):
-        for term in _LINKS[kind]:
-            assert np.all(np.isfinite(term(self.GRID)))
+        link = _LINKS[kind]
+        for values in (link.cdf(self.GRID), *link.terms(self.GRID)):
+            assert np.all(np.isfinite(values))
 
     @pytest.mark.parametrize("kind", rr.BINARY_KINDS)
     def test_derivatives_match_central_differences(self, kind):
         link, s, h = _LINKS[kind], self.GRID[np.abs(self.GRID) <= 6.0], 1e-5
-        assert link.slope(s) == pytest.approx((link.loss(s + h) - link.loss(s - h)) / (2 * h), rel=1e-5)
-        assert link.curvature(s) == pytest.approx((link.slope(s + h) - link.slope(s - h)) / (2 * h), rel=1e-5)
+        at, up, down = link.terms(s), link.terms(s + h), link.terms(s - h)
+        assert at.slope == pytest.approx((up.loss - down.loss) / (2 * h), rel=1e-5)
+        assert at.curvature == pytest.approx((up.slope - down.slope) / (2 * h), rel=1e-5)
 
     @pytest.mark.parametrize("kind", rr.BINARY_KINDS)
     def test_cdf_is_a_symmetric_probability(self, kind):
@@ -576,12 +597,13 @@ class TestLinkTable:
     @pytest.mark.parametrize("kind", rr.BINARY_KINDS)
     def test_loss_is_minus_log_cdf(self, kind):
         link, s = _LINKS[kind], self.GRID[np.abs(self.GRID) <= 8.0]
-        assert np.exp(-link.loss(s)) == pytest.approx(link.cdf(s), rel=1e-12)
+        assert np.exp(-link.terms(s).loss) == pytest.approx(link.cdf(s), rel=1e-12)
 
     def test_logit_derivatives_are_cdf_products(self):
         link = _LINKS["btl"]
-        assert np.array_equal(link.slope(self.GRID), -link.cdf(-self.GRID))
-        assert np.array_equal(link.curvature(self.GRID), link.cdf(self.GRID) * link.cdf(-self.GRID))
+        terms = link.terms(self.GRID)
+        assert np.array_equal(terms.slope, -link.cdf(-self.GRID))
+        assert np.array_equal(terms.curvature, link.cdf(self.GRID) * link.cdf(-self.GRID))
 
     @pytest.mark.parametrize("kind", rr.BINARY_KINDS)
     def test_scalar_is_the_curvature_of_a_losing_comparison(self, kind):
@@ -592,8 +614,84 @@ class TestLinkTable:
             assert rr.strong_convexity_scalar(spec, t) == rr.curvature(spec, np.array([t / 2, -t / 2]), obs)[0]
 
 
-def test_scipy_is_imported_by_models_alone():
-    # Every scipy.special call sits in the link table or the Mills ratio beside it.
+class TestLinksAgainstScipy:
+    """scipy.special is the oracle: the package computes both links with numpy alone."""
+
+    Z = np.linspace(-40.0, 40.0, 16001)
+
+    def test_erfcx_matches_scipy(self):
+        x = np.concatenate((np.linspace(0.0, 30.0, 6001), np.geomspace(1e-8, 1e6, 2001)))
+        assert np.max(np.abs(models._erfcx(x) / erfcx(x) - 1.0)) <= 2e-15
+
+    def test_probit_cdf_loss_and_mills_ratio(self):
+        # Phi(z) has condition number about z^2 in the tail, so a few roundings of z^2 / 2 bound the relative error:
+        # within 4 eps (1 + z^2 / 2) of scipy wherever scipy's value is a normal float (measured: 2.8 eps at most).
+        link, z = _LINKS["thurstone"], self.Z
+        terms = link.terms(z)
+        mills = np.exp(-0.5 * z * z - 0.5 * np.log(2.0 * np.pi) - log_ndtr(z))
+        bound = 4.0 * np.finfo(float).eps * (1.0 + 0.5 * z * z)
+        for ours, oracle in ((link.cdf(z), ndtr(z)), (terms.loss, -log_ndtr(z)), (-terms.slope, mills)):
+            normal = np.abs(oracle) >= np.finfo(float).tiny
+            assert np.all(np.abs(ours[normal] / oracle[normal] - 1.0) <= bound[normal])
+
+    def test_probit_loss_deep_tail(self):
+        # -log Phi(z) = z^2/2 + log(|z| sqrt(2 pi)) + O(1/z^2) as z -> -inf.
+        z = -np.geomspace(10.0, 1e4, 401)
+        loss = _LINKS["thurstone"].terms(z).loss
+        assert np.all(np.isfinite(loss))
+        assert np.max(np.abs(loss / -log_ndtr(z) - 1.0)) <= 4 * np.finfo(float).eps
+        gap = loss - 0.5 * z * z - np.log(-z * np.sqrt(2.0 * np.pi))
+        assert np.all(np.abs(gap) <= 1.0 / z**2 + 4 * np.finfo(float).eps * loss)
+
+    def test_logit_terms(self):
+        link, z = _LINKS["btl"], self.Z
+        terms = link.terms(z)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(link.cdf(z) / expit(z) - 1.0)) <= 4 * eps
+        assert np.max(np.abs(terms.loss / np.logaddexp(0.0, -z) - 1.0)) <= 4 * eps
+        assert np.max(np.abs(terms.slope / -expit(-z) - 1.0)) <= 4 * eps
+        assert np.max(np.abs(terms.curvature / (expit(z) * expit(-z)) - 1.0)) <= 4 * eps
+
+    def test_table_is_its_generator_output(self):
+        assert np.array_equal(np.reshape(erfcx_table.coefficients(), models._ERFCX.shape), models._ERFCX)
+        with localcontext() as ctx:
+            ctx.prec = erfcx_table.DIGITS
+            sqrt_pi = erfcx_table._pi().sqrt()
+            for x in (0.01, 1.0, 2.4, 2.5, 7.0, 300.0):
+                assert float(erfcx_table.erfcx(Decimal(x), sqrt_pi)) == pytest.approx(erfcx(x), rel=4e-15)
+
+
+class TestStoredTerms:
+    def _counting(self, monkeypatch, kind):
+        calls = []
+        link = _LINKS[kind]
+        monkeypatch.setitem(_LINKS, kind, link._replace(terms=lambda s: calls.append(s.size) or link.terms(s)))
+        return calls
+
+    @pytest.mark.parametrize("kind", rr.BINARY_KINDS)
+    def test_one_link_pass_per_point(self, monkeypatch, kind):
+        rng = np.random.default_rng(11)
+        spec = rr.ModelSpec(kind, sigma=0.8, b_bound=2.0)
+        obs = rr.sample(spec, np.array([0.6, 0.1, -0.2, -0.5]), _pairwise_design(4, 5), 3)
+        w, v = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
+        expected = (rr.neg_log_likelihood(spec, w, obs), rr.gradient(spec, w, obs), rr.curvature(spec, w, obs))
+        fresh = rr.ObservationSet(spec, 4, obs.design, obs.outcomes)
+        calls = self._counting(monkeypatch, kind)
+        got = (rr.neg_log_likelihood(spec, w, fresh), rr.gradient(spec, w, fresh), rr.curvature(spec, w, fresh))
+        assert calls == [fresh.groups.value.size]
+        assert got[0] == expected[0] and np.array_equal(got[1], expected[1]) and np.array_equal(got[2], expected[2])
+        # A new point evaluates, so does a return to w (one point is kept), then a copy of w reads it back; another
+        # sigma on a view sharing the tables evaluates again.
+        rr.gradient(spec, v, fresh)
+        rr.curvature(spec, w, fresh)
+        rr.curvature(spec, w.copy(), fresh)
+        wider = fresh.with_sigma(1.6)
+        assert rr.neg_log_likelihood(wider.model, w, wider) != got[0]
+        assert len(calls) == 4
+
+
+def test_scipy_is_imported_by_no_module():
+    # Both links are numpy; scipy is an oracle of the tests alone.
     importers = set()
     for path in sorted(Path(rr.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -605,7 +703,7 @@ def test_scipy_is_imported_by_models_alone():
                 continue
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.add(path.name)
-    assert importers == {"models.py"}
+    assert importers == set()
 
 
 class TestCurvatureScalar:
