@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import sys
@@ -359,7 +360,9 @@ def cmd_pack(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every call: read it, do not change it."""
     parser = argparse.ArgumentParser(prog="rateorank", description="Quality scores from ratings or comparisons.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -374,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--id-order", choices=ID_ORDERS, default="first-appearance")
     fit.add_argument("--seed", type=int, default=None, help="seed of the --cv-grid fold shuffle (default 0)")
     fit.add_argument("--out", default=None, help="write the fit document (JSON) here")
-    fit.set_defaults(func=cmd_fit)
 
     decide = sub.add_parser("decide", help="rate-or-rank verdict from noise scales")
     decide.add_argument("--sigma-c", type=float, help="rating noise scale")
@@ -384,12 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None, help="evaluate a log-spaced verdict grid instead")
     decide.add_argument("--resolution", type=int, default=None, help="points per --grid axis (default 20)")
     decide.add_argument("--out", default=None, help="write the grid as CSV here")
-    decide.set_defaults(func=cmd_decide)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo risk sweep from a JSON config")
     simulate.add_argument("--config", required=True)
     simulate.add_argument("--out", default=None, help="write the sweep table as CSV here")
-    simulate.set_defaults(func=cmd_simulate)
 
     topology = sub.add_parser("topology", help="spectral report for a comparison topology")
     topology.add_argument("--kind", choices=graph.TOPOLOGY_KINDS, required=True)
@@ -398,14 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
     topology.add_argument("--k", type=int, default=None, help="degree for the expander kind")
     topology.add_argument("--seed", type=int, default=None, help="seed of the expander sampling (default 0)")
     topology.add_argument("--out", default=None, help="write the edge list here")
-    topology.set_defaults(func=cmd_topology)
 
     pack = sub.add_parser("pack", help="build a separated vector family (complete design)")
     pack.add_argument("--d", type=int, required=True)
     pack.add_argument("--delta", type=float, required=True)
     pack.add_argument("--alpha", type=float, required=True)
     pack.add_argument("--out", default=None, help="write the packing as JSON here")
-    pack.set_defaults(func=cmd_pack)
     return parser
 
 
@@ -423,13 +421,13 @@ def _check_out(path: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # Every subcommand has --out; a path that cannot be written fails before any work.
         if args.out is not None:
             _check_out(args.out)
-        return args.func(args)
+        # Looked up at each call, so a replaced or wrapped cmd_* is the one that runs.
+        return globals()[f"cmd_{args.command}"](args)
     except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

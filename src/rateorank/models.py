@@ -29,6 +29,7 @@ the dense Hessian is the Laplacian of the curvature weights.
 
 from __future__ import annotations
 
+import copy
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
@@ -158,7 +159,10 @@ class ObservationSet:
     and the :attr:`laplacian`.  The outcome table, :attr:`groups`, is counted
     against that index.  A :meth:`with_sigma` view shares both; a
     :meth:`with_outcomes` view (a new draw on the same design) shares the
-    design tables; a :meth:`subset` shares nothing.
+    design tables; a :meth:`subset` shares nothing.  A view checks only
+    what it changes (the new outcomes, or the new sigma through
+    :class:`ModelSpec`), since its design was checked and made read-only
+    when this set was built.
     """
 
     model: ModelSpec
@@ -170,7 +174,6 @@ class ObservationSet:
 
     def __post_init__(self) -> None:
         design = np.asarray(self.design)
-        outcomes = np.asarray(self.outcomes, dtype=float)
         if self.d < 2:
             raise ValueError(f"need at least 2 items, got d={self.d}")
         if self.model.kind in PAIRWISE_KINDS:
@@ -186,16 +189,9 @@ class ObservationSet:
             raise ValueError("observation set is empty")
         if design.min() < 0 or design.max() >= self.d:
             raise IndexError(f"design indexes items outside range(0, {self.d})")
-        if outcomes.shape != (design.shape[0],):
-            raise ValueError(f"expected {design.shape[0]} outcomes, got {outcomes.shape}")
-        if not np.all(np.isfinite(outcomes)):
-            raise ValueError("outcomes contain non-finite values")
-        if self.model.kind in BINARY_KINDS and not np.all(np.abs(outcomes) == 1.0):
-            raise ValueError("binary model outcomes must all be +1 or -1")
         design.setflags(write=False)
-        outcomes.setflags(write=False)
         object.__setattr__(self, "design", design)
-        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "outcomes", _checked_outcomes(self.model, design.shape[0], self.outcomes))
 
     @property
     def n(self) -> int:
@@ -246,18 +242,33 @@ class ObservationSet:
         """A new observation set restricted to the given row indices."""
         return ObservationSet(self.model, self.d, self.design[indices], self.outcomes[indices])
 
+    def _view(self, **fields) -> "ObservationSet":
+        """A shallow copy with ``fields`` replaced, unchecked: it shares the checked, read-only design and its tables."""
+        view = copy.copy(self)
+        for name, value in fields.items():
+            object.__setattr__(view, name, value)
+        return view
+
     def with_sigma(self, sigma: float) -> "ObservationSet":
         """Same data viewed under a different noise scale, sharing its design and outcome tables."""
-        view = ObservationSet(replace(self.model, sigma=sigma), self.d, self.design, self.outcomes)
-        object.__setattr__(view, "_design_tables", self._design_tables)
-        object.__setattr__(view, "_outcome_tables", self._outcome_tables)
-        return view
+        return self._view(model=replace(self.model, sigma=sigma))
 
     def with_outcomes(self, outcomes: np.ndarray) -> "ObservationSet":
         """New outcomes on the same design, sharing its design tables but none of its outcome tables."""
-        view = ObservationSet(self.model, self.d, self.design, outcomes)
-        object.__setattr__(view, "_design_tables", self._design_tables)
-        return view
+        return self._view(outcomes=_checked_outcomes(self.model, self.n, outcomes), _outcome_tables={})
+
+
+def _checked_outcomes(spec: ModelSpec, rows: int, outcomes) -> np.ndarray:
+    """``outcomes`` as a read-only float array, one finite value per design row, each +-1 for the binary kinds."""
+    outcomes = np.asarray(outcomes, dtype=float)
+    if outcomes.shape != (rows,):
+        raise ValueError(f"expected {rows} outcomes, got {outcomes.shape}")
+    if not np.all(np.isfinite(outcomes)):
+        raise ValueError("outcomes contain non-finite values")
+    if spec.kind in BINARY_KINDS and not np.all(np.abs(outcomes) == 1.0):
+        raise ValueError("binary model outcomes must all be +1 or -1")
+    outcomes.setflags(write=False)
+    return outcomes
 
 
 def _margins(w: np.ndarray, design: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ SWEEPABLE = {"n": ("topology", "n", int), "d": ("topology", "d", int),
 #: Each ``w_true`` generator rule: the fields it reads, with their defaults.
 W_TRUE_RULES = {"uniform_box": {"b": 1.0}, "packing_vertex": {"delta": 1.0, "alpha": 0.15, "index": 0}}
 
+_EPS = np.finfo(float).eps
 _MAX_FAILURE_FRACTION = 0.05
 _W_SEED_OFFSET = 10**6
 _SWEEP_SEED_STRIDE = 10**7
@@ -111,13 +112,22 @@ def _rescale(v: np.ndarray) -> np.ndarray:
     return 2.0 * (v - lo) / (hi - lo) - 1.0
 
 
+def _pair_signs(v: np.ndarray) -> np.ndarray:
+    """sign(v_i - v_j) for every ordered pair, 0 where the two differ by at most d * eps * max|v|."""
+    diff = v[:, None] - v[None, :]
+    return np.sign(diff) * (np.abs(diff) > v.size * _EPS * np.abs(v).max())
+
+
 def kendall_tau(w_hat, w_true) -> float:
-    """Kendall tau-a: (concordant - discordant) pairs over all pairs; ties count zero."""
+    """Kendall tau-a: (concordant - discordant) pairs over all pairs; ties count zero.
+
+    A pair is tied in a vector v when its two values differ by at most
+    d * eps * max|v|, the rounding scale ``estimate.project_feasible`` names:
+    estimates equal in exact arithmetic can come out a few ulps apart.
+    """
     a, b = as_values(w_hat), as_values(w_true)
-    sa = np.sign(a[:, None] - a[None, :])
-    sb = np.sign(b[:, None] - b[None, :])
-    upper = np.triu_indices(a.size, k=1)
-    return float(np.sum(sa[upper] * sb[upper])) / (a.size * (a.size - 1) // 2)
+    # The sign-product matrix is symmetric with a zero diagonal: its sum counts every pair twice.
+    return float(np.sum(_pair_signs(a) * _pair_signs(b))) / (a.size * (a.size - 1))
 
 
 def cardinal_design(d: int, n: int) -> np.ndarray:

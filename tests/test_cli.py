@@ -588,6 +588,40 @@ class TestTopologyAndPack:
         assert rr.__version__ in capsys.readouterr().out
 
 
+class TestSharedParser:
+    """``main`` parses with one parser per process; no call leaves state that the next one reads."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flags_do_not_carry_over(self, tmp_path, capsys):
+        data, _ = _ordinal_csv(tmp_path / "c.csv")
+        assert cli.main(["fit", data, "--model", "thurstone", "--cv-grid", "0.5,1", "--seed", "3"]) == 0
+        assert cli.main(["fit", data, "--model", "thurstone", "--sigma", "1"]) == 0
+        grid = ["--grid", "0.1", "10", "0.1", "10", "--resolution", "5", "--out", str(tmp_path / "g.csv")]
+        assert cli.main(["decide", *grid]) == 0
+        assert cli.main(["decide", "--sigma-c", "1", "--sigma-o", "1"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("first, code", [(["fit", "--model", "nope"], 2), (["--version"], 0)],
+                             ids=["parse-error", "version"])
+    def test_an_exit_while_parsing_leaves_the_next_call_working(self, capsys, first, code):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(first)
+        assert exc_info.value.code == code
+        capsys.readouterr()
+        assert cli.main(["decide", "--sigma-c", "1", "--sigma-o", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("verdict: ") and captured.err == ""
+
+    def test_a_command_replaced_after_the_parser_is_built_is_the_one_run(self, monkeypatch):
+        cli.build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_fit", lambda args: seen.append(args.sigma) or 0)
+        assert cli.main(["fit", "never-read.csv", "--model", "btl", "--sigma", "2"]) == 0
+        assert seen == [2.0]
+
+
 def test_module_entry_point(tmp_path):
     src = str(Path(rr.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

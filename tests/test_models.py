@@ -172,6 +172,29 @@ class TestObservationSet:
         assert sub.n == 2 and tuple(sub.outcomes) == (1.0, 1.0)
         assert obs.with_sigma(0.5).model.sigma == 0.5
         assert obs.with_sigma(0.5).model.kind == "btl"
+        with pytest.raises(ValueError, match="btl needs a finite sigma > 0"):
+            obs.with_sigma(0.0)
+
+    @pytest.mark.parametrize("outcomes, message", [
+        ([1.0, -1.0], r"expected 3 outcomes, got \(2,\)"),
+        ([1.0, np.nan, -1.0], "outcomes contain non-finite values"),
+        ([1.0, 0.5, -1.0], "binary model outcomes must all be \\+1 or -1"),
+    ], ids=["length", "nan", "not-binary"])
+    def test_with_outcomes_checks_the_new_outcomes(self, outcomes, message):
+        spec = rr.ModelSpec("btl", sigma=1.0, b_bound=1.0)
+        obs = rr.ObservationSet(spec, 3, np.array([[0, 1], [1, 2], [0, 2]]), np.ones(3))
+        # The view refuses what the constructor refuses, with the same message.
+        for build in (obs.with_outcomes, lambda y: rr.ObservationSet(spec, 3, obs.design, y)):
+            with pytest.raises(ValueError, match=message):
+                build(np.array(outcomes))
+
+    def test_with_outcomes_shares_the_design(self):
+        spec = rr.ModelSpec("thurstone", sigma=1.0, b_bound=1.0)
+        obs = rr.ObservationSet(spec, 3, np.array([[0, 1], [1, 2], [0, 2]]), np.ones(3))
+        view = obs.with_outcomes([1.0, -1.0, 1.0])
+        assert view.design is obs.design and view._design_tables is obs._design_tables
+        assert view.outcomes.tolist() == [1.0, -1.0, 1.0] and not view.outcomes.flags.writeable
+        assert view._outcome_tables is not obs._outcome_tables
 
 
 class TestProbPositive:

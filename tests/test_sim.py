@@ -1,9 +1,12 @@
 import csv
 import dataclasses
+import itertools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import rateorank as rr
@@ -19,6 +22,25 @@ def _config(**overrides):
     )
     base.update(overrides)
     return rr.ExperimentConfig(**base)
+
+
+def _kendall_tau_reference(a, b):
+    """Kendall tau-a by the documented rule, one pair at a time: a pair ties in v within d * eps * max|v|."""
+    def sign(v, i, j):
+        diff = v[i] - v[j]
+        return 0 if abs(diff) <= len(v) * np.finfo(float).eps * max(abs(x) for x in v) else (1 if diff > 0 else -1)
+
+    pairs = list(itertools.combinations(range(len(a)), 2))
+    return sum(sign(a, i, j) * sign(b, i, j) for i, j in pairs) / len(pairs)
+
+
+@st.composite
+def _tied_vector(draw, d):
+    """``d`` values drawn from a few levels, so some are exactly equal, each nudged by a few multiples of eps
+    relative to its level: some nudges stay within the tie scale d * eps * max|v| and some leave it."""
+    levels = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
+    return np.array([level * (1.0 + draw(st.integers(-2 * d, 2 * d)) * np.finfo(float).eps)
+                     for level in (draw(st.sampled_from(levels)) for _ in range(d))])
 
 
 class TestMetrics:
@@ -39,6 +61,38 @@ class TestMetrics:
         w_hat = np.array([2.0, 2.0, 1.0, 0.0])
         w_true = np.array([3.0, 2.0, 1.0, 0.0])
         assert rr.kendall_tau(w_hat, w_true) == pytest.approx(5.0 / 6.0)
+
+    def test_kendall_tau_ties_at_rounding(self):
+        # 0.1 and its lower neighbour differ by far less than d * eps * max|v| = 3 * eps * 0.3.
+        w_hat = np.array([0.3, 0.1, np.nextafter(0.1, 0.0)])
+        assert rr.kendall_tau(w_hat, np.array([3.0, 2.0, 1.0])) == 2.0 / 3.0
+        # Scaled down, the same vector ties the same pair: the rule is relative to the vector's size.
+        assert rr.kendall_tau(w_hat * 1e-200, np.array([3.0, 2.0, 1.0])) == 2.0 / 3.0
+        assert rr.kendall_tau(np.array([0.3, 0.1, 0.1 - 1e-15]), np.array([3.0, 2.0, 1.0])) == 1.0
+
+    def test_kendall_tau_ties_equal_btl_estimates(self):
+        # Trial 1 of the montecarlo benchmark's first BTL invocation at seed 7: items 2 and 6 win 676
+        # comparisons each on the complete design, so their BTL estimates are equal in exact arithmetic,
+        # but the fit returns them an ulp or so apart.
+        topology = rr.TopologySpec(kind="complete", d=10, n=9000)
+        truth = rr.resolve_w_true(_config(topology=topology, w_true={"rule": "uniform_box", "b": 0.5}, seed=303), None)
+        spec = rr.ModelSpec("btl", sigma=1.0, b_bound=1.0)
+        design = rr.generate_topology("complete", 10, 9000).to_design()
+        obs = rr.sample(spec, truth, design, seed=7001)
+        wins = np.bincount(np.where(obs.outcomes > 0, design[:, 0], design[:, 1]), minlength=10)
+        assert wins[2] == wins[6] == 676
+        w_hat = rr.mle_fit(obs, rr.FitConfig(b_bound=1.0)).w_hat.values
+        assert abs(w_hat[2] - w_hat[6]) <= 10 * np.finfo(float).eps * np.abs(w_hat).max()
+        tied = w_hat.copy()
+        tied[6] = tied[2]
+        assert rr.kendall_tau(w_hat, truth) == rr.kendall_tau(tied, truth) == 42.0 / 45.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_kendall_tau_is_the_pairwise_rule(self, data):
+        d = data.draw(st.integers(2, 12))
+        vectors = [data.draw(_tied_vector(d)) for _ in range(2)]
+        assert rr.kendall_tau(*vectors) == _kendall_tau_reference(*vectors)
 
     def test_seminorm_matches_quadratic_form(self):
         lap = rr.build_laplacian(3, [(0, 1, 4), (1, 2, 2)])
