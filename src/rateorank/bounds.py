@@ -11,7 +11,6 @@ and only the noise scales and the interval constants matter.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -215,9 +214,11 @@ def decision_grid(
 
 
 def write_decision_grid(rows: list[tuple[float, float, str]], path) -> None:
-    """Write grid rows as ``sigma_c,sigma_o,verdict`` CSV."""
+    """Write grid rows as ``sigma_c,sigma_o,verdict`` CSV.
+
+    The bytes are ``csv.writer``'s: CRLF line ends, and no field needs quoting
+    (float reprs and the three verdict words hold no comma, quote or newline).
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sigma_c", "sigma_o", "verdict"])
-        for sc, so, verdict in rows:
-            writer.writerow([repr(sc), repr(so), verdict])
+        fh.write("sigma_c,sigma_o,verdict\r\n")
+        fh.write("".join(f"{sc!r},{so!r},{verdict}\r\n" for sc, so, verdict in rows))

@@ -9,11 +9,15 @@ gradient points out of the box.  Those take the projected-gradient step; the
 free coordinates take a Newton step on their mean-zero subspace, solved by
 conjugate gradients on O(groups) Hessian-vector products built from
 :func:`models.curvature`.  A monotone Armijo test along the projection arc
-``P(w + t p)`` accepts the step, falling back on the projected-gradient arc
-when the Newton arc finds no descent, so the objective never rises (beyond
-the rounding of the NLL itself).  Projection onto the feasible set is exact: one
-sorted sweep over the breakpoints finds the shift that zeroes the sum of the
-clipped vector (the continuous quadratic knapsack problem, Kiwiel 2008).  The
+``P(w + t p)`` accepts the step.  The arc tries ``t = 1``, then the blocking
+step (the smallest ``t`` at which a free coordinate reaches its face along
+``w + t p``), then halves from there.  The search falls back on the
+projected-gradient arc when the Newton arc finds no descent, or when a free
+coordinate on its face is pushed outward (its blocking step is 0), so the
+objective never rises (beyond the rounding of the NLL itself).  Projection
+onto the feasible set is exact: one sorted sweep over the breakpoints finds
+the shift that zeroes the sum of the clipped vector (the continuous
+quadratic knapsack problem, Kiwiel 2008).  The
 cardinal model's unconstrained closed form (centered per-item means) skips the
 iteration; its ``active_box`` lists the items at or beyond ``B``.
 
@@ -201,14 +205,15 @@ def _free_newton_step(pairs: np.ndarray, weights: np.ndarray, free: np.ndarray, 
 
 
 def _direction(spec: ModelSpec, w: np.ndarray, g: np.ndarray, obs: ObservationSet, b_bound: float,
-               eps: float) -> np.ndarray:
+               eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Projected Newton direction with the epsilon-active set of Bertsekas (1982).
 
     A coordinate is active when it lies within ``eps`` of a face of the box and
     its reduced gradient ``g - mu`` (``mu``: the mean gradient over the
     coordinates away from the box) points out of it; active coordinates take
     the projected-gradient step ``-(g - mu)``, which moves them onto the face.
-    The others take the Newton step on their mean-zero subspace.
+    The others, the free coordinates, take the Newton step on their mean-zero
+    subspace.  Returns the direction and the mask of the free coordinates.
     """
     near = np.abs(w) >= b_bound - eps
     away = g[~near] if not near.all() else g
@@ -221,15 +226,33 @@ def _direction(spec: ModelSpec, w: np.ndarray, g: np.ndarray, obs: ObservationSe
             p[free] = step
     # Otherwise p is the projected-gradient direction everywhere, whose arc P(w - t g)
     # descends from any point that is not stationary.
-    return p
+    return p, free
+
+
+def _blocking_step(w: np.ndarray, p: np.ndarray, free: np.ndarray, b_bound: float) -> float:
+    """The smallest ``t`` in [0, 1) at which a ``free`` coordinate reaches its face along ``w + t p``, else 0.5."""
+    moving = free & (p != 0.0)
+    reach = (np.copysign(b_bound, p[moving]) - w[moving]) / p[moving]
+    reach = reach[reach < 1.0]
+    return float(reach.min()) if reach.size else 0.5
 
 
 def _arc_search(spec: ModelSpec, obs: ObservationSet, w: np.ndarray, f: float, g: np.ndarray, p: np.ndarray,
-                b_bound: float) -> tuple[np.ndarray, float] | None:
-    """Monotone Armijo backtracking along the projection arc ``P(w + t p)`` from ``t = 1``.
+                b_bound: float, free: np.ndarray | None = None) -> tuple[np.ndarray, float] | None:
+    """Monotone Armijo backtracking along the projection arc ``P(w + t p)``.
+
+    The trial steps are ``t = 1``, then the blocking step of the ``free``
+    coordinates (those not held active; :func:`_blocking_step`, found only
+    once ``t = 1`` is rejected), then halving from it.  A full step that
+    carries a free coordinate past its face is the one Armijo most often
+    rejects, and the projection bends the step from the blocking step on.  A
+    free coordinate on its face that ``p`` pushes outward blocks at ``t = 0``,
+    so the search ends after ``t = 1`` and the caller's projected-gradient arc
+    takes the step.  Without ``free``, halving follows ``t = 1``.
 
     Returns the first point with sufficient decrease and its NLL, or None when
-    the arc shrinks onto ``w`` first.  The NLL is evaluated once per trial point.
+    the trial steps fall below ``_MIN_STEP`` or the arc shrinks onto ``w``
+    first.  The NLL is evaluated once per trial point.
     """
     t = 1.0
     while t >= _MIN_STEP:
@@ -240,7 +263,7 @@ def _arc_search(spec: ModelSpec, obs: ObservationSet, w: np.ndarray, f: float, g
         slope = float(g @ (w_new - w))
         if slope < 0.0 and f_new <= f + _ARMIJO_C * slope + _ROUNDING * abs(f):
             return w_new, f_new
-        t *= 0.5
+        t = _blocking_step(w, p, free, b_bound) if t == 1.0 and free is not None else 0.5 * t
     return None
 
 
@@ -287,10 +310,10 @@ def mle_fit(obs: ObservationSet, config: FitConfig, *, start=None) -> FitResult:
             iterations -= 1
             break
 
-        p = _direction(spec, w, g, obs, b_bound, min(_ACTIVE_MARGIN * b_bound, residual))
+        p, free = _direction(spec, w, g, obs, b_bound, min(_ACTIVE_MARGIN * b_bound, residual))
         # The projected-gradient arc descends from any point that is not stationary, so it
         # backs up a Newton arc that finds no descent (an active set guessed wrong).
-        step = _arc_search(spec, obs, w, f, g, p, b_bound) or _arc_search(spec, obs, w, f, g, -g, b_bound)
+        step = _arc_search(spec, obs, w, f, g, p, b_bound, free) or _arc_search(spec, obs, w, f, g, -g, b_bound)
         if step is None:
             # No descent at any step size; the residual at w already failed the test.
             stop_reason = "line_search"

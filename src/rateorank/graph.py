@@ -390,7 +390,8 @@ def read_rows(path, row_format: RowFormat, id_order: str = "first-appearance"):
     Item ids are numbered by first appearance as they are read; ``id_order="sorted"``
     renumbers them at the end.  ``index`` is an intp array of shape (n,) for
     one id column or (n, k) for k; ``values`` has the dtype numpy infers for
-    the parsed values.
+    the parsed values.  Both are read-only, so an observation set built on them
+    shares them instead of copying.
     """
     width = row_format.header.count(",") + 1
     ids: defaultdict[str, int] = defaultdict()
@@ -422,7 +423,10 @@ def read_rows(path, row_format: RowFormat, id_order: str = "first-appearance"):
         item_ids = [item_ids[i] for i in order]
     if width > 2:
         index = index.reshape(len(values), width - 1)
-    return tuple(item_ids), index, np.array(values)
+    values = np.array(values)
+    index.setflags(write=False)
+    values.setflags(write=False)
+    return tuple(item_ids), index, values
 
 
 def read_edge_list(path) -> tuple[ComparisonGraph, list[str]]:

@@ -163,6 +163,11 @@ class ObservationSet:
     what it changes (the new outcomes, or the new sigma through
     :class:`ModelSpec`), since its design was checked and made read-only
     when this set was built.
+
+    The set holds its arrays read-only.  A read-only ``design`` or
+    ``outcomes`` array is shared; a writeable one the caller passed is
+    copied, so the caller's array stays writeable and later writes to it do
+    not reach the set.
     """
 
     model: ModelSpec
@@ -189,8 +194,7 @@ class ObservationSet:
             raise ValueError("observation set is empty")
         if design.min() < 0 or design.max() >= self.d:
             raise IndexError(f"design indexes items outside range(0, {self.d})")
-        design.setflags(write=False)
-        object.__setattr__(self, "design", design)
+        object.__setattr__(self, "design", _owned(design, self.design))
         object.__setattr__(self, "outcomes", _checked_outcomes(self.model, design.shape[0], self.outcomes))
 
     @property
@@ -240,7 +244,10 @@ class ObservationSet:
 
     def subset(self, indices: np.ndarray) -> "ObservationSet":
         """A new observation set restricted to the given row indices."""
-        return ObservationSet(self.model, self.d, self.design[indices], self.outcomes[indices])
+        design, outcomes = self.design[indices], self.outcomes[indices]
+        design.setflags(write=False)
+        outcomes.setflags(write=False)
+        return ObservationSet(self.model, self.d, design, outcomes)
 
     def _view(self, **fields) -> "ObservationSet":
         """A shallow copy with ``fields`` replaced, unchecked: it shares the checked, read-only design and its tables."""
@@ -258,17 +265,24 @@ class ObservationSet:
         return self._view(outcomes=_checked_outcomes(self.model, self.n, outcomes), _outcome_tables={})
 
 
-def _checked_outcomes(spec: ModelSpec, rows: int, outcomes) -> np.ndarray:
-    """``outcomes`` as a read-only float array, one finite value per design row, each +-1 for the binary kinds."""
-    outcomes = np.asarray(outcomes, dtype=float)
+def _checked_outcomes(spec: ModelSpec, rows: int, given) -> np.ndarray:
+    """``given`` as a read-only float array, one finite value per design row, each +-1 for the binary kinds."""
+    outcomes = np.asarray(given, dtype=float)
     if outcomes.shape != (rows,):
         raise ValueError(f"expected {rows} outcomes, got {outcomes.shape}")
     if not np.all(np.isfinite(outcomes)):
         raise ValueError("outcomes contain non-finite values")
     if spec.kind in BINARY_KINDS and not np.all(np.abs(outcomes) == 1.0):
         raise ValueError("binary model outcomes must all be +1 or -1")
-    outcomes.setflags(write=False)
-    return outcomes
+    return _owned(outcomes, given)
+
+
+def _owned(array: np.ndarray, given) -> np.ndarray:
+    """``array``, converted from ``given``, made read-only: copied first if it is writeable memory of ``given``."""
+    if array.flags.writeable and np.may_share_memory(array, given):
+        array = array.copy()
+    array.setflags(write=False)
+    return array
 
 
 def _margins(w: np.ndarray, design: np.ndarray) -> np.ndarray:
@@ -324,6 +338,7 @@ def sample(spec: ModelSpec, w, design, seed: int) -> ObservationSet:
         y = margins + spec.sigma * rng.standard_normal(margins.size)
         if spec.kind == THURSTONE:
             y = np.where(y >= 0, 1.0, -1.0)
+    y.setflags(write=False)
     return on.with_outcomes(y) if on is not None else ObservationSet(spec, w.size, design, y)
 
 

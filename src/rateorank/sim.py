@@ -194,8 +194,11 @@ def run_experiment(config: ExperimentConfig) -> dict[str, RiskEstimate]:
         design = cardinal_design(topo.d, topo.n)
     else:
         design = generate_topology(topo.kind, topo.d, topo.n, seed=config.seed, k=topo.k).to_design()
+    ones = np.ones(len(design))
+    design.setflags(write=False)  # read-only arrays are shared by the set, not copied
+    ones.setflags(write=False)
     # Owns the design's tables (pair index, Laplacian): built once here, shared by every trial.
-    on_design = models.ObservationSet(config.model, topo.d, design, np.ones(len(design)))
+    on_design = models.ObservationSet(config.model, topo.d, design, ones)
     laplacian = None if is_cardinal else on_design.laplacian
     w_true = resolve_w_true(config, laplacian)
     if w_true.d != topo.d:

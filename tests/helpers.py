@@ -11,6 +11,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from rateorank import models
+from rateorank.estimate import FitConfig
 
 # Orthonormal basis of the mean-zero subspace in R^3 (columns).
 REDUCED_BASIS_3 = np.array(
@@ -133,3 +134,34 @@ def reference_projection(v, b_bound):
     if np.any(free):
         x[free] -= x.sum() / np.count_nonzero(free)
     return x
+
+
+#: Trials of :func:`stress_set` that stalled at the iteration cap before the Newton arc tried the blocking step.
+STRESS_STALLS = (769, 1397, 1420, 1604, 2964)
+
+
+def stress_set(trials=3000):
+    """Near-separable fits: yields ``(trial, obs, config)`` for each of the first ``trials`` of a fixed stream.
+
+    Each trial is a BTL or Thurstone set on a path or a random connected
+    design over 3 to 8 items, with every pair repeated 1 to 5 times.  The
+    outcomes are drawn at a fifth of the fit's sigma from a truth that may
+    reach three times the fit's box, so most sets are close to separable and
+    their optimum sits on the box.  The stream is seeded, so trial ``k`` is
+    the same set however many trials are taken.
+    """
+    rng = np.random.default_rng(0)
+    for trial in range(trials):
+        d = int(rng.integers(3, 9))
+        kind = str(rng.choice(["btl", "thurstone"]))
+        sigma = float(np.exp(rng.uniform(np.log(0.05), np.log(10))))
+        b_bound = float(rng.uniform(0.1, 5))
+        if rng.choice(["path", "random"]) == "path":
+            pairs = np.array([(i, i + 1) for i in range(d - 1)])
+        else:
+            pairs = np.array([(i, j) for i in range(d) for j in range(i + 1, d)])
+            pairs = np.vstack([pairs[rng.random(len(pairs)) < 0.6], [(i, i + 1) for i in range(d - 1)]])
+        design = np.repeat(pairs, int(rng.integers(1, 6)), axis=0)
+        w = models.QualityVector.centered(rng.uniform(-3 * b_bound, 3 * b_bound, d))
+        y = models.sample(models.ModelSpec(kind, sigma * 0.2, 10 * b_bound), w, design, seed=trial).outcomes
+        yield trial, models.ObservationSet(models.ModelSpec(kind, sigma, b_bound), d, design, y), FitConfig(b_bound)

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 
 import numpy as np
@@ -200,6 +201,17 @@ class TestDecisionGrid:
         assert len(parsed) == 10
         for row, (sc, so, verdict) in zip(parsed[1:], rows):
             assert float(row[0]) == sc and float(row[1]) == so and row[2] == verdict
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        rows = rr.decision_grid((0.1, 100.0), (0.01, 10.0), resolution=12)
+        assert {verdict for _, _, verdict in rows} == {"cardinal", "ordinal", "indeterminate"}
+        path = tmp_path / "grid.csv"
+        rr.write_decision_grid(rows, path)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["sigma_c", "sigma_o", "verdict"])
+        writer.writerows([repr(sc), repr(so), verdict] for sc, so, verdict in rows)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_range_validation(self):
         with pytest.raises(ValueError, match="b_bound must be positive and finite, got nan"):

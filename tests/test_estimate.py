@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rateorank as rr
-from rateorank import estimate
-from helpers import grid_minimum, reference_projection
+from rateorank import estimate, models
+from helpers import STRESS_STALLS, grid_minimum, reference_projection, stress_set
 
 
 def _feasible_point(rng, d, b):
@@ -311,6 +311,29 @@ def test_c11_fold_converges_at_every_labelling():
     for nll, w in fits[1:]:
         assert nll == pytest.approx(nll0, rel=1e-9, abs=0.0)
         assert np.max(np.abs(w - w0)) <= 1e-6
+
+
+def test_c11_fold_fit_takes_the_blocking_step(monkeypatch):
+    # At sigma=0.25 each full Newton step carries the coordinate nearest the box past its
+    # face; halving from t = 1 rejected 53 trial points over 22 iterations, where the
+    # blocking step (the step that takes that coordinate to its face) is accepted.
+    design, y = _c11_fold0_training_set()
+    nll, calls = models.neg_log_likelihood, []
+    monkeypatch.setattr(models, "neg_log_likelihood", lambda *args: calls.append(1) or nll(*args))
+    res = rr.mle_fit(rr.ObservationSet(rr.ModelSpec("thurstone", sigma=0.25, b_bound=1.0), 8, design, y),
+                     rr.FitConfig())
+    assert res.converged
+    assert len(calls) - len(res.nll_path) <= 1
+
+
+def test_stress_stalls_converge():
+    # Near-separable BTL fits on path designs that stopped at the iteration cap when the
+    # Newton arc halved from t = 1 (null steps of about 1e-15 accepted by the rounding allowance).
+    results = {trial: rr.mle_fit(obs, config) for trial, obs, config in stress_set(max(STRESS_STALLS) + 1)
+               if trial in STRESS_STALLS}
+    slow = {trial: (res.stop_reason, res.iterations) for trial, res in results.items()
+            if not res.converged or res.iterations > 30}
+    assert len(results) == len(STRESS_STALLS) and not slow
 
 
 class TestStart:

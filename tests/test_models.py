@@ -13,7 +13,7 @@ from scipy.stats import norm
 import erfcx_table
 import rateorank as rr
 from helpers import fd_gradient, fd_hessian
-from rateorank import models
+from rateorank import cli, models
 from rateorank.estimate import _hessian_product
 from rateorank.models import _LINKS
 
@@ -146,6 +146,7 @@ class TestObservationSet:
         whole = rr.ObservationSet(spec, 3, [[0.0, 1.0], [1.0, 2.0]], np.zeros(2))
         assert whole.design.dtype == np.intp and whole.design.tolist() == [[0, 1], [1, 2]]
         design = np.array([[0, 1], [1, 2]], dtype=np.intp)
+        design.setflags(write=False)
         assert rr.ObservationSet(spec, 3, design, np.zeros(2)).design is design
 
     def test_binary_outcomes_validated(self):
@@ -195,6 +196,37 @@ class TestObservationSet:
         assert view.design is obs.design and view._design_tables is obs._design_tables
         assert view.outcomes.tolist() == [1.0, -1.0, 1.0] and not view.outcomes.flags.writeable
         assert view._outcome_tables is not obs._outcome_tables
+
+    def test_callers_writeable_arrays_are_copied(self):
+        d, y = np.array([[0, 1], [1, 2]], dtype=np.intp), np.array([0.5, -1.5])
+        obs = rr.ObservationSet(rr.ModelSpec("paired_linear", 1.0), 3, d, y)
+        assert d.flags.writeable and y.flags.writeable
+        assert not obs.design.flags.writeable and not obs.outcomes.flags.writeable
+        d[0] = (2, 0)
+        y[0] = 9.0
+        assert obs.design.tolist() == [[0, 1], [1, 2]] and obs.outcomes.tolist() == [0.5, -1.5]
+        view = obs.with_outcomes(y)
+        y[1] = 7.0
+        assert view.outcomes.tolist() == [9.0, -1.5]
+
+    def test_read_only_arrays_are_shared(self):
+        d, y = np.array([[0, 1], [1, 2]], dtype=np.intp), np.array([0.5, -1.5])
+        d.setflags(write=False)
+        y.setflags(write=False)
+        obs = rr.ObservationSet(rr.ModelSpec("paired_linear", 1.0), 3, d, y)
+        assert obs.design is d and obs.outcomes is y
+        assert obs.with_outcomes(y).outcomes is y
+        sub = obs.subset(np.array([1]))
+        assert not sub.design.flags.writeable and not sub.outcomes.flags.writeable
+        sample = rr.sample(rr.ModelSpec("paired_linear", 1.0), np.zeros(3), obs, seed=0)
+        assert not sample.outcomes.flags.writeable
+
+    def test_csv_rows_are_shared_not_copied(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("a,b,+1\nb,c,-1\na,c,+1\n")
+        data = cli.read_ordinal_csv(path)
+        obs = data.to_observations(rr.ModelSpec("btl", 1.0, b_bound=1.0))
+        assert obs.design is data.design and obs.outcomes is data.outcomes
 
 
 class TestProbPositive:
