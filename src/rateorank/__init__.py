@@ -39,9 +39,7 @@ from .graph import (
     build_laplacian_from_design,
     comparison_graph,
     generate_topology,
-    laplacian_of,
     RowFormat,
-    pseudo_inverse,
     read_edge_list,
     read_rows,
     write_edge_list,

@@ -337,7 +337,7 @@ def cmd_topology(args) -> int:
     g = graph.generate_topology(args.kind, args.d, args.n, seed=_seed(args), k=args.k)
     if args.out:
         graph.write_edge_list(g, args.out)
-    lap = graph.laplacian_of(g)
+    lap = graph.build_laplacian(g.d, g.edges)
     print(f"topology {args.kind}: d={args.d} n={args.n} edges={len(g.edges)}")
     print(f"connected: {lap.connected}")
     print(f"lambda2(std): {lap.lambda2_std:.6g}")
@@ -347,7 +347,8 @@ def cmd_topology(args) -> int:
 
 
 def cmd_pack(args) -> int:
-    lap = graph.laplacian_of(graph.generate_topology("complete", args.d, args.d * (args.d - 1) // 2))
+    g = graph.generate_topology("complete", args.d, args.d * (args.d - 1) // 2)
+    lap = graph.build_laplacian(g.d, g.edges)
     pack = packing.build_packing(lap, args.delta, args.alpha)
     report = packing.verify_packing(pack)
     if args.out:

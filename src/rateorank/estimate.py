@@ -8,13 +8,14 @@ coordinates within ``eps = min(1e-3 B, residual)`` of a face whose reduced
 gradient points out of the box.  Those take the projected-gradient step; the
 free coordinates take a Newton step on their mean-zero subspace, solved by
 conjugate gradients on O(groups) Hessian-vector products built from
-:func:`models.curvature`.  A monotone Armijo test along the projection arc
+:func:`models.curvature`.  A free coordinate on its face that the Newton step
+pushes outward is fixed there, and the step is solved again on the rest
+(Moré & Toraldo 1991).  A monotone Armijo test along the projection arc
 ``P(w + t p)`` accepts the step.  The arc tries ``t = 1``, then the blocking
 step (the smallest ``t`` at which a free coordinate reaches its face along
 ``w + t p``), then halves from there.  The search falls back on the
-projected-gradient arc when the Newton arc finds no descent, or when a free
-coordinate on its face is pushed outward (its blocking step is 0), so the
-objective never rises (beyond the rounding of the NLL itself).  Projection
+projected-gradient arc when the Newton arc finds no descent, so the objective
+never rises (beyond the rounding of the NLL itself).  Projection
 onto the feasible set is exact: one sorted sweep over the breakpoints finds
 the shift that zeroes the sum of the clipped vector (the continuous
 quadratic knapsack problem, Kiwiel 2008).  The
@@ -213,7 +214,9 @@ def _direction(spec: ModelSpec, w: np.ndarray, g: np.ndarray, obs: ObservationSe
     coordinates away from the box) points out of it; active coordinates take
     the projected-gradient step ``-(g - mu)``, which moves them onto the face.
     The others, the free coordinates, take the Newton step on their mean-zero
-    subspace.  Returns the direction and the mask of the free coordinates.
+    subspace; a free coordinate on its face that the step pushes outward is
+    fixed there and the step solved again, while two or more stay free.
+    Returns the direction and the mask of the free coordinates.
     """
     near = np.abs(w) >= b_bound - eps
     away = g[~near] if not near.all() else g
@@ -221,9 +224,14 @@ def _direction(spec: ModelSpec, w: np.ndarray, g: np.ndarray, obs: ObservationSe
     p = -(g - mu)
     free = ~(near & (np.sign(w) * p > 0))
     if np.count_nonzero(free) >= 2:
-        step = _free_newton_step(obs.groups.items, models.curvature(spec, w, obs), free, g)
-        if step.any():
+        weights = models.curvature(spec, w, obs)
+        while (step := _free_newton_step(obs.groups.items, weights, free, g)).any():
             p[free] = step
+            out = free & (np.abs(w) >= b_bound) & (np.sign(w) * p > 0)
+            if not out.any() or np.count_nonzero(free) - np.count_nonzero(out) < 2:
+                break
+            p[out] = 0.0
+            free &= ~out
     # Otherwise p is the projected-gradient direction everywhere, whose arc P(w - t g)
     # descends from any point that is not stationary.
     return p, free
@@ -245,10 +253,10 @@ def _arc_search(spec: ModelSpec, obs: ObservationSet, w: np.ndarray, f: float, g
     coordinates (those not held active; :func:`_blocking_step`, found only
     once ``t = 1`` is rejected), then halving from it.  A full step that
     carries a free coordinate past its face is the one Armijo most often
-    rejects, and the projection bends the step from the blocking step on.  A
-    free coordinate on its face that ``p`` pushes outward blocks at ``t = 0``,
-    so the search ends after ``t = 1`` and the caller's projected-gradient arc
-    takes the step.  Without ``free``, halving follows ``t = 1``.
+    rejects, and the projection bends the step from the blocking step on.  It
+    is 0 only where :func:`_direction` left a free coordinate on its face pushed
+    outward; the search then ends after ``t = 1`` and the caller's
+    projected-gradient arc takes the step.  Without ``free``, halving follows ``t = 1``.
 
     Returns the first point with sufficient decrease and its NLL, or None when
     the trial steps fall below ``_MIN_STEP`` or the arc shrinks onto ``w``

@@ -5,8 +5,8 @@ pair is compared the corresponding edge gains one unit of weight.  The
 combinatorial Laplacian ``M`` of the weighted graph is the Gram matrix of the
 differencing vectors of the design, and ``M / n`` (``n`` = total number of
 comparisons) is the standardized design covariance.  Risk bounds, packings and
-seminorm metrics are all phrased in terms of ``M``, its Moore-Penrose
-pseudoinverse and its spectrum, so those objects live here.  A
+seminorm metrics are all phrased in terms of ``M`` and its spectrum (the trace
+of the pseudoinverse is a sum over it), so those objects live here.  A
 :class:`Laplacian` holds only ``M`` and ``n``: its eigenvalues are computed
 once, on first read, and no eigenvectors are kept.
 
@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConnectivityError, DataFormatError
+from .errors import DataFormatError
 
 # Eigenvalues below RANK_TOL * lambda_max are treated as structural zeros.
 RANK_TOL = 1e-10
@@ -237,28 +237,12 @@ def build_laplacian(d: int, weighted_edges) -> Laplacian:
     return Laplacian(m=_laplacian_matrix(d, left, right, weight.astype(float)), n=int(weight.sum()))
 
 
-def laplacian_of(graph: ComparisonGraph) -> Laplacian:
-    """Laplacian of an already-built comparison graph."""
-    return build_laplacian(graph.d, graph.edges)
-
-
 def build_laplacian_from_design(d: int, design: np.ndarray) -> Laplacian:
     """Laplacian of an (n, 2) design array (each row one unit-weight comparison)."""
     design = np.asarray(design, dtype=np.intp)
     if design.ndim != 2 or design.shape[1] != 2:
         raise ValueError(f"design must have shape (n, 2), got {design.shape}")
     return build_laplacian(d, np.column_stack((design, np.ones(len(design), dtype=np.intp))))
-
-
-def pseudo_inverse(laplacian: Laplacian) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of the Laplacian, singular values below ``RANK_TOL`` times the largest dropped.
-
-    Raises :class:`ConnectivityError` on a disconnected graph, where the
-    estimation problem the pseudoinverse feeds into is not identifiable.
-    """
-    if not laplacian.connected:
-        raise ConnectivityError("comparison graph is disconnected; pseudoinverse refused")
-    return np.linalg.pinv(laplacian.m, rcond=RANK_TOL, hermitian=True)
 
 
 def _base_edges(kind: str, d: int, k: int | None, rng: np.random.Generator) -> list[tuple[int, int]]:

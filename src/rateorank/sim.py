@@ -244,18 +244,13 @@ def run_experiment(config: ExperimentConfig) -> dict[str, RiskEstimate]:
     return out
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One (parameter value, metric) cell of a sweep table."""
+@dataclass(frozen=True, kw_only=True)
+class SweepRow(RiskEstimate):
+    """One (parameter value, metric) cell of a sweep table: the point's estimate and where it was measured."""
 
     param: str
     value: object
-    metric: str
-    mean: float
-    stderr: float
-    trials: int
     failures: int
-    bound: BoundReport | None = field(default=None, repr=False)
 
 
 def _sweep_point(config: ExperimentConfig, param: str, value, index: int) -> ExperimentConfig:
@@ -275,18 +270,7 @@ def sweep(config: ExperimentConfig, param: str, values: Sequence) -> list[SweepR
         estimates = run_experiment(point)
         for metric in sorted(estimates):
             est = estimates[metric]
-            rows.append(
-                SweepRow(
-                    param=param,
-                    value=value,
-                    metric=metric,
-                    mean=est.mean,
-                    stderr=est.stderr,
-                    trials=est.trials,
-                    failures=point.trials - est.trials,
-                    bound=est.bound,
-                )
-            )
+            rows.append(SweepRow(**vars(est), param=param, value=value, failures=point.trials - est.trials))
     return rows
 
 

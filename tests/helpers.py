@@ -136,8 +136,10 @@ def reference_projection(v, b_bound):
     return x
 
 
-#: Trials of :func:`stress_set` that stalled at the iteration cap before the Newton arc tried the blocking step.
-STRESS_STALLS = (769, 1397, 1420, 1604, 2964)
+#: Trials of :func:`stress_set` that stalled: the first five at the iteration cap before the Newton arc tried the
+#: blocking step, the last five in a zigzag between two faces (1,986, 386 and 330 iterations, then the cap twice)
+#: before the Newton step was solved again without the face coordinates it pushed outward.
+STRESS_STALLS = (769, 1397, 1420, 1604, 2964, 1123, 1660, 2686, 9692, 9947)
 
 
 def stress_set(trials=3000):

@@ -65,7 +65,7 @@ def test_c02_paired_seminorm_risk_level():
 def test_c03_binary_models_inside_guarantees():
     d, n, sigma, b = 10, 9000, 1.0, 1.0
     start = time.perf_counter()
-    lap = rr.laplacian_of(rr.generate_topology("complete", d, n))
+    lap = rr.build_laplacian(d, rr.generate_topology("complete", d, n).edges)
     lines, ok = [], True
     for kind in ("thurstone", "btl"):
         report = rr.minimax_seminorm(kind, d, n, sigma, b, lap.trace_pinv_std)
@@ -195,7 +195,7 @@ def test_c07b_btl_curvature_floor():
 
 def test_c08_packing_certificate():
     d, delta, alpha = 30, 1.0, 0.15
-    lap = rr.laplacian_of(rr.generate_topology("complete", d, d * (d - 1) // 2))
+    lap = rr.build_laplacian(d, rr.generate_topology("complete", d, d * (d - 1) // 2).edges)
     pack = rr.build_packing(lap, delta, alpha)
     report = rr.verify_packing(pack)
     beta_oracle = 0.5 * (math.log(2.0) + alpha * math.log(alpha) - alpha)

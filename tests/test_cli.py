@@ -353,7 +353,7 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", str(cfg)]) == 0
         # Each sweep point's graph is generated once, and its bound comes from that graph.
         assert seeds == [3, 3 + 10**7]
-        own = [rr.laplacian_of(g).trace_pinv_std for g in graphs]
+        own = [rr.build_laplacian(g.d, g.edges).trace_pinv_std for g in graphs]
         assert traces == own
         expected = [original_bound("paired_linear", 20, n, 1.0, 1.0, t) for n, t in zip((400, 800), own)]
         assert [line.split("bound=")[1] for line in capsys.readouterr().out.splitlines() if "bound=" in line] == [

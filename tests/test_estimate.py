@@ -327,8 +327,10 @@ def test_c11_fold_fit_takes_the_blocking_step(monkeypatch):
 
 
 def test_stress_stalls_converge():
-    # Near-separable BTL fits on path designs that stopped at the iteration cap when the
-    # Newton arc halved from t = 1 (null steps of about 1e-15 accepted by the rounding allowance).
+    # Near-separable fits that stopped at the iteration cap when the Newton arc halved from t = 1
+    # (null steps of about 1e-15 accepted by the rounding allowance), or that zigzagged when a
+    # Newton step pushed a free coordinate on its face outward and the projected-gradient arc
+    # moved it back inside.  One pass over the stream covers all of them.
     results = {trial: rr.mle_fit(obs, config) for trial, obs, config in stress_set(max(STRESS_STALLS) + 1)
                if trial in STRESS_STALLS}
     slow = {trial: (res.stop_reason, res.iterations) for trial, res in results.items()

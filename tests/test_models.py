@@ -448,12 +448,13 @@ def _reversed_btl_instance():
     return spec, np.array([1.0, 0.0, -2.0, 0.0, 0.0]), obs
 
 
-def _subnormal_mean_instance(kind):
-    # The group mean of the outcomes 0 and 5e-324 underflows to 0, so the grouped gradient is 0
-    # where the row sum is -1e-323, and 1e-12 of that scale underflows to 0 as well.
+def _subnormal_instance(kind, y=5e-324):
+    # At y = 5e-324 the group mean of the outcomes 0 and y underflows to 0, so the grouped gradient
+    # is 0 where the row sum is -1e-323, and 1e-12 of that scale underflows to 0 as well.  At
+    # y = 6.27526395e-158 both NLLs are subnormal (y**2 / 2 and its grouped form) and one subnormal apart.
     spec = rr.ModelSpec(kind, sigma=1.0)
     design = np.array([0, 0]) if kind == "cardinal" else np.array([[0, 1], [0, 1]])
-    return spec, np.zeros(2), rr.ObservationSet(spec, 2, design, np.array([0.0, 5e-324]))
+    return spec, np.zeros(2), rr.ObservationSet(spec, 2, design, np.array([0.0, y]))
 
 
 class TestGroupedLikelihood:
@@ -461,14 +462,16 @@ class TestGroupedLikelihood:
     @given(_repeated_pair_instances())
     @example(_exact_fit_instance())
     @example(_reversed_btl_instance())
-    @example(_subnormal_mean_instance("cardinal"))
-    @example(_subnormal_mean_instance("paired_linear"))
+    @example(_subnormal_instance("cardinal"))
+    @example(_subnormal_instance("paired_linear"))
+    @example(_subnormal_instance("cardinal", 6.27526395e-158))
+    @example(_subnormal_instance("paired_linear", 6.27526395e-158))
     def test_grouped_matches_row_level(self, instance):
         spec, w, obs = instance
         (nll, g, h), (nll_scale, g_scale, h_scale) = _row_reference(spec, w, obs)
-        assert abs(rr.neg_log_likelihood(spec, w, obs) - nll) <= 1e-12 * nll_scale
         # No rounding computation is exact at subnormal scale: a few of the smallest subnormals per row are allowed.
         floor = 4 * obs.n * np.finfo(float).smallest_subnormal
+        assert abs(rr.neg_log_likelihood(spec, w, obs) - nll) <= 1e-12 * nll_scale + floor
         assert np.max(np.abs(rr.gradient(spec, w, obs) - g)) <= 1e-12 * g_scale + floor
         assert np.max(np.abs(rr.hessian(spec, w, obs) - h)) <= 1e-12 * h_scale
 

@@ -21,7 +21,7 @@ def _greedy_oracle(length, dist, target):
 
 
 def _complete_laplacian(d):
-    return rr.laplacian_of(rr.generate_topology("complete", d, d * (d - 1) // 2))
+    return rr.build_laplacian(d, rr.generate_topology("complete", d, d * (d - 1) // 2).edges)
 
 
 class TestHammingBall:
@@ -131,7 +131,7 @@ class TestBuildPacking:
 
     def test_star_topology_lift(self):
         # A less symmetric spectrum exercises the eigenvalue scaling.
-        lap = rr.laplacian_of(rr.generate_topology("star", 9, 24))
+        lap = rr.build_laplacian(9, rr.generate_topology("star", 9, 24).edges)
         packing = rr.build_packing(lap, 0.5, 0.3)
         report = rr.verify_packing(packing)
         assert report.ok(0.5, 0.3)
@@ -151,7 +151,7 @@ class TestBuildPacking:
 
     @pytest.mark.parametrize("kind,d,n,delta,alpha", [("complete", 10, 45, 1.0, 0.25), ("star", 9, 24, 0.5, 0.3)])
     def test_gram_separations_match_pairwise_loop(self, kind, d, n, delta, alpha):
-        lap = rr.laplacian_of(rr.generate_topology(kind, d, n))
+        lap = rr.build_laplacian(d, rr.generate_topology(kind, d, n).edges)
         packing = rr.build_packing(lap, delta, alpha)
         arr = packing.as_array()
         pairs = [(arr[i] - arr[j]) @ lap.m @ (arr[i] - arr[j])

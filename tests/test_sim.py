@@ -152,7 +152,7 @@ class TestResolveWTrue:
             rr.resolve_w_true(_config(w_true={"rule": "uniform_box", "b": -1.0}), None)
 
     def test_packing_vertex_rule(self):
-        lap = rr.laplacian_of(rr.generate_topology("complete", 6, 15))
+        lap = rr.build_laplacian(6, rr.generate_topology("complete", 6, 15).edges)
         cfg = _config(w_true={"rule": "packing_vertex", "delta": 1.0, "alpha": 0.2, "index": 1})
         w = rr.resolve_w_true(cfg, lap)
         pack = rr.build_packing(lap, 1.0, 0.2)
@@ -175,7 +175,7 @@ class TestResolveWTrue:
                 _config(w_true=w_true)
 
     def test_rule_defaults_are_the_table_defaults(self):
-        lap = rr.laplacian_of(rr.generate_topology("complete", 6, 15))
+        lap = rr.build_laplacian(6, rr.generate_topology("complete", 6, 15).edges)
         assert rr.sim.W_TRUE_RULES == {"uniform_box": {"b": 1.0},
                                        "packing_vertex": {"delta": 1.0, "alpha": 0.15, "index": 0}}
         for rule, fields in rr.sim.W_TRUE_RULES.items():
@@ -271,7 +271,7 @@ class TestRunExperiment:
     def test_headline_metric_carries_the_design_bound(self):
         cfg = _config(model=rr.ModelSpec("btl", sigma=1.0, b_bound=1.0), trials=3)
         out = rr.run_experiment(cfg)
-        lap = rr.laplacian_of(rr.generate_topology("complete", 6, 450, seed=7))
+        lap = rr.build_laplacian(6, rr.generate_topology("complete", 6, 450, seed=7).edges)
         assert out["seminorm_sq"].bound == rr.minimax_seminorm("btl", 6, 450, 1.0, 1.0, lap.trace_pinv_std)
         assert all(out[m].bound is None for m in out if m != "seminorm_sq")
 
