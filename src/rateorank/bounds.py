@@ -102,7 +102,7 @@ def minimax_cvo(model: str, d: int, n: int, sigma: float, b_bound: float) -> Bou
         seminorm = minimax_seminorm(THURSTONE, d, n, sigma, b_bound, (d - 1) ** 2 / 2)
         return replace(seminorm, model_kind=model, norm=NORM_PER_ITEM)
     _validate_common(d, n, sigma, b_bound)
-    rate = d * sigma**2 / n
+    rate = d * (sigma * sigma) / n
     return BoundReport(
         model_kind=model, d=d, n=n, sigma=sigma, b_bound=b_bound, kappa=kappa(b_bound, sigma),
         lower=rate, upper=rate, norm=NORM_PER_ITEM,
@@ -113,7 +113,7 @@ def minimax_cvo(model: str, d: int, n: int, sigma: float, b_bound: float) -> Bou
 def _thurstone_interval(k: float, rate: float) -> tuple[float, float]:
     """The Thurstone risk interval ``[0.0008 kappa, 5 / kappa^2]`` times the rate; the upper end is infinite when
     kappa^2 underflows to zero."""
-    k_sq = k**2
+    k_sq = k * k
     return _THURSTONE_LOWER * k * rate, _THURSTONE_UPPER / k_sq * rate if k_sq > 0.0 else float("inf")
 
 
@@ -129,19 +129,20 @@ def minimax_seminorm(
     _validate_common(d, n, sigma, b_bound)
     if trace_pinv_std <= 0:
         raise ValueError(f"trace_pinv_std must be positive, got {trace_pinv_std}")
-    rate = d * sigma**2 / n
+    rate = d * (sigma * sigma) / n
     k = kappa(b_bound, sigma)
     if model == PAIRED_LINEAR:
         lower, upper = _PAIRED_LOWER * rate, _PAIRED_UPPER * rate
         condition = True
     elif model == THURSTONE:
         lower, upper = _thurstone_interval(k, rate)
-        condition = n >= sigma**2 * k * trace_pinv_std / (_THURSTONE_SAMPLE_C * b_bound**2)
+        condition = n >= sigma * sigma * k * trace_pinv_std / (_THURSTONE_SAMPLE_C * (b_bound * b_bound))
     elif model == BTL:
         ratio = b_bound / sigma
-        swell = (np.exp(ratio) + np.exp(-ratio)) ** 4
+        with np.errstate(over="ignore"):  # a swell past the float range makes the upper end inf
+            swell = (np.exp(ratio) + np.exp(-ratio)) ** 4
         lower, upper = _BTL_LOWER * rate, _BTL_UPPER * swell * rate
-        condition = n >= _BTL_SAMPLE_C * sigma**2 * trace_pinv_std / b_bound**2
+        condition = n >= _BTL_SAMPLE_C * (sigma * sigma) * trace_pinv_std / (b_bound * b_bound)
     else:
         raise ModelKindError(f"minimax_seminorm supports pairwise models, got {model!r}")
     return BoundReport(
@@ -183,8 +184,8 @@ def decide(sigma_c: float, sigma_o: float, b_bound: float = 1.0) -> Decision:
     """
     if not (0 < sigma_c < np.inf and 0 < sigma_o < np.inf):
         raise ValueError(f"noise scales must be positive and finite, got sigma_c={sigma_c}, sigma_o={sigma_o}")
-    cardinal_risk = sigma_c**2
-    interval = _thurstone_interval(kappa(b_bound, sigma_o), sigma_o**2)
+    cardinal_risk = sigma_c * sigma_c
+    interval = _thurstone_interval(kappa(b_bound, sigma_o), sigma_o * sigma_o)
     return Decision(verdict=_verdict(cardinal_risk, interval), cardinal_risk=cardinal_risk, ordinal_interval=interval)
 
 
@@ -209,8 +210,10 @@ def decision_grid(
     os_ = np.geomspace(sigma_o_range[0], sigma_o_range[1], resolution)
     u = 2.0 * b_bound / os_
     cdf = _LINKS[THURSTONE].cdf(np.concatenate((u, -u)))
-    intervals = [_thurstone_interval(k, so**2) for k, so in zip(cdf[:resolution] * cdf[resolution:], os_)]
-    return [(float(sc), float(so), _verdict(sc**2, interval)) for sc in cs for so, interval in zip(os_, intervals)]
+    # Python floats, as in decide: past the float range their arithmetic gives inf where numpy's warns.
+    cs, os_, kappas = cs.tolist(), os_.tolist(), (cdf[:resolution] * cdf[resolution:]).tolist()
+    intervals = [_thurstone_interval(k, so * so) for k, so in zip(kappas, os_)]
+    return [(sc, so, _verdict(sc * sc, interval)) for sc in cs for so, interval in zip(os_, intervals)]
 
 
 def write_decision_grid(rows: list[tuple[float, float, str]], path) -> None:

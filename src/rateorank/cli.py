@@ -128,9 +128,9 @@ def _write_json(doc: dict, path) -> None:
         fh.write("\n")
 
 
-def _parse_sigma_grid(text: str | None) -> tuple[float, ...] | None:
+def _parse_sigma_grid(text: str | None) -> tuple[float, ...]:
     if text is None or text == "default":
-        return None  # estimate.cv_sigma falls back to its default grid
+        return estimate.DEFAULT_SIGMA_GRID
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError:
@@ -356,7 +356,7 @@ def cmd_pack(args) -> int:
     print(f"packing: d={args.d} delta={args.delta:g} alpha={args.alpha:g} beta={pack.beta:.6g}")
     print(f"vectors: {pack.count}")
     print(f"pair separation^2 in [{report.min_pair:.6g}, {report.max_pair:.6g}] "
-          f"(required [{args.alpha * args.delta**2:.6g}, {4 * args.delta**2:.6g}])")
+          f"(required [{args.alpha * (args.delta * args.delta):.6g}, {4 * (args.delta * args.delta):.6g}])")
     print(f"max |sum(w)|: {report.mean_zero_max:.3g}")
     return EXIT_OK
 

@@ -66,7 +66,7 @@ class FitConfig:
     """The box, the cross-validation grid and the fold-shuffle seed of a fit; the iteration cap is fixed."""
 
     b_bound: float = 1.0
-    sigma_grid: tuple[float, ...] | None = None
+    sigma_grid: tuple[float, ...] = DEFAULT_SIGMA_GRID
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -74,13 +74,12 @@ class FitConfig:
             raise ValueError(f"box bound must be positive and finite, got {self.b_bound}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.sigma_grid is not None:
-            grid = tuple(float(s) for s in self.sigma_grid)
-            if len(grid) == 0 or not all(0 < s < np.inf for s in grid):
-                raise ValueError(f"sigma_grid must be nonempty, positive and finite, got {grid}")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ValueError("sigma_grid must be strictly increasing")
-            object.__setattr__(self, "sigma_grid", grid)
+        grid = tuple(float(s) for s in self.sigma_grid)
+        if len(grid) == 0 or not all(0 < s < np.inf for s in grid):
+            raise ValueError(f"sigma_grid must be nonempty, positive and finite, got {grid}")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("sigma_grid must be strictly increasing")
+        object.__setattr__(self, "sigma_grid", grid)
 
 
 @dataclass(frozen=True)
@@ -246,7 +245,7 @@ def _blocking_step(w: np.ndarray, p: np.ndarray, free: np.ndarray, b_bound: floa
 
 
 def _arc_search(spec: ModelSpec, obs: ObservationSet, w: np.ndarray, f: float, g: np.ndarray, p: np.ndarray,
-                b_bound: float, free: np.ndarray | None = None) -> tuple[np.ndarray, float] | None:
+                b_bound: float, free: np.ndarray) -> tuple[np.ndarray, float] | None:
     """Monotone Armijo backtracking along the projection arc ``P(w + t p)``.
 
     The trial steps are ``t = 1``, then the blocking step of the ``free``
@@ -256,7 +255,7 @@ def _arc_search(spec: ModelSpec, obs: ObservationSet, w: np.ndarray, f: float, g
     rejects, and the projection bends the step from the blocking step on.  It
     is 0 only where :func:`_direction` left a free coordinate on its face pushed
     outward; the search then ends after ``t = 1`` and the caller's
-    projected-gradient arc takes the step.  Without ``free``, halving follows ``t = 1``.
+    projected-gradient arc takes the step.  With no coordinate ``free``, halving follows ``t = 1``.
 
     Returns the first point with sufficient decrease and its NLL, or None when
     the trial steps fall below ``_MIN_STEP`` or the arc shrinks onto ``w``
@@ -271,7 +270,7 @@ def _arc_search(spec: ModelSpec, obs: ObservationSet, w: np.ndarray, f: float, g
         slope = float(g @ (w_new - w))
         if slope < 0.0 and f_new <= f + _ARMIJO_C * slope + _ROUNDING * abs(f):
             return w_new, f_new
-        t = _blocking_step(w, p, free, b_bound) if t == 1.0 and free is not None else 0.5 * t
+        t = _blocking_step(w, p, free, b_bound) if t == 1.0 else 0.5 * t
     return None
 
 
@@ -321,7 +320,8 @@ def mle_fit(obs: ObservationSet, config: FitConfig, *, start=None) -> FitResult:
         p, free = _direction(spec, w, g, obs, b_bound, min(_ACTIVE_MARGIN * b_bound, residual))
         # The projected-gradient arc descends from any point that is not stationary, so it
         # backs up a Newton arc that finds no descent (an active set guessed wrong).
-        step = _arc_search(spec, obs, w, f, g, p, b_bound, free) or _arc_search(spec, obs, w, f, g, -g, b_bound)
+        step = (_arc_search(spec, obs, w, f, g, p, b_bound, free)
+                or _arc_search(spec, obs, w, f, g, -g, b_bound, np.zeros(obs.d, dtype=bool)))
         if step is None:
             # No descent at any step size; the residual at w already failed the test.
             stop_reason = "line_search"
@@ -354,7 +354,6 @@ def cv_sigma(obs: ObservationSet, config: FitConfig) -> tuple[float, list[tuple[
     scaled by sigma / sigma_prev, starts its fit at the next one.  The first
     sigma of each fold starts at zero.
     """
-    grid = config.sigma_grid if config.sigma_grid is not None else DEFAULT_SIGMA_GRID
     if obs.n < 3:
         raise InsufficientDataError(f"cross-validation needs at least 3 observations, got {obs.n}")
 
@@ -372,9 +371,8 @@ def cv_sigma(obs: ObservationSet, config: FitConfig) -> tuple[float, list[tuple[
         splits.append((train, obs.subset(held_out)))
 
     table: list[tuple[float, float]] = []
-    best_sigma, best_score = None, -np.inf
     last_fit = [None] * len(splits)
-    for sigma_prev, sigma in zip((None, *grid), grid):
+    for sigma_prev, sigma in zip((None, *config.sigma_grid), config.sigma_grid):
         scores = []
         for k, (train, held) in enumerate(splits):
             start = None if sigma_prev is None else last_fit[k] * (sigma / sigma_prev)
@@ -382,8 +380,6 @@ def cv_sigma(obs: ObservationSet, config: FitConfig) -> tuple[float, list[tuple[
             last_fit[k] = result.w_hat.values
             held_sigma = held.with_sigma(sigma)
             scores.append(-models.neg_log_likelihood(held_sigma.model, result.w_hat, held_sigma))
-        score = float(np.mean(scores))
-        table.append((float(sigma), score))
-        if score > best_score:
-            best_sigma, best_score = float(sigma), score
-    return best_sigma, table
+        table.append((sigma, float(np.mean(scores))))
+    # max keeps the first of equal scores: the smallest sigma.
+    return max(table, key=lambda row: row[1])[0], table

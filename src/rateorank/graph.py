@@ -89,19 +89,24 @@ def index_pairs(d: int, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray
 def integer_array(values, what: str, dtype=np.int64) -> np.ndarray:
     """``values`` (at least 1-d) cast to the integer ``dtype``, truncating nothing.
 
-    An integer array is cast without a scan, and without a copy when it has
-    ``dtype`` already.  Any other array must hold whole numbers in range:
-    otherwise ``ValueError`` names ``what`` and the first row the cast would change.
+    An integer array that ``dtype`` holds is cast without a scan, and without a
+    copy when it has ``dtype`` already.  Any other array must hold whole numbers
+    in ``dtype``'s range: otherwise ``ValueError`` names ``what``, the first row
+    the cast would change, and whether an entry is not whole or out of range.
     """
     array = np.asarray(values)
-    if array.dtype.kind in "iu":
+    if array.dtype.kind in "iu" and np.can_cast(array.dtype, dtype):
         return array.astype(dtype, copy=False)
+    info = np.iinfo(dtype)
     with np.errstate(invalid="ignore"):  # NaN, infinity and out-of-range values cast to garbage
-        cast = array.astype(dtype)
+        # A Python int past 64 bits (an object array) makes the cast raise: clip it into range first.
+        cast = (array.clip(info.min, info.max) if array.dtype == object else array).astype(dtype)
     changed = np.argwhere(cast != array)
     if changed.size:
         row = int(changed[0, 0])
-        raise ValueError(f"{what} {row} holds a non-integer value: {array[row].tolist()}")
+        whole = all(isinstance(x, int) or float(x).is_integer() for x in np.ravel(array[row]))
+        reason = f"an integer outside [-2**{info.bits - 1}, 2**{info.bits - 1})" if whole else "a non-integer value"
+        raise ValueError(f"{what} {row} holds {reason}: {array[row].tolist()}")
     return cast
 
 

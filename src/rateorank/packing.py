@@ -125,11 +125,12 @@ class PackingReport:
         Row sums round at the size of ``delta`` and separations at ``delta**2``,
         so both tolerances scale with the packing.
         """
-        lo, hi = alpha * delta**2, 4.0 * delta**2
+        delta_sq = delta * delta
+        lo, hi = alpha * delta_sq, 4.0 * delta_sq
         failed = [] if self.count_ok else ["fewer vectors than e^(beta d)"]
         if self.mean_zero_max > _MEAN_ZERO_TOL * delta:
             failed.append(f"a vector is not centred (max |sum| {self.mean_zero_max:.3g})")
-        if self.min_pair < lo - _PAIR_TOL * delta**2 or self.max_pair > hi + _PAIR_TOL * delta**2:
+        if self.min_pair < lo - _PAIR_TOL * delta_sq or self.max_pair > hi + _PAIR_TOL * delta_sq:
             failed.append(f"squared separations [{self.min_pair:.6g}, {self.max_pair:.6g}] leave [{lo:.6g}, {hi:.6g}]")
         return failed
 
@@ -155,8 +156,8 @@ def build_packing(laplacian: Laplacian, delta: float, alpha: float) -> Packing:
     """
     if not laplacian.connected:
         raise ConnectivityError("packing construction needs a connected design")
-    if not 0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
+    if not (delta > 0 and 0 < delta * delta < math.inf):
+        raise ValueError(f"delta must be positive and finite, and so must its square, got {delta}")
     d = laplacian.d
     beta = packing_rate(alpha)
     min_distance = math.ceil(alpha * d)
@@ -223,7 +224,8 @@ def verify_packing(packing: Packing) -> PackingReport:
 def _worst_pair(packing: Packing) -> tuple[int, int] | None:
     """The first pair whose separation lies farthest outside the required band, else None."""
     i, j, sep = _pair_separations(packing)
-    lo, hi = packing.alpha * packing.delta**2, 4.0 * packing.delta**2
+    delta_sq = packing.delta * packing.delta
+    lo, hi = packing.alpha * delta_sq, 4.0 * delta_sq
     margin = np.maximum(lo - sep, sep - hi)
     if not np.any(margin > 0):
         return None

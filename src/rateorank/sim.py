@@ -53,19 +53,15 @@ class TopologySpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One Monte Carlo experiment: model + topology + truth + budget; ``fit`` is derived: the model's box, else 1."""
+    """One Monte Carlo experiment: model + topology + truth + budget; every trial is fit in the model's box, else 1."""
 
     model: ModelSpec
     topology: TopologySpec
     w_true: QualityVector | dict
     trials: int
     seed: int = 0
-    fit: estimate.FitConfig = field(init=False)
 
     def __post_init__(self) -> None:
-        # Derived first, so that a bad box is named before any other field.
-        box = self.model.b_bound
-        object.__setattr__(self, "fit", estimate.FitConfig(b_bound=1.0 if box is None else box))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -101,14 +97,14 @@ def per_item_l2_sq(w_hat, w_true) -> float:
 
 
 def scaled_l2_sq(w_hat, w_true) -> float:
-    """Squared error per item after affinely mapping both vectors onto [-1, 1]."""
+    """Squared error per item after affinely mapping both vectors onto [-1, 1]; a constant vector maps to zero."""
     return per_item_l2_sq(_rescale(as_values(w_hat)), _rescale(as_values(w_true)))
 
 
 def _rescale(v: np.ndarray) -> np.ndarray:
     lo, hi = float(v.min()), float(v.max())
-    if hi <= lo:
-        raise ValueError("cannot rescale a constant vector onto [-1, 1]")
+    if hi <= lo:  # a tied vector: every item at the interval's midpoint
+        return np.zeros_like(v)
     return 2.0 * (v - lo) / (hi - lo) - 1.0
 
 
@@ -207,17 +203,14 @@ def run_experiment(config: ExperimentConfig) -> dict[str, RiskEstimate]:
     values: dict[str, list[float]] = {METRIC_PER_ITEM: [], METRIC_KENDALL: [], METRIC_SCALED: []}
     if not is_cardinal:
         values[METRIC_SEMINORM] = []
-    failures = 0
-    failure_notes: list[str] = []
+    # A linear model may leave its box unset: it is fit in a box of 1, and its interval does not read B.
+    fit = estimate.FitConfig(b_bound=1.0 if config.model.b_bound is None else config.model.b_bound)
+    failures: list[str] = []
     for trial in range(config.trials):
         obs = models.sample(config.model, w_true, on_design, seed=config.seed + trial)
-        result = estimate.mle_fit(obs, config.fit)
+        result = estimate.mle_fit(obs, fit)
         if not result.converged:
-            failures += 1
-            if len(failure_notes) < 5:
-                failure_notes.append(
-                    f"trial {trial}: stopped on {result.stop_reason} after {result.iterations} iterations"
-                )
+            failures.append(f"trial {trial}: stopped on {result.stop_reason} after {result.iterations} iterations")
             continue
         w_hat = result.w_hat
         values[METRIC_PER_ITEM].append(per_item_l2_sq(w_hat, w_true))
@@ -226,11 +219,10 @@ def run_experiment(config: ExperimentConfig) -> dict[str, RiskEstimate]:
         if not is_cardinal:
             values[METRIC_SEMINORM].append(seminorm_sq(w_hat, w_true, laplacian))
 
-    if failures > _MAX_FAILURE_FRACTION * config.trials:
-        notes = "; ".join(failure_notes)
+    if len(failures) > _MAX_FAILURE_FRACTION * config.trials:
         raise RuntimeError(
-            f"{failures}/{config.trials} trials failed to converge "
-            f"({config.model.kind} on {topo.kind}, d={topo.d}, n={topo.n}): {notes}"
+            f"{len(failures)}/{config.trials} trials failed to converge "
+            f"({config.model.kind} on {topo.kind}, d={topo.d}, n={topo.n}): {'; '.join(failures[:5])}"
         )
 
     out = {}
@@ -239,8 +231,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, RiskEstimate]:
         stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
         out[metric] = RiskEstimate(metric=metric, mean=float(arr.mean()), stderr=stderr, trials=arr.size)
     headline = METRIC_PER_ITEM if is_cardinal else METRIC_SEMINORM
-    # B does not enter the cardinal or paired_linear interval; those kinds may leave it unset.
-    out[headline] = replace(out[headline], bound=applicable_bound(on_design, config.fit.b_bound))
+    out[headline] = replace(out[headline], bound=applicable_bound(on_design, fit.b_bound))
     return out
 
 

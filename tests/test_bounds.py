@@ -118,6 +118,18 @@ class TestMinimaxSeminorm:
             with pytest.raises(ValueError, match=message):
                 report()
 
+    @pytest.mark.parametrize("model", ["paired_linear", "thurstone", "btl"])
+    def test_noise_squared_past_the_float_range_is_infinite(self, model):
+        report = rr.minimax_seminorm(model, 12, 100, 1e200, 1.0, 20.0)
+        assert (report.lower, report.upper, report.sample_condition_met) == (np.inf, np.inf, model == "paired_linear")
+        cvo = rr.minimax_cvo("cardinal", 12, 100, 1e200, 1.0)
+        assert cvo.lower == cvo.upper == np.inf
+
+    def test_btl_swell_past_the_float_range_is_infinite(self):
+        # exp(B / sigma) = exp(1000) leaves the float range: the upper end is inf, without a numpy warning.
+        report = rr.minimax_seminorm("btl", 12, 100, 1e-3, 1.0, 20.0)
+        assert report.upper == np.inf and 0.0 < report.lower < np.inf
+
     def test_rejects_cardinal_and_bad_trace(self):
         with pytest.raises(rr.ModelKindError):
             rr.minimax_seminorm("cardinal", 10, 100, 1.0, 1.0, 40.5)
@@ -153,6 +165,13 @@ class TestDecide:
         d = rr.decide(1.0, 0.07)
         assert d.verdict == "indeterminate"
         assert d.ordinal_interval[1] == np.inf
+
+    def test_noise_squared_past_the_float_range_is_infinite(self):
+        # sigma**2 would raise OverflowError; the product gives inf, and the verdict follows from it.
+        d = rr.decide(1e200, 1.0)
+        assert (d.verdict, d.cardinal_risk) == ("ordinal", np.inf)
+        d = rr.decide(1.0, 1e160)
+        assert (d.verdict, d.ordinal_interval) == ("cardinal", (np.inf, np.inf))
 
     def test_scale_consistency(self):
         for c in (0.1, 3.0, 40.0):
@@ -190,6 +209,14 @@ class TestDecisionGrid:
         assert len(rows) == 400
         tiny = [verdict for _, so, verdict in rows if so < 0.07]
         assert tiny and set(tiny) == {"indeterminate"}
+
+    def test_subnormal_kappa_squared_and_huge_noise(self):
+        # At sigma_o ~ 0.075 kappa^2 is subnormal and 5 / kappa^2 leaves the float range: inf, as in decide.
+        rows = rr.decision_grid((0.01, 10.0), (0.074, 0.076), resolution=5)
+        assert [verdict for _, _, verdict in rows] == [rr.decide(sc, so).verdict for sc, so, _ in rows]
+        assert {verdict for _, _, verdict in rows} == {"indeterminate"}
+        assert all(type(sc) is float and type(so) is float for sc, so, _ in rows)
+        assert rr.decision_grid((1e200, 1e200), (1.0, 1.0), resolution=1) == [(1e200, 1.0, "ordinal")]
 
     def test_csv_roundtrip(self, tmp_path):
         rows = rr.decision_grid((0.1, 1.0), (0.5, 2.0), resolution=3)

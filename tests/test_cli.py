@@ -795,3 +795,46 @@ def test_no_command_loads_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)], env=env, capture_output=True, text=True,
                          check=True)
     assert json.loads(out.stdout) == [[0] * len(argvs), []]
+
+
+def _three_comparisons(tmp_path):
+    return _write(tmp_path / "cmp.csv", "a,b,+1\nb,c,-1\na,c,+1\n")
+
+
+def _experiment(tmp_path, model, topology, b, trials):
+    doc = {"model": model, "topology": {"kind": "complete", **topology}, "w_true": {"rule": "uniform_box", "b": b},
+           "trials": trials, "seed": 0}
+    return _write(tmp_path / "cfg.json", json.dumps(doc))
+
+
+@pytest.mark.parametrize("argv, code, fragment", [
+    (lambda p: ["decide", "--sigma-c", "1e200", "--sigma-o", "1"], 0, "verdict: ordinal\ncardinal risk ~ inf"),
+    (lambda p: ["decide", "--sigma-c", "1", "--sigma-o", "1e160"], 0, "verdict: cardinal"),
+    (lambda p: ["fit", _three_comparisons(p), "--model", "btl", "--sigma", "1e200"], 0, "converged=True"),
+    (lambda p: ["pack", "--d", "30", "--delta", "1e200", "--alpha", "0.15"], 2, "delta"),
+    (lambda p: ["pack", "--d", "30", "--delta", "1e-200", "--alpha", "0.15"], 2, "delta"),
+    (lambda p: ["topology", "--kind", "complete", "--d", "3", "--n", str(10**20)], 2, "2**63"),
+    (lambda p: ["decide", "--grid", "0.01", "10", "0.074", "0.076", "--resolution", "5"], 0, "indeterminate=25"),
+    (lambda p: ["decide", "--grid", "1e200", "1e200", "1", "1", "--resolution", "1"], 0, "ordinal=1"),
+    (lambda p: ["fit", _three_comparisons(p), "--model", "btl", "--sigma", "0.001"], 0, "converged=True"),
+    (lambda p: ["simulate", "--config", _experiment(p, {"kind": "btl", "sigma": 1.0, "b_bound": 1.0},
+                                                    {"d": 3, "n": 6}, 0.1, 200)], 0, "trials=200 failures=0"),
+    (lambda p: ["simulate", "--config", _experiment(p, {"kind": "thurstone", "sigma": 1e200, "b_bound": 1.0},
+                                                    {"d": 4, "n": 60}, 0.5, 3)], 0, "bound=[inf, inf]"),
+], ids=["decide-sigma-c", "decide-sigma-o", "fit-huge-sigma", "pack-huge-delta", "pack-tiny-delta",
+        "topology-huge-n", "grid-subnormal-kappa", "grid-huge-sigma-c", "fit-btl-swell", "simulate-tied-fit",
+        "simulate-huge-sigma"])
+def test_float_range_edges_exit_cleanly(tmp_path, capsys, argv, code, fragment):
+    # A finite flag whose square, exponential or integer leaves the machine range: an exit code, never a traceback.
+    # pytest turns a RuntimeWarning into an error, so a numpy warning fails the case too.
+    assert cli.main(argv(tmp_path)) == code
+    out, err = capsys.readouterr()
+    assert fragment in (out if code == 0 else err)
+    assert err == "" if code == 0 else err.startswith("error: ")
+
+
+def test_huge_noise_fit_writes_an_infinite_interval(tmp_path, capsys):
+    doc = tmp_path / "fit.json"
+    assert cli.main(["fit", _three_comparisons(tmp_path), "--model", "btl", "--sigma", "1e200", "--out", str(doc)]) == 0
+    assert '"lower": Infinity' in doc.read_text(encoding="utf-8")
+    assert cli.load_result_document(doc)["bounds"]["upper"] == float("inf")

@@ -227,12 +227,15 @@ class TestMleFit:
         assert np.all(np.diff(res.nll_path) <= 0.0)
 
     def test_ascent_arc_finds_no_step(self):
-        # Along +g no step size gives descent, so the arc search halves down to its floor.
+        # Along +g no step size gives descent, so the arc search halves down to its floor.  With no coordinate
+        # free there is no blocking step, so the trial steps are 1, 1/2, 1/4, ... as on mle_fit's gradient arc.
         spec = rr.ModelSpec("btl", sigma=1.0, b_bound=1.0)
         obs = rr.sample(spec, rr.QualityVector.centered([0.5, 0.0, -0.5]), _complete_design(3, 4), 1)
         w = np.zeros(3)
         g = rr.gradient(spec, w, obs)
-        assert estimate._arc_search(spec, obs, w, rr.neg_log_likelihood(spec, w, obs), g, g, 1.0) is None
+        assert estimate._blocking_step(w, g, np.zeros(3, dtype=bool), 1.0) == 0.5
+        assert estimate._arc_search(spec, obs, w, rr.neg_log_likelihood(spec, w, obs), g, g, 1.0,
+                                    np.zeros(3, dtype=bool)) is None
 
     def test_no_descent_stops_on_line_search(self, monkeypatch):
         monkeypatch.setattr(estimate, "_arc_search", lambda *args: None)

@@ -85,6 +85,19 @@ def test_non_integer_entries_rejected():
     assert comparison_graph(3, [(0.0, 1.0, 2.0), (2, 1, 1)]) == comparison_graph(3, [(0, 1, 2), (2, 1, 1)])
 
 
+@pytest.mark.parametrize("weight, shown", [(2**63, r"9\.223372036854776e\+18"), (10**20, "100000000000000000000")])
+def test_weight_reaching_2_63_rejected(weight, shown):
+    # numpy holds such a weight as a float (2**63 beside small ints) or as a Python int (10**20): neither is cast.
+    for build in (comparison_graph, build_laplacian):
+        message = r"edge 0 holds an integer outside \[-2\*\*63, 2\*\*63\): \[0.*, 1.*, " + shown
+        with pytest.raises(ValueError, match=message):
+            build(3, [(0, 1, weight), (1, 2, 1)])
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        comparison_graph(3, np.array([[0, 1, 2**63], [1, 2, 1]], dtype=np.uint64))
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        generate_topology("complete", 3, 10**20)
+
+
 def test_merged_weight_overflow_rejected(tmp_path):
     # Two rows of one pair that each fit in int64 but whose sum does not.
     halves = [(0, 1, 2**62), (1, 0, 2**62)]

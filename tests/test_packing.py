@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -197,6 +198,10 @@ class TestBuildPacking:
             rr.build_packing(lap, 0.0, 0.2)
         with pytest.raises(ValueError):
             rr.build_packing(lap, 1.0, 0.0)
+        # A delta whose square overflows or underflows to zero would leave a vacuous separation band.
+        for delta in (1e200, 1e-200):
+            with pytest.raises(ValueError, match=re.escape(f"and so must its square, got {delta}")):
+                rr.build_packing(lap, delta, 0.2)
         assert issubclass(rr.PackingConstructionError, ValueError)
 
     def test_disconnected_graph_rejected(self):

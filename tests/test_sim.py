@@ -113,8 +113,9 @@ class TestMetrics:
     def test_scaled_l2_is_affine_invariant(self):
         w = np.array([0.9, 0.2, -0.1, -1.0])
         assert rr.scaled_l2_sq(3.0 * w + 7.0, w) == pytest.approx(0.0, abs=1e-12)
-        with pytest.raises(ValueError, match="constant"):
-            rr.scaled_l2_sq(np.zeros(3), w[:3])
+        # A constant vector maps to the midpoint 0, so a tied estimate scores the rescaled truth's mean square:
+        # (0.9, 0.2, -0.1) rescales to (1, -0.4, -1).
+        assert rr.scaled_l2_sq(np.zeros(3), w[:3]) == pytest.approx(2.16 / 3)
 
     def test_scaled_l2_hand_case(self):
         w_hat = np.array([1.0, 0.0, -1.0])
@@ -245,10 +246,25 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -5"):
             _config(seed=-5)
 
-    def test_fit_box_is_the_model_box(self):
-        # The bound reports the model's B, so the fit is derived from it and cannot be set apart.
-        assert _config(model=rr.ModelSpec("btl", 1.0, b_bound=2.0)).fit == rr.FitConfig(b_bound=2.0)
-        assert _config(model=rr.ModelSpec("paired_linear", 0.5)).fit == rr.FitConfig()  # an unset box is 1
+    def test_tied_fits_are_scored(self, monkeypatch):
+        # Three items, two comparisons a pair and a truth near zero: some trials' fits tie every item.
+        fits, mle_fit = [], rr.estimate.mle_fit
+        monkeypatch.setattr(rr.estimate, "mle_fit", lambda obs, config: fits.append(mle_fit(obs, config)) or fits[-1])
+        out = rr.run_experiment(_config(model=rr.ModelSpec("btl", 1.0, b_bound=1.0),
+                                        topology=rr.TopologySpec("complete", d=3, n=6),
+                                        w_true={"rule": "uniform_box", "b": 0.1}, trials=200, seed=0))
+        assert any(np.ptp(fit.w_hat.values) == 0 for fit in fits)
+        assert all(est.trials == 200 for est in out.values())
+
+    def test_fit_box_is_the_model_box(self, monkeypatch):
+        # Every trial is fit in the model's box, and the headline bound reports that same B; no config sets it apart.
+        configs, mle_fit = [], rr.estimate.mle_fit
+        monkeypatch.setattr(rr.estimate, "mle_fit", lambda obs, config: configs.append(config) or mle_fit(obs, config))
+        out = rr.run_experiment(_config(model=rr.ModelSpec("btl", 1.0, b_bound=2.0), trials=3))
+        assert configs == [rr.FitConfig(b_bound=2.0)] * 3 and out["seminorm_sq"].bound.b_bound == 2.0
+        configs.clear()
+        out = rr.run_experiment(_config(model=rr.ModelSpec("paired_linear", 0.5), trials=3))
+        assert configs == [rr.FitConfig()] * 3 and out["seminorm_sq"].bound.b_bound == 1.0  # an unset box is 1
         with pytest.raises(ValueError, match="box bound must be positive and finite, got -1.0"):
             _config(model=rr.ModelSpec("paired_linear", 0.5, b_bound=-1.0))
         with pytest.raises(TypeError):
@@ -313,7 +329,7 @@ class TestSweep:
         assert list(rr.SWEEPABLE) == list(own_field)
 
         def settings(config):
-            return {"seed": config.seed, "trials": config.trials, "w_true": config.w_true, "fit": config.fit,
+            return {"seed": config.seed, "trials": config.trials, "w_true": config.w_true,
                     **{f"model.{k}": v for k, v in dataclasses.asdict(config.model).items()},
                     **{f"topology.{k}": v for k, v in dataclasses.asdict(config.topology).items()}}
 
