@@ -167,6 +167,9 @@ def cmd_fit(args) -> int:
         obs = obs.with_sigma(sigma_best)
         metrics["cv_table"] = [{"sigma": s, "heldout_loglik": ll} for s, ll in table]
 
+    # The bound reads only the design, sigma and B; taken first, its factorization's
+    # buffer is freed before the fit allocates, which keeps the peak memory down.
+    bound = bounds.applicable_bound(obs, args.b_bound)
     result = estimate.mle_fit(obs, config)
     metrics.update(
         final_nll=result.final_nll,
@@ -175,8 +178,7 @@ def cmd_fit(args) -> int:
         active_box=list(result.active_box),
     )
 
-    doc = result_document(dataset.item_ids, result, args.model, args.b_bound, metrics,
-                          bounds.applicable_bound(obs, args.b_bound))
+    doc = result_document(dataset.item_ids, result, args.model, args.b_bound, metrics, bound)
     if args.out:
         _write_json(doc, args.out)
     print(f"fit {args.model}: d={obs.d} n={obs.n} sigma={obs.model.sigma:g} "

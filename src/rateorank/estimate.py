@@ -309,26 +309,30 @@ def mle_fit(obs: ObservationSet, config: FitConfig, *, start=None) -> FitResult:
     stop_reason = "max_iters"
     iterations = 0
 
-    for iterations in range(1, _MAX_ITERS + 1):
-        # Fixed-point residual of the projected-gradient map with unit step.
-        residual = float(np.linalg.norm(w - project_feasible(w - g, b_bound)))
-        if residual <= tol:
-            stop_reason = "converged"
-            iterations -= 1
-            break
+    try:
+        for iterations in range(1, _MAX_ITERS + 1):
+            # Fixed-point residual of the projected-gradient map with unit step.
+            residual = float(np.linalg.norm(w - project_feasible(w - g, b_bound)))
+            if residual <= tol:
+                stop_reason = "converged"
+                iterations -= 1
+                break
 
-        p, free = _direction(spec, w, g, obs, b_bound, min(_ACTIVE_MARGIN * b_bound, residual))
-        # The projected-gradient arc descends from any point that is not stationary, so it
-        # backs up a Newton arc that finds no descent (an active set guessed wrong).
-        step = (_arc_search(spec, obs, w, f, g, p, b_bound, free)
-                or _arc_search(spec, obs, w, f, g, -g, b_bound, np.zeros(obs.d, dtype=bool)))
-        if step is None:
-            # No descent at any step size; the residual at w already failed the test.
-            stop_reason = "line_search"
-            break
-        w, f = step
-        g = models.gradient(spec, w, obs)
-        path.append(f)
+            p, free = _direction(spec, w, g, obs, b_bound, min(_ACTIVE_MARGIN * b_bound, residual))
+            # The projected-gradient arc descends from any point that is not stationary, so it
+            # backs up a Newton arc that finds no descent (an active set guessed wrong).
+            step = (_arc_search(spec, obs, w, f, g, p, b_bound, free)
+                    or _arc_search(spec, obs, w, f, g, -g, b_bound, np.zeros(obs.d, dtype=bool)))
+            if step is None:
+                # No descent at any step size; the residual at w already failed the test.
+                stop_reason = "line_search"
+                break
+            w, f = step
+            g = models.gradient(spec, w, obs)
+            path.append(f)
+    except ValueError as exc:  # project_feasible: a step too large for the box to hold within rounding
+        raise ValueError(f"the {spec.kind} fit at sigma={spec.sigma:g} takes steps too large "
+                         f"for the box bound {b_bound:g} to hold: {exc}") from None
 
     return FitResult(
         w_hat=QualityVector(w, b_bound),

@@ -5,10 +5,12 @@ pair is compared the corresponding edge gains one unit of weight.  The
 combinatorial Laplacian ``M`` of the weighted graph is the Gram matrix of the
 differencing vectors of the design, and ``M / n`` (``n`` = total number of
 comparisons) is the standardized design covariance.  Risk bounds, packings and
-seminorm metrics are all phrased in terms of ``M`` and its spectrum (the trace
-of the pseudoinverse is a sum over it), so those objects live here.  A
-:class:`Laplacian` holds only ``M`` and ``n``: its eigenvalues are computed
-once, on first read, and no eigenvectors are kept.
+seminorm metrics are all phrased in terms of ``M`` and its spectrum, so those
+objects live here.  A :class:`Laplacian` holds ``M``, ``n`` and each item's
+connected component, found by a graph search over the merged pairs.  Connectivity
+and rank are read from the components, the trace of the pseudoinverse from a
+Cholesky factor, and only the extreme eigenvalues from the spectrum, which one
+``eigvalsh`` computes on first read; no eigenvectors are kept.
 
 Building a graph or a Laplacian is array work from start to end: the
 ``(left, right, weight)`` triples are validated at once, merged by :func:`index_pairs`,
@@ -47,6 +49,9 @@ TOPOLOGY_KINDS = ("complete", "dumbbell", "expander", "star")
 # a random regular graph, and the cap on resampling attempts.
 _EXPANDER_LAMBDA2_FRACTION = 0.1
 _EXPANDER_MAX_ATTEMPTS = 5000
+
+# Columns per block of the in-place Cholesky factor and triangular inverse.
+_BLOCK = 64
 
 # read_rows reads and parses about this many bytes of lines at a time.
 _BLOCK_BYTES = 1 << 12
@@ -171,15 +176,17 @@ def comparison_graph(d: int, weighted_edges) -> ComparisonGraph:
 
 @dataclass(frozen=True)
 class Laplacian:
-    """Combinatorial Laplacian ``m`` of a comparison design and its comparison count ``n``.
+    """Combinatorial Laplacian ``m`` of a comparison design, its comparison count ``n`` and its components.
 
     ``m / n`` is the standardized covariance, which the ``*_std`` properties
-    describe.  It is a design table of :class:`rateorank.models.ObservationSet`,
-    built once per design.
+    describe.  ``component[i]`` is the smallest item connected to item ``i``.
+    It is a design table of :class:`rateorank.models.ObservationSet`, built
+    once per design.
     """
 
     m: np.ndarray
     n: int
+    component: np.ndarray
 
     @property
     def d(self) -> int:
@@ -199,7 +206,7 @@ class Laplacian:
 
     @property
     def lambda2(self) -> float:
-        """Second-smallest eigenvalue (algebraic connectivity of the multigraph)."""
+        """Second-smallest eigenvalue (algebraic connectivity of the multigraph), clamped like the rest."""
         return float(self.eigenvalues[-2])
 
     @property
@@ -207,19 +214,36 @@ class Laplacian:
         """Algebraic connectivity of the standardized covariance, lambda2 / n."""
         return self.lambda2 / self.n
 
-    @property
+    @cached_property
     def trace_pinv_std(self) -> float:
-        """Trace of the pseudoinverse of ``m / n``, which is n * tr(pinv M); inf when M = 0."""
-        nonzero = self.eigenvalues[self.eigenvalues > 0]
-        return self.n * float(np.sum(1.0 / nonzero)) if nonzero.size else float("inf")
+        """Trace of the pseudoinverse of ``m / n``, which is n * tr(pinv M); inf when M = 0.
+
+        Each component C is grounded at its smallest item: without those rows
+        and columns, M is positive definite, M_g = L L'.  On C, pinv M is
+        P X P, X the inverse of C's block of M_g padded with a zero row and
+        column, P = I - J/|C|, so
+        tr(pinv M) = ||inv(L)||_F^2 - sum_C ||inv(L) 1_C||^2 / |C|.  inv(L)
+        joins no two components, so inv(L) 1_C is its row sums on C's rows.
+        Edge weights whose ratio nears 1/eps round M_g toward singular: the
+        trace then loses its digits, or ``numpy.linalg.LinAlgError`` is raised.
+        """
+        grounded = np.flatnonzero(self.component != np.arange(self.d))
+        if not grounded.size:
+            return float("inf")
+        inverse = _inverse_cholesky_factor(self.m[np.ix_(grounded, grounded)])
+        rows = inverse.sum(axis=1)
+        sizes = np.bincount(self.component)[self.component[grounded]]
+        entries = inverse.ravel()
+        return self.n * (float(entries @ entries) - float(rows @ (rows / sizes)))
 
     @property
     def connected(self) -> bool:
-        return self.lambda2 > 0.0
+        return not self.component.any()
 
     @property
     def rank(self) -> int:
-        return int(np.count_nonzero(self.eigenvalues))
+        """d minus the number of components."""
+        return int(np.count_nonzero(self.component != np.arange(self.d)))
 
 
 def _laplacian_matrix(d: int, left: np.ndarray, right: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -231,15 +255,60 @@ def _laplacian_matrix(d: int, left: np.ndarray, right: np.ndarray, weights: np.n
     return m
 
 
+def _components(d: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Each item's smallest connected item, for pairs ``left < right``.
+
+    Min-label hooking with pointer jumping (Shiloach & Vishkin 1982): every
+    label is its component's root at the start of a round, each pair hooks the
+    larger of its two roots to the smallest root paired with it, and jumping
+    points every item at its new root.  Pointers only fall, and each round
+    hooks a root, until no pair joins two labels.  Labels are int32 (a dense
+    M has far fewer than 2**31 rows), which halves the gathers' temporaries.
+    """
+    label = np.arange(d, dtype=np.int32)
+    while True:
+        low, high = label[left], label[right]
+        if np.array_equal(low, high):
+            return label
+        np.minimum.at(label, np.maximum(low, high), np.minimum(low, high))
+        while not np.array_equal(label, jumped := label[label]):
+            label = jumped
+
+
+def _inverse_cholesky_factor(a: np.ndarray) -> np.ndarray:
+    """inv(L) for the Cholesky factor ``L`` of a positive definite ``a``, written over ``a``.
+
+    Blocks of ``_BLOCK`` columns keep the temporaries at O(d * _BLOCK).  The
+    left-looking factorization leaves each block column of L below its
+    diagonal block, inv(L_jj) in that block and zeros above it; a later block
+    column reads only L left of its own diagonal block.  The backward sweep
+    then turns each block column into inv(L)'s:
+    inv(L)[e:, j:e] = -inv(L)[e:, e:] @ L[e:, j:e] @ inv(L_jj).
+    """
+    k = a.shape[0]
+    for j in range(0, k, _BLOCK):
+        e = j + _BLOCK
+        a[j:, j:e] -= a[j:, :j] @ a[j:e, :j].T
+        diagonal = np.linalg.inv(np.linalg.cholesky(a[j:e, j:e]))
+        a[e:, j:e] = a[e:, j:e] @ diagonal.T
+        a[j:e, j:e] = diagonal
+        a[:j, j:e] = 0.0
+    for j in reversed(range(0, k - _BLOCK, _BLOCK)):  # the last block column is inv(L_jj) already
+        e = j + _BLOCK
+        a[e:, j:e] = -(a[e:, e:] @ a[e:, j:e] @ a[j:e, j:e])
+    return a
+
+
 def build_laplacian(d: int, weighted_edges) -> Laplacian:
-    """Assemble the Laplacian of a weighted comparison graph; its spectrum waits until read.
+    """Assemble the Laplacian of a weighted comparison graph and find its components; its spectrum waits until read.
 
     ``weighted_edges`` is an (E, 3) array or an iterable of
     ``(left, right, weight)`` triples.  ``M`` is :func:`_laplacian_matrix` of the
     merged edges; its entries are exact integer sums while they stay below 2**53.
     """
     left, right, weight = _merge_edges(d, weighted_edges)
-    return Laplacian(m=_laplacian_matrix(d, left, right, weight.astype(float)), n=int(weight.sum()))
+    return Laplacian(m=_laplacian_matrix(d, left, right, weight.astype(float)), n=int(weight.sum()),
+                     component=_components(d, left, right))
 
 
 def build_laplacian_from_design(d: int, design: np.ndarray) -> Laplacian:
@@ -275,7 +344,13 @@ def _base_edges(kind: str, d: int, k: int | None, rng: np.random.Generator) -> l
 
 
 def _sample_regular(d: int, k: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Uniform random simple k-regular graph by the pairing model, kept only if well-connected."""
+    """Uniform random simple k-regular graph by the pairing model, kept only if well-connected.
+
+    lambda2 > tau exactly when M - tau I + (tau + 1) J / d is positive definite
+    (it maps the ones vector to itself and shifts the rest of M's spectrum by
+    -tau), so one Cholesky factorization accepts or rejects a graph.
+    """
+    tau = _EXPANDER_LAMBDA2_FRACTION * k
     for _ in range(_EXPANDER_MAX_ATTEMPTS):
         stubs = np.repeat(np.arange(d), k)
         rng.shuffle(stubs)
@@ -283,9 +358,14 @@ def _sample_regular(d: int, k: int, rng: np.random.Generator) -> list[tuple[int,
         edges, _ = index_pairs(d, pairs[:, 0], pairs[:, 1])
         if len(edges) < len(pairs) or np.any(pairs[:, 0] == pairs[:, 1]):
             continue  # multi-edge or self-loop: resample
-        lap = build_laplacian(d, np.column_stack((edges, np.ones(len(edges), dtype=np.int64))))
-        if lap.lambda2 >= _EXPANDER_LAMBDA2_FRACTION * k:
-            return list(map(tuple, edges.tolist()))
+        shifted = _laplacian_matrix(d, edges[:, 0], edges[:, 1], np.ones(len(edges)))
+        shifted += (tau + 1.0) / d
+        shifted[np.diag_indices(d)] -= tau
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            continue  # lambda2 <= tau: resample
+        return list(map(tuple, edges.tolist()))
     raise RuntimeError(f"failed to sample a {k}-regular expander on {d} vertices")
 
 

@@ -821,9 +821,12 @@ def _experiment(tmp_path, model, topology, b, trials):
                                                     {"d": 3, "n": 6}, 0.1, 200)], 0, "trials=200 failures=0"),
     (lambda p: ["simulate", "--config", _experiment(p, {"kind": "thurstone", "sigma": 1e200, "b_bound": 1.0},
                                                     {"d": 4, "n": 60}, 0.5, 3)], 0, "bound=[inf, inf]"),
+    (lambda p: ["fit", _three_comparisons(p), "--model", "thurstone", "--sigma", "1e-150"], 2, "sigma=1e-150"),
+    (lambda p: ["simulate", "--config", _experiment(p, {"kind": "thurstone", "sigma": 1e-200, "b_bound": 1.0},
+                                                    {"d": 4, "n": 60}, 0.5, 3)], 2, "sigma=1e-200"),
 ], ids=["decide-sigma-c", "decide-sigma-o", "fit-huge-sigma", "pack-huge-delta", "pack-tiny-delta",
         "topology-huge-n", "grid-subnormal-kappa", "grid-huge-sigma-c", "fit-btl-swell", "simulate-tied-fit",
-        "simulate-huge-sigma"])
+        "simulate-huge-sigma", "fit-tiny-sigma", "simulate-tiny-sigma"])
 def test_float_range_edges_exit_cleanly(tmp_path, capsys, argv, code, fragment):
     # A finite flag whose square, exponential or integer leaves the machine range: an exit code, never a traceback.
     # pytest turns a RuntimeWarning into an error, so a numpy warning fails the case too.

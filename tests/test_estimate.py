@@ -153,6 +153,13 @@ class TestMleFit:
         assert np.allclose(res.w_hat.values, [1.0, -1.0], atol=1e-8)
         assert res.active_box == (0, 1)
 
+    def test_steps_past_the_box_rounding_name_sigma(self):
+        # The Thurstone gradient grows like 1/sigma: at 1e-150 no projection can hold the box of 1 within rounding.
+        spec = rr.ModelSpec("thurstone", sigma=1e-150, b_bound=1.0)
+        obs = rr.ObservationSet(spec, 3, np.array([[0, 1], [1, 2], [0, 2]]), np.array([1.0, -1.0, 1.0]))
+        with pytest.raises(ValueError, match=r"^the thurstone fit at sigma=1e-150 .* box bound 1 .*: box bound 1 is within"):
+            rr.mle_fit(obs, rr.FitConfig(b_bound=1.0))
+
     def test_descent_path_monotone(self):
         rng = np.random.default_rng(9)
         w = rr.QualityVector.centered(rng.uniform(-1, 1, 8), b_bound=1.0)

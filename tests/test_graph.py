@@ -24,6 +24,7 @@ from rateorank import (
     sample,
     write_edge_list,
 )
+from rateorank import cli
 from rateorank.graph import RANK_TOL
 
 
@@ -373,23 +374,114 @@ def test_lazy_spectrum_matches_dense_reference(case):
     assert lap.connected == (reference[-2] > 0) == (components == 1)
 
 
+@st.composite
+def _sparse_multigraphs(draw):
+    """Random weighted multigraphs on up to 80 items with few pairs: many components and isolated items."""
+    d = draw(st.integers(2, 80))
+    item = st.integers(0, d - 1)
+    pair = st.tuples(item, item).filter(lambda p: p[0] != p[1])
+    return d, [(a, b, draw(st.integers(1, 5))) for a, b in draw(st.lists(pair, min_size=1, max_size=2 * d))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_multigraphs(), _sparse_multigraphs()))
+def test_components_match_union_find(case):
+    d, triples = case
+    lap = build_laplacian(d, triples)
+    component = lap.component
+    count = _component_count(d, triples)
+    # Each pair's items share a label, and there are as many labels as components: the labels are the components.
+    assert all(component[a] == component[b] for a, b, _ in triples)
+    assert np.unique(component).size == count
+    # Each label is an item of its own component, and no item is smaller than its label: the smallest item.
+    assert np.array_equal(component[component], component)
+    assert np.all(component <= np.arange(d))
+    assert lap.rank == d - count
+    assert lap.connected == (count == 1)
+
+
+def test_components_are_exact_past_the_rank_clamp():
+    # No fit holds 10**12 rows, so the weight spread is built directly.  lambda2 ~ 1.5 is below
+    # RANK_TOL * lambda1 ~ 200 and reads 0, but the path 0-1-2 is connected.
+    lap = build_laplacian(3, [(0, 1, 10**12), (1, 2, 1)])
+    assert lap.lambda2 == 0.0
+    assert lap.connected
+    assert lap.rank == 2
+
+
+def _random_design(rng, d, groups, isolated):
+    """Random weighted pairs within ``groups`` residue classes of the first d - isolated items, each a connected cycle."""
+    live = d - isolated
+    edges = []
+    for g in range(groups):
+        members = np.arange(g, live, groups)
+        order = rng.permutation(members)
+        edges += [(int(a), int(b), int(rng.integers(1, 5))) for a, b in zip(order, np.roll(order, -1)) if a != b]
+        for _ in range(3 * members.size):
+            a, b = rng.choice(members, 2, replace=False)
+            edges.append((int(a), int(b), int(rng.integers(1, 5))))
+    return edges
+
+
+@pytest.mark.parametrize("d", [150, 300])
+@pytest.mark.parametrize("groups, isolated", [(1, 0), (3, 0), (1, 7), (2, 5)],
+                         ids=["connected", "split", "isolated", "split-isolated"])
+def test_trace_matches_dense_pinv_across_blocks(d, groups, isolated):
+    rng = np.random.default_rng(d + 10 * groups + isolated)
+    lap = build_laplacian(d, _random_design(rng, d, groups, isolated))
+    assert d - lap.rank == groups + isolated
+    assert lap.trace_pinv_std == pytest.approx(lap.n * np.trace(np.linalg.pinv(lap.m)), rel=1e-9)
+
+
+def _expander_by_spectrum(d, k, seed):
+    """The pairing-model sampling of ``generate_topology("expander", ...)``, accepting by eigvalsh: lambda2 >= k / 10."""
+    rng = np.random.default_rng(seed)
+    while True:
+        stubs = np.repeat(np.arange(d), k)
+        rng.shuffle(stubs)
+        pairs = stubs.reshape(-1, 2)
+        edges = sorted({(min(a, b), max(a, b)) for a, b in pairs.tolist()})
+        if len(edges) < len(pairs) or np.any(pairs[:, 0] == pairs[:, 1]):
+            continue
+        m = np.zeros((d, d))
+        for a, b in edges:
+            m[a, b] = m[b, a] = -1.0
+        m[np.diag_indices(d)] = k
+        if np.linalg.eigvalsh(m)[1] >= 0.1 * k:
+            return edges
+
+
+@pytest.mark.parametrize("d, k", [(200, 4), (12, 3)])
+def test_expander_factorization_accepts_what_the_spectrum_accepts(d, k):
+    for seed in range(50):
+        g = generate_topology("expander", d, d * k // 2, seed=seed, k=k)
+        assert [(a, b) for a, b, _ in g.edges] == _expander_by_spectrum(d, k, seed)
+
+
 def test_fits_and_bounds_need_no_eigenvectors(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("np.linalg.eigh called")
+        raise AssertionError("np.linalg.eigh or eigvalsh called")
 
     design = np.array([(a, b) for a in range(6) for b in range(a + 1, 6)] * 8)
     w = np.linspace(0.5, -0.5, 6)
     btl = sample(ModelSpec("btl", 1.0, 1.0), w, design, seed=5)
     thurstone = sample(ModelSpec("thurstone", 1.0, 1.0), w, design, seed=6)
+    # Connectivity comes from the components and the bound's trace from a Cholesky factor: no spectrum at all.
+    eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     assert mle_fit(btl, FitConfig()).converged
     assert applicable_bound(btl, 1.0) is not None
     sigma, table = cv_sigma(thurstone, FitConfig(sigma_grid=(0.5, 1.0)))
     assert sigma in (0.5, 1.0) and len(table) == 2
+    assert len(generate_topology("expander", 30, 60, seed=2, k=4).edges) == 60
 
     calls = []
-    eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+    # The topology report reads lambda2 from the one spectrum it computes.
+    assert cli.main(["topology", "--kind", "expander", "--d", "30", "--n", "60", "--k", "4"]) == 0
+    assert len(calls) == 1
+    calls.clear()
     lap = build_laplacian(3, [(0, 1, 1), (1, 2, 2)])
     assert not calls
     first = lap.eigenvalues
@@ -398,7 +490,7 @@ def test_fits_and_bounds_need_no_eigenvectors(monkeypatch):
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
-    # Connectivity is read from the cached eigenvalues (lambda2 > 0): importing
+    # Connectivity is read from the package's own numpy component search: importing
     # scipy.sparse.csgraph for connected_components would add to every CLI start-up.
     probe = "import sys, rateorank.cli; print('scipy.sparse' in sys.modules)"
     src = str(Path(rateorank.__file__).resolve().parents[1])
