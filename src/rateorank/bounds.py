@@ -197,7 +197,8 @@ def decision_grid(
 ) -> list[tuple[float, float, str]]:
     """Evaluate :func:`decide` over a log-spaced grid of noise scales.
 
-    The kappa of every sigma_o comes from one array call of the Thurstone CDF, at u = 2B/sigma_o and at -u.
+    Each sigma_o column's interval comes from :func:`kappa`, the call :func:`decide` makes, so every
+    grid verdict equals ``decide``'s.
     """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
@@ -206,13 +207,10 @@ def decision_grid(
             raise ValueError(f"{name} range must satisfy 0 < lo <= hi < inf, got ({lo}, {hi})")
     if not 0 < b_bound < np.inf:
         raise ValueError(f"b_bound must be positive and finite, got {b_bound}")
-    cs = np.geomspace(sigma_c_range[0], sigma_c_range[1], resolution)
-    os_ = np.geomspace(sigma_o_range[0], sigma_o_range[1], resolution)
-    u = 2.0 * b_bound / os_
-    cdf = _LINKS[THURSTONE].cdf(np.concatenate((u, -u)))
     # Python floats, as in decide: past the float range their arithmetic gives inf where numpy's warns.
-    cs, os_, kappas = cs.tolist(), os_.tolist(), (cdf[:resolution] * cdf[resolution:]).tolist()
-    intervals = [_thurstone_interval(k, so * so) for k, so in zip(kappas, os_)]
+    cs = np.geomspace(sigma_c_range[0], sigma_c_range[1], resolution).tolist()
+    os_ = np.geomspace(sigma_o_range[0], sigma_o_range[1], resolution).tolist()
+    intervals = [_thurstone_interval(kappa(b_bound, so), so * so) for so in os_]
     return [(sc, so, _verdict(sc * sc, interval)) for sc in cs for so, interval in zip(os_, intervals)]
 
 

@@ -352,7 +352,7 @@ def cmd_pack(args) -> int:
     g = graph.generate_topology("complete", args.d, args.d * (args.d - 1) // 2)
     lap = graph.build_laplacian(g.d, g.edges)
     pack = packing.build_packing(lap, args.delta, args.alpha)
-    report = packing.verify_packing(pack)
+    report = pack.report
     if args.out:
         packing.packing_to_json(pack, args.out)
     print(f"packing: d={args.d} delta={args.delta:g} alpha={args.alpha:g} beta={pack.beta:.6g}")

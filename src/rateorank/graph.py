@@ -451,10 +451,10 @@ def _split_rows(lines: list[str], row_format: RowFormat, width: int):
 def read_rows(path, row_format: RowFormat, id_order: str = "first-appearance"):
     """Read a CSV file's rows a block at a time; returns ``(item_ids, index, values)``.
 
-    Blank lines and ``#`` comments are skipped and fields are stripped.  The
-    file is read in blocks of about ``_BLOCK_BYTES``, each checked and parsed by
-    :func:`_split_rows`; a block that fails is read again one line at a time by the
-    same function, and the first bad row raises :class:`DataFormatError` naming the
+    A leading UTF-8 byte-order mark, blank lines and ``#`` comments are skipped and fields
+    are stripped.  The file is read in blocks of about ``_BLOCK_BYTES``, each checked and
+    parsed by :func:`_split_rows`; a block that fails is read again one line at a time by
+    the same function, and the first bad row raises :class:`DataFormatError` naming the
     file and the line.  Values must be finite and the two ids of a row must differ.
     Item ids are numbered by first appearance as they are read; ``id_order="sorted"``
     renumbers them at the end.  ``index`` is an intp array of shape (n,) for
@@ -469,7 +469,7 @@ def read_rows(path, row_format: RowFormat, id_order: str = "first-appearance"):
     values: list = []
     first_line = 1
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             while lines := fh.readlines(_BLOCK_BYTES):
                 if isinstance(block := _split_rows(lines, row_format, width), str):
                     # Some line of a failing block fails alone; next() raises StopIteration if none did.

@@ -13,6 +13,7 @@ estimation risk.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -99,12 +100,20 @@ class Packing:
     laplacian: Laplacian
     delta: float
     alpha: float
-    beta: float
     vectors: tuple[QualityVector, ...]
+
+    @property
+    def beta(self) -> float:
+        return packing_rate(self.alpha)
 
     @property
     def count(self) -> int:
         return len(self.vectors)
+
+    @functools.cached_property
+    def report(self) -> PackingReport:
+        """The packing's :func:`verify_packing` report, computed on first use."""
+        return verify_packing(self)
 
     def as_array(self) -> np.ndarray:
         return np.asarray([v.values for v in self.vectors])
@@ -112,30 +121,16 @@ class Packing:
 
 @dataclass(frozen=True)
 class PackingReport:
-    """Exhaustive verification facts for a packing."""
+    """Exhaustive verification facts for a packing, and each condition it fails, described."""
 
     min_pair: float
     max_pair: float
     mean_zero_max: float
-    count_ok: bool
+    failures: tuple[str, ...]
 
-    def failures(self, delta: float, alpha: float) -> list[str]:
-        """Each failed condition (count, centring, pair band), described; empty when all hold.
-
-        Row sums round at the size of ``delta`` and separations at ``delta**2``,
-        so both tolerances scale with the packing.
-        """
-        delta_sq = delta * delta
-        lo, hi = alpha * delta_sq, 4.0 * delta_sq
-        failed = [] if self.count_ok else ["fewer vectors than e^(beta d)"]
-        if self.mean_zero_max > _MEAN_ZERO_TOL * delta:
-            failed.append(f"a vector is not centred (max |sum| {self.mean_zero_max:.3g})")
-        if self.min_pair < lo - _PAIR_TOL * delta_sq or self.max_pair > hi + _PAIR_TOL * delta_sq:
-            failed.append(f"squared separations [{self.min_pair:.6g}, {self.max_pair:.6g}] leave [{lo:.6g}, {hi:.6g}]")
-        return failed
-
-    def ok(self, delta: float, alpha: float) -> bool:
-        return not self.failures(delta, alpha)
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def packing_rate(alpha: float) -> float:
@@ -185,52 +180,40 @@ def build_packing(laplacian: Laplacian, delta: float, alpha: float) -> Packing:
     # Rows are mean-zero by construction (the zero pad kills the nullspace
     # coordinate); constructing QualityVectors revalidates that, no recentering.
     vectors = tuple(QualityVector(row) for row in raw)
-    packing = Packing(laplacian=laplacian, delta=delta, alpha=alpha, beta=beta, vectors=vectors)
-    failures = verify_packing(packing).failures(delta, alpha)
-    if failures:
-        worst = _worst_pair(packing)
-        if worst is not None:
-            failures.append(f"worst pair {worst}")
-        raise PackingConstructionError(f"packing failed verification: {'; '.join(failures)}")
+    packing = Packing(laplacian=laplacian, delta=delta, alpha=alpha, vectors=vectors)
+    if packing.report.failures:
+        raise PackingConstructionError(f"packing failed verification: {'; '.join(packing.report.failures)}")
     return packing
 
 
-def _pair_separations(packing: Packing) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Squared seminorm distance of every pair ``i < j``, from the Gram matrix ``G = A M A'``.
+def verify_packing(packing: Packing) -> PackingReport:
+    """Check the count target, the centring and the pair band of a packing, at its own delta and alpha.
 
-    Returns ``(i, j, sep)`` with ``sep = G_ii + G_jj - 2 G_ij``, pairs in row-major order.
+    Every pair ``i < j`` is checked exhaustively: its squared seminorm distance is
+    ``G_ii + G_jj - 2 G_ij`` from the one Gram matrix ``G = A M A'``.  Row sums round
+    at the size of ``delta`` and separations at ``delta**2``, so both tolerances scale
+    with the packing.  A band failure names the pair farthest outside the band.
     """
     arr = packing.as_array().reshape(packing.count, packing.laplacian.d)
     gram = arr @ packing.laplacian.m @ arr.T
     i, j = np.triu_indices(packing.count, k=1)
     diag = np.diag(gram)
-    return i, j, diag[i] + diag[j] - 2.0 * gram[i, j]
-
-
-def verify_packing(packing: Packing) -> PackingReport:
-    """Exhaustively check pairwise separations, centering, and the count target."""
-    _, _, sep = _pair_separations(packing)
-    arr = packing.as_array()
+    sep = diag[i] + diag[j] - 2.0 * gram[i, j]
+    min_pair = float(sep.min()) if sep.size else float("inf")
+    max_pair = float(sep.max()) if sep.size else 0.0
     mean_zero_max = float(np.max(np.abs(arr.sum(axis=1)))) if packing.count else 0.0
-    target = math.ceil(math.exp(packing.beta * packing.laplacian.d))
-    return PackingReport(
-        min_pair=float(sep.min()) if sep.size else float("inf"),
-        max_pair=float(sep.max()) if sep.size else 0.0,
-        mean_zero_max=mean_zero_max,
-        count_ok=packing.count >= target,
-    )
-
-
-def _worst_pair(packing: Packing) -> tuple[int, int] | None:
-    """The first pair whose separation lies farthest outside the required band, else None."""
-    i, j, sep = _pair_separations(packing)
     delta_sq = packing.delta * packing.delta
     lo, hi = packing.alpha * delta_sq, 4.0 * delta_sq
-    margin = np.maximum(lo - sep, sep - hi)
-    if not np.any(margin > 0):
-        return None
-    k = int(np.argmax(margin))
-    return int(i[k]), int(j[k])
+    failures = []
+    if packing.count < math.ceil(math.exp(packing.beta * packing.laplacian.d)):
+        failures.append("fewer vectors than e^(beta d)")
+    if mean_zero_max > _MEAN_ZERO_TOL * packing.delta:
+        failures.append(f"a vector is not centred (max |sum| {mean_zero_max:.3g})")
+    if min_pair < lo - _PAIR_TOL * delta_sq or max_pair > hi + _PAIR_TOL * delta_sq:
+        k = int(np.argmax(np.maximum(lo - sep, sep - hi)))
+        failures.append(f"squared separations [{min_pair:.6g}, {max_pair:.6g}] leave [{lo:.6g}, {hi:.6g}]; "
+                        f"worst pair ({i[k]}, {j[k]})")
+    return PackingReport(min_pair=min_pair, max_pair=max_pair, mean_zero_max=mean_zero_max, failures=tuple(failures))
 
 
 def packing_to_json(packing: Packing, path) -> None:

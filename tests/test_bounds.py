@@ -195,14 +195,22 @@ class TestDecisionGrid:
         assert cs[0] == pytest.approx(0.01) and cs[-1] == pytest.approx(10.0)
         assert np.allclose(np.diff(np.log(cs)), np.log(cs[1] / cs[0]))
 
-    def test_one_interval_per_sigma_o_column(self, monkeypatch):
-        # Every column's kappa comes from one array call of the CDF, at u and -u, not from 40 scalar kappa calls.
-        sizes = []
-        link = _LINKS["thurstone"]
-        monkeypatch.setitem(_LINKS, "thurstone", link._replace(cdf=lambda z: sizes.append(np.size(z)) or link.cdf(z)))
-        monkeypatch.setattr(rr.bounds, "kappa", lambda *args: pytest.fail("scalar kappa called"))
-        rows = rr.decision_grid((0.1, 10.0), (0.1, 10.0), resolution=40)
-        assert sizes == [80] and len(rows) == 1600
+    def test_one_by_one_grid_agrees_with_decide_where_a_batched_kappa_rounds_apart(self):
+        # At this sigma_o an array call of the CDF rounds kappa one bit away from kappa's scalar call,
+        # which moved the grid to "indeterminate" where decide says "cardinal".
+        sc, so = 3.300290633221308e-08, 0.30092260332807097
+        assert rr.decide(sc, so).verdict == "cardinal"
+        assert rr.decision_grid((sc, sc), (so, so), resolution=1) == [(sc, so, "cardinal")]
+
+    @pytest.mark.parametrize("sigma_c_range,sigma_o_range,resolution", [
+        ((1e-8, 1e-7), (0.05, 20.0), 40),
+        ((0.01, 10.0), (0.01, 10.0), 20),
+        ((0.1, 100.0), (0.2, 3.0), 17),
+    ])
+    def test_every_row_is_decides_verdict(self, sigma_c_range, sigma_o_range, resolution):
+        rows = rr.decision_grid(sigma_c_range, sigma_o_range, resolution=resolution)
+        assert len(rows) == resolution * resolution
+        assert [verdict for _, _, verdict in rows] == [rr.decide(sc, so).verdict for sc, so, _ in rows]
 
     def test_readme_range_reaches_underflow(self):
         rows = rr.decision_grid((0.01, 10.0), (0.01, 10.0), resolution=20)

@@ -124,8 +124,7 @@ class TestBuildPacking:
         lap = _complete_laplacian(10)
         packing = rr.build_packing(lap, 2.0, 0.25)
         report = rr.verify_packing(packing)
-        assert report.ok(2.0, 0.25)
-        assert report.count_ok
+        assert report.ok and report.failures == ()
         # bounds scale with delta^2
         assert report.min_pair >= 0.25 * 4.0 - 1e-8
         assert report.max_pair <= 4.0 * 4.0 + 1e-8
@@ -134,8 +133,7 @@ class TestBuildPacking:
         # A less symmetric spectrum exercises the eigenvalue scaling.
         lap = rr.build_laplacian(9, rr.generate_topology("star", 9, 24).edges)
         packing = rr.build_packing(lap, 0.5, 0.3)
-        report = rr.verify_packing(packing)
-        assert report.ok(0.5, 0.3)
+        assert rr.verify_packing(packing).ok
 
     def test_corrupted_packing_fails_verification(self):
         lap = _complete_laplacian(10)
@@ -144,11 +142,11 @@ class TestBuildPacking:
             laplacian=packing.laplacian,
             delta=packing.delta,
             alpha=packing.alpha,
-            beta=packing.beta,
             vectors=(packing.vectors[0],) + packing.vectors[: packing.count - 1],
         )
-        assert not rr.verify_packing(dup).ok(1.0, 0.25)
-        assert packing_module._worst_pair(dup) == (0, 1)
+        report = rr.verify_packing(dup)
+        assert not report.ok
+        assert report.failures[-1].endswith("; worst pair (0, 1)")
 
     @pytest.mark.parametrize("kind,d,n,delta,alpha", [("complete", 10, 45, 1.0, 0.25), ("star", 9, 24, 0.5, 0.3)])
     def test_gram_separations_match_pairwise_loop(self, kind, d, n, delta, alpha):
@@ -161,20 +159,30 @@ class TestBuildPacking:
         assert report.min_pair == pytest.approx(min(pairs), rel=1e-12)
         assert report.max_pair == pytest.approx(max(pairs), rel=1e-12)
 
-    @pytest.mark.parametrize("delta,min_pair,mean_zero_max,count_ok,expected", [
-        (1.0, 0.5, 1e-6, True, ["not centred"]),
-        (1e6, 0.5e12, 1e-6, True, []),  # centring is judged relative to delta
-        (1.0, 0.5, 0.0, False, ["fewer vectors"]),
-        (1.0, 0.1, 0.0, True, ["squared separations"]),
-        (1.0, 0.1, 1.0, False, ["fewer vectors", "not centred", "squared separations"]),
-    ])
-    def test_failures_name_the_condition(self, delta, min_pair, mean_zero_max, count_ok, expected):
-        report = rr.PackingReport(min_pair=min_pair, max_pair=2.0 * delta**2,
-                                  mean_zero_max=mean_zero_max, count_ok=count_ok)
-        failures = report.failures(delta, 0.25)
-        assert len(failures) == len(expected)
-        assert all(phrase in failure for phrase, failure in zip(expected, failures))
-        assert report.ok(delta, 0.25) == (not expected)
+    @pytest.mark.parametrize("corrupt,expected", [
+        (lambda vectors: vectors[:1], "fewer vectors"),
+        # A 5e-10 sum is past 1e-10 * delta but inside QualityVector's 1e-9; shifting every entry
+        # by the same amount leaves every seminorm separation as it was.
+        (lambda vectors: (rr.QualityVector(vectors[0].values + 5e-11),) + vectors[1:], "not centred"),
+        (lambda vectors: vectors[:1] + vectors[:-1], "squared separations"),
+    ], ids=["too-few", "off-centre", "duplicated"])
+    def test_failures_name_the_condition(self, corrupt, expected):
+        packing = rr.build_packing(_complete_laplacian(10), 1.0, 0.25)
+        report = rr.verify_packing(dataclasses.replace(packing, vectors=corrupt(packing.vectors)))
+        assert len(report.failures) == 1 and expected in report.failures[0]
+        assert not report.ok
+
+    def test_centring_is_judged_relative_to_delta(self):
+        packing = rr.build_packing(_complete_laplacian(10), 1e6, 0.25)
+        shifted = rr.QualityVector(packing.vectors[0].values + 1e-6 / packing.laplacian.d)
+        assert rr.verify_packing(dataclasses.replace(packing, vectors=(shifted,) + packing.vectors[1:])).ok
+
+    def test_pack_verifies_once(self, monkeypatch, capsys):
+        calls = []
+        verify = packing_module.verify_packing
+        monkeypatch.setattr(packing_module, "verify_packing", lambda p: calls.append(p) or verify(p))
+        assert rr.cli.main(["pack", "--d", "8", "--delta", "1.0", "--alpha", "0.2"]) == 0
+        assert len(calls) == 1
 
     def test_centring_failure_names_no_pair(self, monkeypatch):
         monkeypatch.setattr(packing_module, "_MEAN_ZERO_TOL", 0.0)
@@ -186,9 +194,9 @@ class TestBuildPacking:
         lap = _complete_laplacian(10)
         for delta in (1e-6, 1.0, 1e8):
             packing = rr.build_packing(lap, delta, 0.25)
-            assert rr.verify_packing(packing).ok(delta, 0.25)
+            assert rr.verify_packing(packing).ok
             dup = dataclasses.replace(packing, vectors=packing.vectors[:1] + packing.vectors[:-1])
-            assert rr.verify_packing(dup).failures(delta, 0.25)[0].startswith("squared separations")
+            assert rr.verify_packing(dup).failures[0].startswith("squared separations")
 
     def test_infeasible_parameters_rejected(self):
         lap = _complete_laplacian(6)

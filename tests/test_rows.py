@@ -138,6 +138,23 @@ def test_empty_file_names_the_rows(tmp_path, kind):
         _read(tmp_path, kind, "# only a comment\n\n")
 
 
+@pytest.mark.parametrize("kind, text", [
+    ("comparison", "a,b,+1\nb,c,-1\nc,a,+1\n"),
+    ("rating", "a,1\nb,2\nc,3\na,4\n"),
+    ("edge", "a,b,2\nb,c,1\nc,a,3\n"),
+], ids=["comparison", "rating", "edge"])
+def test_byte_order_mark_is_not_part_of_the_first_id(tmp_path, kind, text):
+    # Excel's "CSV UTF-8" export starts the file with a UTF-8 byte-order mark.
+    path = tmp_path / f"{kind}.csv"
+    reads = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(mark + text.encode("utf-8"))
+        reads.append(rr.read_rows(path, FORMATS[kind][0]))
+    (ids, index, values), (bom_ids, bom_index, bom_values) = reads
+    assert ids == bom_ids == ("a", "b", "c")
+    assert np.array_equal(index, bom_index) and np.array_equal(values, bom_values)
+
+
 def test_edge_weight_round_trips_exactly(tmp_path):
     weight = 2**53 + 1  # the first integer a float64 cannot hold
     g = rr.comparison_graph(3, [(0, 1, weight), (1, 2, 1)])
