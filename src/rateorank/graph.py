@@ -21,14 +21,22 @@ below 2**53; :func:`comparison_graph` accepts merged weights up to 2**63 - 1.
 The module also owns the one CSV row reader, :func:`read_rows`: edge lists,
 ratings and comparisons differ only in their :class:`RowFormat`.  It reads
 about ``_BLOCK_BYTES`` of lines at a time and checks and parses each block
-with list operations, so memory stays bounded by the block and the parsed
-arrays.  A block that fails a check is read again one line at a time by the
-same parser, which names the first bad line.
+with list operations, so memory stays bounded by a block per part and the
+parsed values.  A block that fails a check is read again one line at a time
+by the same parser, which names the first bad line.  A large regular file is
+split at newlines into one part per usable CPU: forked children parse the
+later parts while the caller parses the first, and the caller joins the parts
+in file order into exactly what a one-part read gives.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import os
+import pickle
+import stat
+import warnings
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
@@ -55,6 +63,9 @@ _BLOCK = 64
 
 # read_rows reads and parses about this many bytes of lines at a time.
 _BLOCK_BYTES = 1 << 12
+
+# read_rows splits a regular file into parts of at least this many bytes, one per usable CPU.
+_PART_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -448,6 +459,194 @@ def _split_rows(lines: list[str], row_format: RowFormat, width: int):
     return fields, values
 
 
+def _parse_span(text, row_format: RowFormat, width: int):
+    """Parse one text stream's rows a block at a time: ``(names, index, values, lines, failure)``.
+
+    ``names`` are the stream's distinct ids by first appearance, ``index`` (int64 bytes)
+    numbers each row's ids in that order, ``values`` holds the parsed values (float64 bytes
+    when every one is a float, else a list) and ``lines`` counts the lines read.
+    ``failure`` is None, or the first failure met as ``(line, reason)``: the line counted
+    from 1 in this stream, or 0 for bytes that are not UTF-8.  A block that fails is read
+    again one line at a time by :func:`_split_rows`, so the line named is the first one
+    that fails alone.
+    """
+    ids: defaultdict[str, int] = defaultdict()
+    ids.default_factory = ids.__len__  # an unseen id gets the next number
+    index = array("q")
+    values: list = []
+    lines_read = 0
+    try:
+        while lines := text.readlines(_BLOCK_BYTES):
+            if isinstance(block := _split_rows(lines, row_format, width), str):
+                # Some line of a failing block fails alone; next() raises StopIteration if none did.
+                reasons = (_split_rows([line], row_format, width) for line in lines)
+                failure = next((n, r) for n, r in enumerate(reasons, lines_read + 1) if isinstance(r, str))
+                return [], b"", [], lines_read, failure
+            names, block_values = block
+            lines_read += len(lines)
+            index.fromlist(list(map(ids.__getitem__, names)))
+            values.extend(block_values)
+    except UnicodeDecodeError as exc:
+        return [], b"", [], lines_read, (0, f"not UTF-8 text: {exc.reason} (0x{exc.object[exc.start]:02x})")
+    if all(type(value) is float for value in values):  # bytes: no float object to pickle, unpickle or join
+        values = array("d", values).tobytes()
+    return list(ids), index.tobytes(), values, lines_read, None
+
+
+class _Range(io.RawIOBase):
+    """Bytes ``start`` to ``end`` of an open file, read by ``os.pread``, which moves no file offset."""
+
+    def __init__(self, fd: int, start: int, end: int) -> None:
+        super().__init__()
+        self.fd, self.pos, self.end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = os.pread(self.fd, min(len(buffer), self.end - self.pos), self.pos)
+        buffer[:len(data)] = data
+        self.pos += len(data)
+        return len(data)
+
+
+def _parse_range(fd: int, start: int, end: int, row_format: RowFormat, width: int):
+    """:func:`_parse_span` of bytes ``start`` to ``end``; only a range at byte 0 skips a byte-order mark."""
+    reader = io.BufferedReader(_Range(fd, start, end))
+    with io.TextIOWrapper(reader, encoding="utf-8-sig" if start == 0 else "utf-8") as text:
+        return _parse_span(text, row_format, width)
+
+
+def _part_starts(fd: int, size: int, parts: int) -> list[int]:
+    """Where each of up to ``parts`` byte ranges starts: 0, then after the first newline at or past k * size / parts.
+
+    A newline byte ends a line however the file ends its lines and is never part of a UTF-8
+    sequence, so every range holds whole lines.  A search that reaches the end of the file
+    ends the list, so a file with few newlines (one ending lines with a bare CR has none)
+    gives fewer ranges.
+    """
+    starts = [0]
+    for k in range(1, parts):
+        pos = max(size * k // parts, starts[-1])
+        while (chunk := os.pread(fd, _BLOCK_BYTES, pos)) and b"\n" not in chunk:
+            pos += len(chunk)
+        pos += chunk.find(b"\n") + 1  # at the end of the file, chunk is empty and pos stays
+        if pos >= size:
+            break
+        starts.append(pos)
+    return starts
+
+
+def _fork_range(fd: int, start: int, end: int, row_format: RowFormat, width: int):
+    """A forked child that parses bytes ``start`` to ``end``: ``(pid, read end of its pipe)``, or None if fork fails.
+
+    The child writes its pickled span to the pipe and leaves through ``os._exit`` whatever
+    happens, so it runs none of the caller's cleanup; a failure shows as a non-zero status.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that a fork in a multi-threaded process may deadlock the child;
+            # read_rows says why this child cannot deadlock.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pickle.dump(_parse_range(fd, start, end, row_format, width), pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _collect(child):
+    """The span a forked child wrote, or None if it failed; the child is reaped either way."""
+    if child is None:
+        return None
+    pid, read_end = child
+    span = status = None
+    try:
+        with open(read_end, "rb") as pipe:
+            span = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):  # a short payload
+        pass
+    finally:
+        try:
+            status = os.waitpid(pid, 0)[1]
+        except ChildProcessError:  # reaped already, as when SIGCHLD is ignored: its status is unknown
+            pass
+    return span if status == 0 else None  # else killed, or exited non-zero
+
+
+def _parse_parts(fd: int, starts: list[int], size: int, row_format: RowFormat, width: int) -> list:
+    """Spans of the byte ranges that begin at ``starts``, in file order: forked children parse all but the first.
+
+    The caller parses the first range while the children run, then takes each child's span,
+    or parses a range itself when its child failed.  Every child is reaped before this returns.
+    """
+    later = list(zip(starts[1:], [*starts[2:], size]))
+    children = []
+    try:
+        for start, end in later:
+            children.append(_fork_range(fd, start, end, row_format, width))
+        spans = [_parse_range(fd, 0, starts[1], row_format, width)]
+        for start, end in later:
+            spans.append(_collect(children.pop(0)) or _parse_range(fd, start, end, row_format, width))
+    finally:
+        for child in children:
+            _collect(child)
+    return spans
+
+
+def _read_spans(path, row_format: RowFormat, width: int) -> list:
+    """The spans of a file's parts in file order (see :func:`read_rows`); one streamed span for most files."""
+    with open(path, "rb") as raw:
+        fd = raw.fileno()
+        info = os.fstat(fd)
+        size = info.st_size if stat.S_ISREG(info.st_mode) and hasattr(os, "fork") else 0
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        if len(starts := _part_starts(fd, size, min(cpus, size // _PART_BYTES))) > 1:
+            return _parse_parts(fd, starts, size, row_format, width)
+        with io.TextIOWrapper(raw, encoding="utf-8-sig") as text:
+            return [_parse_span(text, row_format, width)]
+
+
+def _join_spans(path, spans: list):
+    """Join spans in file order: ``(ids, index, values)``, or raise the earliest span's failure.
+
+    ``ids`` maps each id to its number by first appearance in the file, which is the
+    order in which the spans' ``names`` first give it; ``index`` is intp.  ``values`` is
+    the array numpy makes of all the parsed values in one list: float64 bytes are joined
+    as they are when every span has them, and read back as floats into the list otherwise.
+    """
+    ids: defaultdict[str, int] = defaultdict()
+    ids.default_factory = ids.__len__
+    index = np.empty(sum(len(span[1]) for span in spans) // 8, dtype=np.intp)  # spans hold int64 bytes
+    joined, first_line, row = [], 1, 0
+    while spans:  # each span is freed once it is joined
+        names, span_index, span_values, lines, failure = spans.pop(0)
+        if failure:
+            line, reason = failure
+            raise DataFormatError(f"{path}, line {first_line + line - 1}: {reason}" if line else f"{path}: {reason}")
+        number = np.array(list(map(ids.__getitem__, names)), dtype=np.intp)  # the span's numbers, file-wide
+        span_index = np.frombuffer(span_index, dtype=np.int64)
+        np.take(number, span_index, out=index[row:row + span_index.size], mode="clip")  # "clip": no buffered copy
+        row += span_index.size
+        joined.append(span_values)
+        first_line += lines
+    if all(isinstance(part, bytes) for part in joined):
+        return ids, index, np.concatenate([np.frombuffer(part) for part in joined])
+    return ids, index, np.array([v for part in joined for v in (array("d", part) if isinstance(part, bytes) else part)])
+
+
 def read_rows(path, row_format: RowFormat, id_order: str = "first-appearance"):
     """Read a CSV file's rows a block at a time; returns ``(item_ids, index, values)``.
 
@@ -461,38 +660,34 @@ def read_rows(path, row_format: RowFormat, id_order: str = "first-appearance"):
     one id column or (n, k) for k; ``values`` has the dtype numpy infers for
     the parsed values.  Both are read-only, so an observation set built on them
     shares them instead of copying.
+
+    A regular file of at least two ``_PART_BYTES`` is split, where ``os.fork`` exists, into
+    one byte range per usable CPU (at most one per ``_PART_BYTES``), each ending at a
+    newline.  Forked children parse the later ranges while the caller parses the first,
+    each range numbering its ids by first appearance within it.  The caller joins the
+    ranges in file order: it renumbers each one's ids through one lookup array and hands
+    numpy the values of all ranges as one list (as one float64 array when every value is a
+    float), so the result is exactly what a one-part read gives.  Each range stops at its
+    first failure, a bad row or bytes that are not UTF-8, and the earliest range's failure
+    is raised, its line counted from the start of the file.  A child that fails in any way
+    (fork refused, killed, a non-zero exit, a short payload) leaves its range to the caller,
+    and every child is reaped before this returns.  A child runs only pure-Python parsing
+    and pickling: it makes no BLAS call and takes no lock that another thread can hold, so
+    forking while numpy's BLAS threads exist is safe, and the warning Python 3.12+ gives
+    about forking a multi-threaded process is silenced around the fork.  Smaller files,
+    pipes and other non-regular files are streamed in one part, with no seek.
     """
     width = row_format.header.count(",") + 1
-    ids: defaultdict[str, int] = defaultdict()
-    ids.default_factory = ids.__len__  # an unseen id gets the next number
-    index = array("q")
-    values: list = []
-    first_line = 1
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            while lines := fh.readlines(_BLOCK_BYTES):
-                if isinstance(block := _split_rows(lines, row_format, width), str):
-                    # Some line of a failing block fails alone; next() raises StopIteration if none did.
-                    reasons = (_split_rows([line], row_format, width) for line in lines)
-                    line_no, reason = next((n, r) for n, r in enumerate(reasons, first_line) if isinstance(r, str))
-                    raise DataFormatError(f"{path}, line {line_no}: {reason}")
-                names, block_values = block
-                first_line += len(lines)
-                index.fromlist(list(map(ids.__getitem__, names)))
-                values.extend(block_values)
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not UTF-8 text: {exc.reason} (0x{exc.object[exc.start]:02x})") from None
-    if not values:
+    ids, index, values = _join_spans(path, _read_spans(path, row_format, width))
+    if not values.size:
         raise DataFormatError(f"{path}: no {row_format.noun} rows found")
     item_ids = list(ids)
-    index = np.array(index, dtype=np.intp)
     if id_order == "sorted":
         order = sorted(range(len(item_ids)), key=item_ids.__getitem__)
         index = np.argsort(order)[index]  # the inverse permutation maps old numbers to new
         item_ids = [item_ids[i] for i in order]
     if width > 2:
         index = index.reshape(len(values), width - 1)
-    values = np.array(values)
     index.setflags(write=False)
     values.setflags(write=False)
     return tuple(item_ids), index, values
