@@ -4,13 +4,17 @@ Everything in here is deliberately independent of the library internals: the
 finite-difference checks only call ``neg_log_likelihood``/``gradient`` as black
 boxes, the grid minimizer re-parameterizes the d=3 feasible set by hand, and
 the reference projection finds its shift by a different search than the
-library's.
+library's.  The line-by-line reader reads a CSV one line at a time with none of
+the reader's chunks, numpy checks or forked parts.
 """
+
+import math
 
 import numpy as np
 from scipy.special import log_ndtr
 
 from rateorank import models
+from rateorank.errors import DataFormatError
 from rateorank.estimate import FitConfig
 
 # Orthonormal basis of the mean-zero subspace in R^3 (columns).
@@ -167,3 +171,53 @@ def stress_set(trials=3000):
         w = models.QualityVector.centered(rng.uniform(-3 * b_bound, 3 * b_bound, d))
         y = models.sample(models.ModelSpec(kind, sigma * 0.2, 10 * b_bound), w, design, seed=trial).outcomes
         yield trial, models.ObservationSet(models.ModelSpec(kind, sigma, b_bound), d, design, y), FitConfig(b_bound)
+
+
+def read_rows_by_line(path, row_format, id_order="first-appearance"):
+    """``read_rows`` as one loop over the file's lines: ``(item_ids, index, values)``, or the same DataFormatError.
+
+    Lines end at LF, CRLF or a bare CR; a UTF-8 byte-order mark is skipped at byte 0 only.  Each line is decoded
+    with its ending, then stripped; blank and ``#`` lines are skipped, and every other line must hold the header's
+    number of fields, stripped, a value ``row_format.parse`` takes and that is finite, and for three fields two
+    different ids.  The first line that fails names the file and the line; bytes that are not UTF-8 name the file.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.startswith(b"\xef\xbb\xbf"):
+        data = data[3:]
+    header = row_format.header.split(",")
+    first, rows, values = {}, [], []
+    for line_no, raw in enumerate(data.splitlines(keepends=True), 1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text: {exc.reason} (0x{exc.object[exc.start]:02x})") from None
+        if not line or line.startswith("#"):
+            continue
+        fields = [field.strip() for field in line.split(",")]
+        where = f"{path}, line {line_no}"
+        if len(fields) != len(header):
+            raise DataFormatError(f"{where}: expected {row_format.header!r}, got {','.join(fields)!r}")
+        try:
+            value = row_format.parse(fields[-1])
+            if not math.isfinite(value):
+                raise ValueError
+        except (ValueError, KeyError, OverflowError):
+            raise DataFormatError(f"{where}: {header[-1]} must be {row_format.expects}, got {fields[-1]!r}") from None
+        if len(fields) == 3 and fields[0] == fields[1]:
+            raise DataFormatError(f"{where}: an item cannot be compared with itself")
+        for name in fields[:-1]:
+            first.setdefault(name, len(first))
+        rows.append(fields[:-1])
+        values.append(value)
+    if not values:
+        raise DataFormatError(f"{path}: no {row_format.noun} rows found")
+    item_ids = sorted(first) if id_order == "sorted" else list(first)
+    number = {name: i for i, name in enumerate(item_ids)}
+    index = np.array([[number[name] for name in row] for row in rows], dtype=np.intp)
+    if len(header) == 2:
+        index = index.reshape(len(values))
+    values = np.array(values)
+    index.setflags(write=False)
+    values.setflags(write=False)
+    return tuple(item_ids), index, values

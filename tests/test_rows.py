@@ -10,10 +10,11 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rateorank as rr
+from helpers import read_rows_by_line
 from rateorank import cli, graph
 
 FORMATS = {
@@ -224,10 +225,11 @@ def test_multi_block_file(tmp_path, monkeypatch):
     monkeypatch.setattr(graph, "_BLOCK_BYTES", 8)
     path = tmp_path / "comparison.csv"
     path.write_bytes("\r\n".join(MULTI_BLOCK_LINES).encode())  # CRLF, no trailing newline
-    with open(path, encoding="utf-8") as fh:
-        blocks = [[line.strip() for line in block] for block in iter(lambda: fh.readlines(graph._BLOCK_BYTES), [])]
-    assert ["#two", "", ""] in blocks  # a block with no rows
-    assert blocks[-1] == ["late,a,+1"] and len(blocks) == 5
+    data = path.read_bytes()
+    chunks = list(graph._chunks(data[i:i + 8] for i in range(0, len(data), 8)))
+    assert b"".join(chunks) == data
+    assert b"# one\r\n#two\r\n" in chunks and b"\r\n   \r\n" in chunks  # chunks with no rows
+    assert chunks[-1] == b"late,a,+1" and len(chunks) == 8
     item_ids, index, values = rr.read_rows(path, cli.COMPARISON_ROWS)
     assert item_ids == ("a", "b", "c", "late")
     assert index.tolist() == [[0, 1], [1, 2], [2, 0], [2, 1], [3, 0]]
@@ -300,6 +302,19 @@ def test_error_texts_in_full(tmp_path, monkeypatch, block_bytes, kind, row, reas
 
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.lists(st.sampled_from([b"a", b"bcd", b",", b"\r", b"\n", b"\r\n"]), max_size=200).map(b"".join),
+       block_bytes=st.integers(16, 64))
+@example(data=b"a" * 15 + b"\r\nb\n", block_bytes=16)  # a CRLF across two blocks
+def test_chunks_hold_whole_lines(data, block_bytes):
+    chunks = list(graph._chunks(data[i:i + block_bytes] for i in range(0, len(data), block_bytes)))
+    assert b"".join(chunks) == data and all(chunks)
+    for chunk, after in zip(chunks, chunks[1:]):
+        assert chunk.endswith((b"\n", b"\r")) and not (chunk.endswith(b"\r") and after.startswith(b"\n"))
+    if max(map(len, data.splitlines(keepends=True)), default=0) <= 10:  # a line end in the first 10 bytes of a block
+        assert all(len(chunk) < 2 * block_bytes for chunk in chunks)
+
+
 # Reading in parts: forked children parse the later byte ranges of a large regular file.
 
 
@@ -309,10 +324,10 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _outcome(path, row_format, id_order="first-appearance"):
+def _outcome(path, row_format, id_order="first-appearance", read=rr.read_rows):
     """read_rows' ids and each array's dtype, shape, write flag and bytes; or the type and text of what it raised."""
     try:
-        item_ids, index, values = rr.read_rows(path, row_format, id_order)
+        item_ids, index, values = read(path, row_format, id_order)
     except rr.DataFormatError as exc:
         return type(exc), str(exc)
     finally:
@@ -355,6 +370,36 @@ def test_parts_match_the_serial_read(table, pad, id_order, part_bytes):
 
 def test_parts_match_the_serial_read_across_blocks(tiny_blocks):
     test_parts_match_the_serial_read()
+
+
+@st.composite
+def _mixed_table(draw):
+    """A table of one kind whose lines mix clean rows with padded and tabbed ones, CRLF and bare-CR endings,
+    comments and blank lines."""
+    kind = draw(st.sampled_from(sorted(FORMATS)))
+    text = ""
+    for filler, ids, _, value in draw(st.lists(_row(kind), min_size=1, max_size=60)):
+        pad = draw(st.sampled_from(["", "", "", " ", "\t"]))
+        for line in [*filler, ",".join(f"{pad}{field}{pad}" for field in [*ids, value])]:
+            text += line + draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
+    return kind, text
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=_mixed_table(), id_order=st.sampled_from(cli.ID_ORDERS), chunk_bytes=st.integers(16, 200),
+       part_bytes=st.integers(64, 400))
+def test_chunks_match_the_line_by_line_reader(table, id_order, chunk_bytes, part_bytes):
+    kind, text = table
+    row_format = FORMATS[kind][0]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK_BYTES", chunk_bytes)
+        path = os.path.join(tmp, "rows.csv")
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
+        want = _outcome(path, row_format, id_order, read=read_rows_by_line)
+        assert _serial(path, row_format, id_order) == want
+        with _parts(part_bytes):
+            assert _outcome(path, row_format, id_order) == want
 
 
 def _good_row(i, kind):
@@ -462,16 +507,33 @@ def test_the_earliest_failure_is_raised(tmp_path, failures):
 
 
 def test_a_row_in_an_earlier_part_wins_over_bytes_in_a_later_one(tmp_path):
-    # A one-part read decodes 8 KiB ahead of the rows it checks, so it meets the byte on line 151 before it
-    # checks the row on line 71.  In parts, each range stops at its own first failure and the earlier range wins.
+    # The row on line 71 and the byte on line 151 share one chunk of a one-part read, which is read again line by
+    # line when it fails to decode, so the row wins there too.  In parts, each range stops at its own first failure
+    # and the earlier range wins.
     lines = list(TABLE)
     lines[70], lines[150] = BAD["row"][0], BAD_BYTE
     path = tmp_path / "comparison.csv"
     _write_lines(path, lines)
-    not_utf8 = f"{path}: not UTF-8 text: invalid start byte (0xff)"
-    assert _serial(path, cli.COMPARISON_ROWS) == (rr.DataFormatError, not_utf8)
+    row = (rr.DataFormatError, f"{path}, line 71: {BAD['row'][1]}")
+    assert _serial(path, cli.COMPARISON_ROWS) == row
     with _parts(256):
-        assert _outcome(path, cli.COMPARISON_ROWS) == (rr.DataFormatError, f"{path}, line 71: {BAD['row'][1]}")
+        assert _outcome(path, cli.COMPARISON_ROWS) == row
+
+
+@pytest.mark.parametrize("kind, row, reason", [(kind, *case) for kind, cases in FULL_TEXTS.items() for case in cases]
+                         + [(kind, BAD_BYTE + GOOD_ROWS[kind], None) for kind in sorted(FORMATS)])
+def test_a_bad_row_in_a_clean_chunk(tmp_path, kind, row, reason):
+    # 300 clean rows make one chunk that takes no cleaning; the bad row on line 151 is its only flaw.
+    lines = [_good_row(i, kind) for i in range(300)]
+    path = tmp_path / f"{kind}.csv"
+    _write_lines(path, lines)
+    assert len(path.read_bytes()) < graph._BLOCK_BYTES and graph._is_clean(path.read_bytes())
+    lines[150] = row
+    _write_lines(path, lines)
+    with pytest.raises(rr.DataFormatError) as caught:
+        rr.read_rows(path, FORMATS[kind][0])
+    assert str(caught.value) == (f"{path}, line 151: {reason}" if reason else
+                                 f"{path}: not UTF-8 text: invalid start byte (0xff)")
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r", "\n"], ids=["crlf", "cr", "lf"])
