@@ -190,7 +190,8 @@ def test_value_beyond_the_float_range_is_refused(tmp_path):
         rr.read_rows(path, rr.RowFormat("left,right,count", "count", int, "an integer"))
 
 
-@pytest.mark.parametrize("block_bytes", [7, graph._BLOCK_BYTES])
+# 7 bytes spreads a file over many chunks; 4096 holds it in one, as the default size does.
+@pytest.mark.parametrize("block_bytes", [7, 4096])
 @pytest.mark.parametrize("kind", sorted(FORMATS))
 def test_non_utf8_file_names_the_path(tmp_path, monkeypatch, block_bytes, kind):
     monkeypatch.setattr(graph, "_BLOCK_BYTES", block_bytes)
@@ -287,7 +288,8 @@ FULL_TEXTS = {
 GOOD_ROWS = {"comparison": "p,q,-1", "rating": "p,0.5", "edge": "p,q,4"}
 
 
-@pytest.mark.parametrize("block_bytes", [7, graph._BLOCK_BYTES])
+# 7 bytes spreads a file over many chunks; 4096 holds it in one, as the default size does.
+@pytest.mark.parametrize("block_bytes", [7, 4096])
 @pytest.mark.parametrize("kind, row, reason", [(kind, *case) for kind, cases in FULL_TEXTS.items() for case in cases])
 def test_error_texts_in_full(tmp_path, monkeypatch, block_bytes, kind, row, reason):
     monkeypatch.setattr(graph, "_BLOCK_BYTES", block_bytes)
