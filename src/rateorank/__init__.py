@@ -40,7 +40,6 @@ from .graph import (
     comparison_graph,
     generate_topology,
     RowFormat,
-    read_edge_list,
     read_rows,
     write_edge_list,
 )
@@ -58,9 +57,7 @@ from .models import (
     ObservationSet,
     QualityVector,
     gradient,
-    hessian,
     neg_log_likelihood,
-    prob_positive,
     sample,
     strong_convexity_scalar,
 )

@@ -15,21 +15,22 @@ Cholesky factor, and only the extreme eigenvalues from the spectrum, which one
 Building a graph or a Laplacian is array work from start to end: the
 ``(left, right, weight)`` triples are validated at once, merged by :func:`index_pairs`,
 and scattered into ``M`` by ``_laplacian_matrix``, the one assembly of weighted pair
-outer products (``models.hessian`` shares it).  ``M`` is exact while its entries stay
-below 2**53; :func:`comparison_graph` accepts merged weights up to 2**63 - 1.
+outer products.  ``M`` is exact while its entries stay below 2**53;
+:func:`comparison_graph` accepts merged weights up to 2**63 - 1.  Graphs are written
+as edge lists for other tools; the package reads none back.
 
-The module also owns the one CSV row reader, :func:`read_rows`: edge lists,
-ratings and comparisons differ only in their :class:`RowFormat`.  It reads
-bytes in chunks of about ``_BLOCK_BYTES`` of whole lines, so memory stays
-bounded by a chunk per part and the parsed values.  A clean chunk takes no
-per-line work: one numpy pass over its comma and newline bytes checks the row
-shape, and one split gives its fields; any other chunk is cleaned first.  A
-chunk that fails is read again one line at a time by the same parser, which
-names the first bad line.  On 2 vCPUs a 4.2 MB comparisons file parses in
-about 0.10 s in one part (0.15-0.18 s in 4 KiB blocks of line strings).  A
-large regular file is split at newlines into one part per usable CPU: forked
-children parse the later parts while the caller parses the first, and the
-caller joins the parts in file order into exactly what a one-part read gives.
+The module also owns the one CSV row reader, :func:`read_rows`: ratings and
+comparisons differ only in their :class:`RowFormat`, and every value is read as a
+float64.  It reads bytes in chunks of about ``_BLOCK_BYTES`` of whole lines, so
+memory stays bounded by a chunk per part and the parsed values.  A clean chunk
+takes no per-line work: one numpy pass over its comma and newline bytes checks the
+row shape, and one split gives its fields; any other chunk is cleaned first.  A
+chunk that fails is read again one line at a time by the same parser, which names
+the first bad line.  On 2 vCPUs a 4.2 MB comparisons file parses in about 0.10 s
+in one part (0.15-0.18 s in 4 KiB blocks of line strings).  A large regular file
+is split at newlines into one part per usable CPU: forked children parse the later
+parts while the caller parses the first, and the caller joins the parts in file
+order into exactly what a one-part read gives.
 """
 
 from __future__ import annotations
@@ -235,16 +236,20 @@ class Laplacian:
     def trace_pinv_std(self) -> float:
         """Trace of the pseudoinverse of ``m / n``, which is n * tr(pinv M); inf when M = 0.
 
-        Each component C is grounded at its smallest item: without those rows
-        and columns, M is positive definite, M_g = L L'.  On C, pinv M is
-        P X P, X the inverse of C's block of M_g padded with a zero row and
-        column, P = I - J/|C|, so
+        Each component C is grounded at its heaviest item, the largest diagonal
+        of M (the smallest such item on a tie): without those rows and columns,
+        M is positive definite, M_g = L L'.  On C, pinv M is P X P, X the
+        inverse of C's block of M_g padded with a zero row and column,
+        P = I - J/|C|, so
         tr(pinv M) = ||inv(L)||_F^2 - sum_C ||inv(L) 1_C||^2 / |C|.  inv(L)
         joins no two components, so inv(L) 1_C is its row sums on C's rows.
-        Edge weights whose ratio nears 1/eps round M_g toward singular: the
+        On trees whose edge weights span a ratio r, the relative error stays
+        within a few r * eps; as r nears 1/eps, M_g rounds toward singular: the
         trace then loses its digits, or ``numpy.linalg.LinAlgError`` is raised.
         """
-        grounded = np.flatnonzero(self.component != np.arange(self.d))
+        # An item is grounded unless it comes first of its component in (component, -diagonal, item) order.
+        order = np.lexsort((np.arange(self.d), -np.diag(self.m), self.component))
+        grounded = np.sort(order[np.diff(self.component[order], prepend=-1) == 0])
         if not grounded.size:
             return float("inf")
         inverse = _inverse_cholesky_factor(self.m[np.ix_(grounded, grounded)])
@@ -420,24 +425,14 @@ def write_edge_list(graph: ComparisonGraph, path, item_ids: list[str] | None = N
 class RowFormat:
     """A CSV row schema: item-id columns, then one value column converted by ``parse``.
 
-    ``parse`` returns a number or raises ``ValueError`` or ``KeyError``; a bad or non-finite
-    value is reported as "<value column> must be <expects>".  ``noun`` names the rows of an empty file.
+    ``parse`` returns a real number, read as its float64, or raises ``ValueError`` or ``KeyError``; a
+    bad or non-finite value is reported as "<value column> must be <expects>".  ``noun`` names the rows of an empty file.
     """
 
     header: str
     noun: str
     parse: Callable[[str], object]
     expects: str
-
-
-def _weight(text: str) -> int:
-    weight = int(text)
-    if not 0 < weight < 2**63:
-        raise ValueError(weight)
-    return weight
-
-
-EDGE_ROWS = RowFormat("left,right,weight", "edge", _weight, "a positive 64-bit integer")
 
 
 def _is_clean(chunk: bytes) -> bool:
@@ -510,8 +505,8 @@ def _parse_span(blocks, row_format: RowFormat, width: int):
     """Parse the rows of a stream of byte blocks a chunk at a time: ``(names, index, values, lines, failure)``.
 
     ``names`` are the stream's distinct ids by first appearance, ``index`` (int64 bytes)
-    numbers each row's ids in that order, ``values`` holds the parsed values (a float64
-    ``array`` when every one is a float, else a list) and ``lines`` counts the lines read.
+    numbers each row's ids in that order, ``values`` holds the parsed values as a float64
+    ``array`` and ``lines`` counts the lines read.
     ``failure`` is None, or the first failure met as ``(line, reason)``: the line counted
     from 1 in this stream, or 0 for bytes that are not UTF-8.  A chunk that fails to decode
     or fails a check is read again one line at a time by :func:`_split_rows`, so the line
@@ -520,7 +515,7 @@ def _parse_span(blocks, row_format: RowFormat, width: int):
     ids: defaultdict[str, int] = defaultdict()
     ids.default_factory = ids.__len__  # an unseen id gets the next number
     index = array("q")
-    values: array | list = array("d")  # float64 while every value is a float, then a list
+    values = array("d")
     lines_read = 0
     for chunk in _chunks(blocks):
         try:
@@ -538,8 +533,6 @@ def _parse_span(blocks, row_format: RowFormat, width: int):
         names, chunk_values, lines = block
         lines_read += lines
         index.fromlist(list(map(ids.__getitem__, names)))
-        if isinstance(values, array) and not set(map(type, chunk_values)) <= {float}:
-            values = values.tolist()
         values.extend(chunk_values)
     return list(ids), index.tobytes(), values, lines_read, None
 
@@ -659,9 +652,8 @@ def _join_spans(path, spans: list):
     """Join spans in file order: ``(ids, index, values)``, or raise the earliest span's failure.
 
     ``ids`` maps each id to its number by first appearance in the file, which is the
-    order in which the spans' ``names`` first give it; ``index`` is intp.  ``values`` is
-    the array numpy makes of all the parsed values in one list: float64 arrays are joined
-    as they are when every span has one, and read back as floats into the list otherwise.
+    order in which the spans' ``names`` first give it; ``index`` is intp and ``values``
+    the spans' float64 values joined.
     """
     ids: defaultdict[str, int] = defaultdict()
     ids.default_factory = ids.__len__
@@ -678,9 +670,7 @@ def _join_spans(path, spans: list):
         row += span_index.size
         joined.append(span_values)
         first_line += lines
-    if all(isinstance(part, array) for part in joined):
-        return ids, index, np.concatenate([np.frombuffer(part) for part in joined])
-    return ids, index, np.array([v for part in joined for v in part])
+    return ids, index, np.concatenate([np.frombuffer(part) for part in joined])
 
 
 def read_rows(path, row_format: RowFormat, id_order: str = "first-appearance"):
@@ -694,25 +684,24 @@ def read_rows(path, row_format: RowFormat, id_order: str = "first-appearance"):
     not UTF-8).  Values must be finite and the two ids of a row must differ.  Item ids
     are numbered by first appearance as they are read; ``id_order="sorted"`` renumbers
     them at the end.  ``index`` is an intp array of shape (n,) for one id column or (n,
-    k) for k; ``values`` has the dtype numpy infers for the parsed values.  Both are
-    read-only, so an observation set built on them shares them instead of copying.
+    k) for k; ``values`` is a float64 array of the parsed values.  Both are read-only,
+    so an observation set built on them shares them instead of copying.
 
     A regular file of at least two ``_PART_BYTES`` is split, where ``os.fork`` exists,
     into one byte range per usable CPU (at most one per ``_PART_BYTES``), each ending at
     a newline.  Forked children parse the later ranges while the caller parses the
     first, each range numbering its ids by first appearance within it.  The caller joins
     the ranges in file order: it renumbers each one's ids through one lookup array and
-    hands numpy the values of all ranges as one list (as one float64 array when every
-    value is a float), so the result is exactly what a one-part read gives.  Each range
-    stops at its first failure, a bad row or bytes that are not UTF-8, and the earliest
-    range's failure is raised, its line counted from the start of the file.  A child
-    that fails in any way (fork refused, killed, a non-zero exit, a short payload)
-    leaves its range to the caller, and every child is reaped before this returns.  A
-    child runs only Python parsing, numpy's elementwise byte checks and pickling: it
-    makes no BLAS call and takes no lock that another thread can hold, so forking while
-    numpy's BLAS threads exist is safe, and the warning Python 3.12+ gives about forking
-    a multi-threaded process is silenced around the fork.  Smaller files, pipes and
-    other non-regular files are streamed in one part, with no seek.
+    concatenates their float64 values, so the result is exactly what a one-part read
+    gives.  Each range stops at its first failure, a bad row or bytes that are not
+    UTF-8, and the earliest range's failure is raised, its line counted from the start
+    of the file.  A child that fails in any way (fork refused, killed, a non-zero exit,
+    a short payload) leaves its range to the caller, and every child is reaped before
+    this returns.  A child runs only Python parsing, numpy's elementwise byte checks
+    and pickling: it makes no BLAS call and takes no lock that another thread can hold,
+    so forking while numpy's BLAS threads exist is safe, and the warning Python 3.12+
+    gives about forking a multi-threaded process is silenced around the fork.  Smaller
+    files, pipes and other non-regular files are streamed in one part, with no seek.
     """
     width = row_format.header.count(",") + 1
     ids, index, values = _join_spans(path, _read_spans(path, row_format, width))
@@ -728,9 +717,3 @@ def read_rows(path, row_format: RowFormat, id_order: str = "first-appearance"):
     index.setflags(write=False)
     values.setflags(write=False)
     return tuple(item_ids), index, values
-
-
-def read_edge_list(path) -> tuple[ComparisonGraph, list[str]]:
-    """Read ``left_id,right_id,weight`` rows; ids are indexed by first appearance."""
-    item_ids, pairs, weights = read_rows(path, EDGE_ROWS)
-    return comparison_graph(len(item_ids), np.column_stack((pairs, weights))), list(item_ids)

@@ -17,14 +17,14 @@ cardinal) sufficient statistics, so it is evaluated on an observation set's
 gradient and Hessian cost O(groups), and a design that compares few pairs
 many times costs no more than its distinct pairs.  Sampling stays per row.
 The two binary links are stated once, in ``_LINKS``, in numpy alone: each CDF, which
-sampling, ``prob_positive`` and ``bounds.kappa`` read, and one pass that gives each
+sampling and ``bounds.kappa`` read, and one pass that gives each
 loss with its two derivatives in the outcome-signed standardized margin, which the
 NLL, gradient, curvature and curvature scalar read.  The NLL keeps the pass's
 per-group terms in the observation set's outcome tables, so the gradient and
 curvature at the same point read them back.  The probit terms come from one scaled
 complementary error function ``_erfcx``, the logit terms from one ``exp(-|s|)``.
 ``_scatter`` (the margin gather's transpose) makes gradients and Hessian products;
-the dense Hessian is the Laplacian of the curvature weights.
+the Hessian itself is never formed.
 """
 
 from __future__ import annotations
@@ -304,19 +304,6 @@ def _require_kind(spec: ModelSpec, allowed: tuple[str, ...], op: str) -> None:
         raise ModelKindError(f"{op} is not defined for the {spec.kind!r} model")
 
 
-def prob_positive(spec: ModelSpec, w, edge: tuple[int, int]) -> float:
-    """Probability that comparing ``edge`` under ``spec`` comes out positive.
-
-    It is the link's CDF at the standardized margin; for paired_linear, P(y > 0)
-    is the probit CDF.
-    """
-    _require_kind(spec, PAIRWISE_KINDS, "prob_positive")
-    if spec.sigma <= 0:
-        raise ValueError("prob_positive needs sigma > 0")
-    w = as_values(w)
-    return float(_LINKS[BTL if spec.kind == BTL else THURSTONE].cdf((w[edge[0]] - w[edge[1]]) / spec.sigma))
-
-
 def sample(spec: ModelSpec, w, design, seed: int) -> ObservationSet:
     """Draw one observation per design row under the given model.
 
@@ -490,15 +477,6 @@ def curvature(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
     if spec.kind not in BINARY_KINDS:
         return 2.0 * groups.count
     return groups.count * _terms(spec, as_values(w), obs).curvature / spec.sigma**2
-
-
-def hessian(spec: ModelSpec, w, obs: ObservationSet) -> np.ndarray:
-    """Dense Hessian of :func:`neg_log_likelihood`: the Laplacian of the :func:`curvature` weights, or its diagonal."""
-    weights = curvature(spec, w, obs)
-    items = obs.groups.items
-    if spec.kind == CARDINAL:
-        return np.diag(np.bincount(items, weights=weights, minlength=obs.d))
-    return graph._laplacian_matrix(obs.d, items[:, 0], items[:, 1], weights)
 
 
 def strong_convexity_scalar(spec: ModelSpec, t: float) -> float:

@@ -1,10 +1,12 @@
 """Shared oracles for the test suite.
 
-Everything in here is deliberately independent of the library internals: the
-finite-difference checks only call ``neg_log_likelihood``/``gradient`` as black
-boxes, the grid minimizer re-parameterizes the d=3 feasible set by hand, and
-the reference projection finds its shift by a different search than the
-library's.  The line-by-line reader reads a CSV one line at a time with none of
+Everything in here but the dense Hessian is deliberately independent of the
+library internals: the finite-difference checks only call
+``neg_log_likelihood``/``gradient`` as black boxes, the grid minimizer
+re-parameterizes the d=3 feasible set by hand, and the reference projection
+finds its shift by a different search than the library's.  The dense Hessian
+assembles the library's per-group curvature weights, which ``fd_hessian``
+checks.  The line-by-line reader reads a CSV one line at a time with none of
 the reader's chunks, numpy checks or forked parts.
 """
 
@@ -13,7 +15,7 @@ import math
 import numpy as np
 from scipy.special import log_ndtr
 
-from rateorank import models
+from rateorank import graph, models
 from rateorank.errors import DataFormatError
 from rateorank.estimate import FitConfig
 
@@ -50,6 +52,15 @@ def fd_hessian(spec, w, obs, eps=1e-6):
             models.gradient(spec, w + e, obs) - models.gradient(spec, w - e, obs)
         ) / (2.0 * eps)
     return 0.5 * (h + h.T)
+
+
+def dense_hessian(spec, w, obs):
+    """The d x d Hessian of the NLL: the Laplacian of the ``models.curvature`` weights, or their diagonal for cardinal."""
+    weights = models.curvature(spec, w, obs)
+    items = obs.groups.items
+    if spec.kind == "cardinal":
+        return np.diag(np.bincount(items, weights=weights, minlength=obs.d))
+    return graph._laplacian_matrix(obs.d, items[:, 0], items[:, 1], weights)
 
 
 def _batch_nll(spec, candidates, obs):
@@ -217,7 +228,7 @@ def read_rows_by_line(path, row_format, id_order="first-appearance"):
     index = np.array([[number[name] for name in row] for row in rows], dtype=np.intp)
     if len(header) == 2:
         index = index.reshape(len(values))
-    values = np.array(values)
+    values = np.array(values, dtype=float)
     index.setflags(write=False)
     values.setflags(write=False)
     return tuple(item_ids), index, values

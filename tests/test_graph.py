@@ -1,6 +1,8 @@
+import csv
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,6 @@ from rateorank import (
     cv_sigma,
     generate_topology,
     mle_fit,
-    read_edge_list,
     sample,
     write_edge_list,
 )
@@ -99,7 +100,7 @@ def test_weight_reaching_2_63_rejected(weight, shown):
         generate_topology("complete", 3, 10**20)
 
 
-def test_merged_weight_overflow_rejected(tmp_path):
+def test_merged_weight_overflow_rejected():
     # Two rows of one pair that each fit in int64 but whose sum does not.
     halves = [(0, 1, 2**62), (1, 0, 2**62)]
     for build in (comparison_graph, build_laplacian):
@@ -107,10 +108,6 @@ def test_merged_weight_overflow_rejected(tmp_path):
             build(2, halves)
         with pytest.raises(ValueError, match="total weight 9223372036854775808"):
             build(3, [(0, 1, 2**62), (2, 1, 2**62)])
-    path = tmp_path / "edges.csv"
-    path.write_text("a,b,4611686018427387904\nb,a,4611686018427387904\n")
-    with pytest.raises(ValueError, match=r"edge \(0, 1\) has merged weight"):
-        read_edge_list(path)
     # Just below the limit the weights stay exact.
     g = comparison_graph(3, [(0, 1, 2**62), (1, 0, 2**62 - 2), (2, 1, 1)])
     assert g.edges == ((0, 1, 2**63 - 2), (1, 2, 1)) and g.n == 2**63 - 1
@@ -289,12 +286,10 @@ def test_edge_list_roundtrip(tmp_path):
     g = generate_topology("dumbbell", 6, 20, seed=1)
     path = tmp_path / "edges.csv"
     write_edge_list(g, path, item_ids=[f"item{i}" for i in range(6)])
-    back, ids = read_edge_list(path)
-    assert ids == [f"item{i}" for i in range(6)][: len(ids)]
-    assert back.n == 20
-    assert {(ids[a], ids[b], w) for a, b, w in back.edges} == {
-        (f"item{a}", f"item{b}", w) for a, b, w in g.edges
-    }
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [[f"item{a}", f"item{b}", str(w)] for a, b, w in g.edges]
+    assert sum(int(w) for _, _, w in rows) == 20
 
 
 def test_edge_list_needs_one_id_per_item(tmp_path):
@@ -302,20 +297,6 @@ def test_edge_list_needs_one_id_per_item(tmp_path):
     with pytest.raises(ValueError, match="expected 3 item ids, got 2"):
         write_edge_list(comparison_graph(3, [(0, 1, 1), (1, 2, 1)]), path, item_ids=["a", "b"])
     assert not path.exists()
-
-
-def test_edge_list_parsing(tmp_path):
-    path = tmp_path / "edges.csv"
-    path.write_text("# comment line\nalpha,beta,3\n\nbeta,gamma,1\n")
-    g, ids = read_edge_list(path)
-    assert ids == ["alpha", "beta", "gamma"]
-    assert g.edges == ((0, 1, 3), (1, 2, 1))
-    path.write_text("alpha,beta\n")
-    with pytest.raises(ValueError, match="line 1"):
-        read_edge_list(path)
-    path.write_text("alpha,beta,x\n")
-    with pytest.raises(ValueError, match="weight"):
-        read_edge_list(path)
 
 
 def test_rank_tolerance_clamps_noise_eigenvalues():
@@ -431,6 +412,45 @@ def test_trace_matches_dense_pinv_across_blocks(d, groups, isolated):
     lap = build_laplacian(d, _random_design(rng, d, groups, isolated))
     assert d - lap.rank == groups + isolated
     assert lap.trace_pinv_std == pytest.approx(lap.n * np.trace(np.linalg.pinv(lap.m)), rel=1e-9)
+
+
+def test_trace_grounds_each_component_at_its_heaviest_item():
+    # On the path 0 -1- 1 -1e17- 2, tr(pinv M) = (2/1 + 2/1e17) / 3 and n = 1e17 + 1.  Grounded at item 0, the
+    # Cholesky factor meets 1e17 + 1 - 1e17, which rounds to 0, and the trace came out 2.083e15.
+    lap = build_laplacian(3, [(0, 1, 1), (1, 2, 10**17)])
+    exact = Fraction(2, 3) * (1 + Fraction(1, 10**17)) * (10**17 + 1)
+    assert lap.trace_pinv_std == pytest.approx(float(exact), rel=1e-15)
+
+
+def _weighted_tree(rng, d, ratio):
+    """A random tree on d items with integer weights log-uniform in [1, ratio], both ends taken, and its exact
+    trace_pinv_std: n * tr(pinv M) = n / d * sum over edges of s (d - s) / w, s the size of one side."""
+    parent = [int(rng.integers(0, i)) for i in range(1, d)]
+    weights = np.rint(np.exp(rng.uniform(0.0, np.log(ratio), d - 1))).astype(np.int64)
+    weights[rng.permutation(d - 1)[:2]] = 1, ratio
+    size = [1] * d
+    for child in range(d - 1, 0, -1):
+        size[parent[child - 1]] += size[child]
+    label = rng.permutation(d)
+    edges = [(int(label[child]), int(label[parent[child - 1]]), int(weights[child - 1])) for child in range(1, d)]
+    exact = sum(Fraction(size[c] * (d - size[c]), int(weights[c - 1])) for c in range(1, d)) * int(weights.sum()) / d
+    return edges, exact
+
+
+# The bound on the trace's relative error, in units of ratio * eps, ratio the largest edge weight over the
+# smallest.  Over 5,000 such trees of 3 to 40 items, 500 per ratio from 1e3 to 1e12, the worst error was 2.4
+# (3.9 with each component grounded at its smallest item instead).
+TREE_TRACE_TOL = 8
+
+
+@pytest.mark.parametrize("ratio", [10**k for k in range(3, 13)])
+def test_trace_matches_the_tree_formula(ratio):
+    rng = np.random.default_rng(ratio % 1009)
+    for _ in range(100):
+        d = int(rng.integers(3, 41))
+        edges, exact = _weighted_tree(rng, d, ratio)
+        got = build_laplacian(d, edges).trace_pinv_std
+        assert abs(Fraction(got) - exact) <= TREE_TRACE_TOL * ratio * np.finfo(float).eps * exact
 
 
 def _expander_by_spectrum(d, k, seed):

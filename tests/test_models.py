@@ -12,7 +12,7 @@ from scipy.stats import norm
 
 import erfcx_table
 import rateorank as rr
-from helpers import fd_gradient, fd_hessian
+from helpers import dense_hessian, fd_gradient, fd_hessian
 from rateorank import cli, models
 from rateorank.estimate import _hessian_product
 from rateorank.models import _LINKS
@@ -231,25 +231,18 @@ class TestObservationSet:
 
 class TestProbPositive:
     def test_link_values(self):
-        w = rr.QualityVector.centered([2.0, 0.0])
-        thur = rr.ModelSpec("thurstone", sigma=1.0, b_bound=1.0)
-        assert rr.prob_positive(thur, w, (0, 1)) == pytest.approx(norm.cdf(2.0), abs=1e-12)
-        assert rr.prob_positive(thur, w, (1, 0)) == pytest.approx(norm.cdf(-2.0), abs=1e-12)
-        btl = rr.ModelSpec("btl", sigma=0.5, b_bound=1.0)
-        assert rr.prob_positive(btl, w, (0, 1)) == pytest.approx(expit(4.0), abs=1e-12)
-
-    def test_rejects_cardinal(self):
-        with pytest.raises(rr.ModelKindError):
-            rr.prob_positive(rr.ModelSpec("cardinal", sigma=1.0), np.zeros(2), (0, 1))
-
-    def test_rejects_noiseless_paired_linear(self):
-        with pytest.raises(ValueError, match="prob_positive needs sigma > 0"):
-            rr.prob_positive(rr.ModelSpec("paired_linear", sigma=0.0), np.zeros(2), (0, 1))
+        # A binary comparison comes out positive with the link's CDF at its standardized margin.
+        assert float(_LINKS["thurstone"].cdf(2.0)) == pytest.approx(norm.cdf(2.0), abs=1e-12)
+        assert float(_LINKS["thurstone"].cdf(-2.0)) == pytest.approx(norm.cdf(-2.0), abs=1e-12)
+        assert float(_LINKS["btl"].cdf(4.0)) == pytest.approx(expit(4.0), abs=1e-12)
 
     def test_paired_linear_is_the_probit_cdf(self):
-        w = rr.QualityVector.centered([2.0, 0.0])
-        spec = rr.ModelSpec("paired_linear", sigma=0.5)
-        assert rr.prob_positive(spec, w, (0, 1)) == pytest.approx(norm.cdf(4.0), rel=1e-15)
+        # A real-valued comparison comes out positive with the probit CDF of its standardized margin.
+        spec = rr.ModelSpec("paired_linear", sigma=1.0)
+        obs = rr.sample(spec, rr.QualityVector.centered([0.5, 0.0]), np.array([(0, 1)] * 4000, dtype=np.intp), 11)
+        p = float(_LINKS["thurstone"].cdf(0.5))
+        assert abs(float(np.mean(obs.outcomes > 0)) - p) < 4.0 * np.sqrt(p * (1 - p) / 4000)
+        assert float(_LINKS["thurstone"].cdf(4.0)) == pytest.approx(norm.cdf(4.0), rel=1e-15)
 
 
 class TestSampling:
@@ -276,7 +269,7 @@ class TestSampling:
             spec = rr.ModelSpec(kind, sigma=1.0, b_bound=1.0)
             obs = rr.sample(spec, w, design, int(rng.integers(2**31)))
             freq = float(np.mean(obs.outcomes > 0))
-            p = rr.prob_positive(spec, w, (0, 1))
+            p = float(_LINKS[kind].cdf((w.values[0] - w.values[1]) / spec.sigma))
             assert abs(freq - p) < 4.0 * np.sqrt(p * (1 - p) / 4000)
 
     # sha256 prefixes of the sampled (design, outcomes) bytes for fixed seeds: sampling
@@ -349,7 +342,7 @@ class TestLikelihood:
         spec = rr.ModelSpec("thurstone", sigma=1.0, b_bound=1.0)
         obs = rr.ObservationSet(spec, 2, np.array([[0, 1]]), np.array([1.0]))
         other = rr.ModelSpec("btl", sigma=1.0, b_bound=1.0)
-        for fn in (rr.neg_log_likelihood, rr.gradient, rr.hessian):
+        for fn in (rr.neg_log_likelihood, rr.gradient, rr.curvature):
             with pytest.raises(rr.ModelKindError):
                 fn(other, np.zeros(2), obs)
 
@@ -473,7 +466,7 @@ class TestGroupedLikelihood:
         floor = 4 * obs.n * np.finfo(float).smallest_subnormal
         assert abs(rr.neg_log_likelihood(spec, w, obs) - nll) <= 1e-12 * nll_scale + floor
         assert np.max(np.abs(rr.gradient(spec, w, obs) - g)) <= 1e-12 * g_scale + floor
-        assert np.max(np.abs(rr.hessian(spec, w, obs) - h)) <= 1e-12 * h_scale
+        assert np.max(np.abs(dense_hessian(spec, w, obs) - h)) <= 1e-12 * h_scale
 
     @settings(max_examples=200, deadline=None)
     @given(_repeated_pair_instances(), st.integers(0, 2**32 - 1))
@@ -490,7 +483,7 @@ class TestGroupedLikelihood:
         else:
             product = _hessian_product(items, weights, v)
         scale = float(np.sum(weights)) * float(np.max(np.abs(v)))
-        assert np.max(np.abs(rr.hessian(spec, w, obs) @ v - product)) <= 1e-12 * max(scale, 1e-300)
+        assert np.max(np.abs(dense_hessian(spec, w, obs) @ v - product)) <= 1e-12 * max(scale, 1e-300)
 
     @settings(max_examples=150, deadline=None)
     @given(_repeated_pair_instances(), st.randoms(use_true_random=False))
@@ -605,7 +598,7 @@ class TestDerivatives:
         rng = np.random.default_rng(202)
         for _ in range(5):
             spec, w, obs = self._random_instance(kind, rng)
-            h = rr.hessian(spec, w, obs)
+            h = dense_hessian(spec, w, obs)
             fd = fd_hessian(spec, w, obs)
             assert np.linalg.norm(h - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
             assert np.allclose(h, h.T)
@@ -620,13 +613,13 @@ class TestDerivatives:
             pairs = rng.integers(0, d, (60, 2))
             design = pairs[pairs[:, 0] != pairs[:, 1]]  # repeats and both orientations
             obs = rr.sample(spec, np.zeros(d), design, int(rng.integers(2**31)))
-            assert np.array_equal(rr.hessian(spec, rng.uniform(-1, 1, d), obs), 2 * obs.laplacian.m)
+            assert np.array_equal(dense_hessian(spec, rng.uniform(-1, 1, d), obs), 2 * obs.laplacian.m)
 
     def test_hessian_positive_semidefinite(self):
         rng = np.random.default_rng(303)
         for kind in rr.BINARY_KINDS:
             spec, w, obs = self._random_instance(kind, rng)
-            eigs = np.linalg.eigvalsh(rr.hessian(spec, w, obs))
+            eigs = np.linalg.eigvalsh(dense_hessian(spec, w, obs))
             assert eigs.min() >= -1e-10
 
 

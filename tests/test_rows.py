@@ -1,6 +1,7 @@
-"""The one CSV row reader behind ratings, comparisons and edge lists."""
+"""The one CSV row reader behind ratings and comparisons."""
 
 import contextlib
+import csv
 import errno
 import os
 import pickle
@@ -17,11 +18,17 @@ import rateorank as rr
 from helpers import read_rows_by_line
 from rateorank import cli, graph
 
-FORMATS = {
-    "comparison": (cli.COMPARISON_ROWS, 2, np.float64),
-    "rating": (cli.RATING_ROWS, 1, np.float64),
-    "edge": (graph.EDGE_ROWS, 2, np.int64),
-}
+
+def _weight(text):
+    weight = int(text)
+    if not 0 < weight < 2**63:
+        raise ValueError(weight)
+    return weight
+
+
+# Besides the CLI's two formats, a three-column one whose parse returns ints, which the reader reads as float64.
+EDGE_ROWS = rr.RowFormat("left,right,weight", "edge", _weight, "a positive 64-bit integer")
+FORMATS = {"comparison": cli.COMPARISON_ROWS, "rating": cli.RATING_ROWS, "edge": EDGE_ROWS}
 
 _names = st.text(alphabet="abcXY09_-.é", min_size=1, max_size=3)
 _pad = st.sampled_from(["", " ", "  \t"])
@@ -37,18 +44,18 @@ def _row(draw, kind):
         text = draw(st.sampled_from([repr(value), f"{value:.17g}"]))
     else:
         ids = draw(st.lists(_names, min_size=2, max_size=2, unique=True))
-        if kind == "comparison":
-            text = draw(st.sampled_from(["+1", "1", "-1"]))
-            value = -1.0 if text == "-1" else 1.0
-        else:
-            value = draw(st.integers(1, 2**56))  # 25 merged rows stay inside int64
-            text = str(value)
+        text = draw(st.sampled_from(["+1", "1", "-1"]))
+        value = -1.0 if text == "-1" else 1.0
     return draw(_filler), ids, value, text
+
+
+# The hypothesis parity tests draw the CLI's two formats.
+_KINDS = st.sampled_from(["comparison", "rating"])
 
 
 @st.composite
 def _table(draw):
-    kind = draw(st.sampled_from(sorted(FORMATS)))
+    kind = draw(_KINDS)
     return kind, draw(st.lists(_row(kind), min_size=1, max_size=25))
 
 
@@ -75,7 +82,8 @@ def _expected(rows, id_order):
 @given(table=_table(), pad=_pad, id_order=st.sampled_from(cli.ID_ORDERS))
 def test_reader_matches_rows(table, pad, id_order):
     kind, rows = table
-    row_format, width, dtype = FORMATS[kind]
+    row_format = FORMATS[kind]
+    width = row_format.header.count(",")  # id columns
     item_ids, index, values = _expected(rows, id_order)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "rows.csv")
@@ -86,20 +94,13 @@ def test_reader_matches_rows(table, pad, id_order):
         assert got_index.dtype == np.intp
         assert got_index.shape == ((len(rows), 2) if width == 2 else (len(rows),))
         assert got_index.reshape(len(rows), width).tolist() == index
-        assert got_values.dtype == dtype
+        assert got_values.dtype == np.float64
         assert got_values.tolist() == values
 
         if kind == "comparison":
             data = cli.read_ordinal_csv(path, id_order)
-        elif kind == "rating":
-            data = cli.read_cardinal_csv(path, id_order)
         else:
-            g, ids = rr.read_edge_list(path)
-            first_ids, first_index, _ = _expected(rows, "first-appearance")
-            assert tuple(ids) == first_ids
-            triples = [(a, b, w) for (a, b), w in zip(first_index, values)]
-            assert g == rr.comparison_graph(len(ids), triples)
-            return
+            data = cli.read_cardinal_csv(path, id_order)
     assert data.item_ids == got_ids
     assert np.array_equal(data.design, got_index) and data.design.dtype == np.intp
     assert np.array_equal(data.outcomes, got_values) and data.outcomes.dtype == np.float64
@@ -112,7 +113,7 @@ def _read(tmp_path, kind, text):
         return cli.read_ordinal_csv(path)
     if kind == "rating":
         return cli.read_cardinal_csv(path)
-    return rr.read_edge_list(path)
+    return rr.read_rows(path, EDGE_ROWS)
 
 
 BAD_ROWS = {
@@ -155,7 +156,7 @@ def test_byte_order_mark_is_not_part_of_the_first_id(tmp_path, kind, text):
     reads = []
     for mark in (b"", b"\xef\xbb\xbf"):
         path.write_bytes(mark + text.encode("utf-8"))
-        reads.append(rr.read_rows(path, FORMATS[kind][0]))
+        reads.append(rr.read_rows(path, FORMATS[kind]))
     (ids, index, values), (bom_ids, bom_index, bom_values) = reads
     assert ids == bom_ids == ("a", "b", "c")
     assert np.array_equal(index, bom_index) and np.array_equal(values, bom_values)
@@ -166,10 +167,11 @@ def test_edge_weight_round_trips_exactly(tmp_path):
     g = rr.comparison_graph(3, [(0, 1, weight), (1, 2, 1)])
     path = tmp_path / "edges.csv"
     rr.write_edge_list(g, path, item_ids=["a", "b", "c"])
-    back, ids = rr.read_edge_list(path)
-    assert ids == ["a", "b", "c"]
-    assert back.edges == ((0, 1, weight), (1, 2, 1))
-    assert back.n == weight + 1
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["a", "b", str(weight)], ["b", "c", "1"]]
+    ids = {"a": 0, "b": 1, "c": 2}
+    assert rr.comparison_graph(3, [(ids[a], ids[b], int(w)) for a, b, w in rows]) == g
 
 
 @pytest.mark.parametrize("kind, text, fragment", [
@@ -199,7 +201,7 @@ def test_non_utf8_file_names_the_path(tmp_path, monkeypatch, block_bytes, kind):
     path = tmp_path / f"{kind}.csv"
     path.write_bytes(b"\n".join([good] * 5 + [b"\xff" + good]))  # the bad byte opens the last line
     with pytest.raises(rr.DataFormatError) as caught:
-        rr.read_rows(path, FORMATS[kind][0])
+        rr.read_rows(path, FORMATS[kind])
     assert str(caught.value) == f"{path}: not UTF-8 text: invalid start byte (0xff)"
 
 
@@ -299,7 +301,7 @@ def test_error_texts_in_full(tmp_path, monkeypatch, block_bytes, kind, row, reas
     for line_no, lines in ((1, [row, good]), (3, [good, "# note", row, good]), (3, [good, "", row])):
         path.write_text("\n".join(lines), encoding="utf-8")
         with pytest.raises(rr.DataFormatError) as caught:
-            rr.read_rows(path, FORMATS[kind][0])
+            rr.read_rows(path, FORMATS[kind])
         assert str(caught.value) == f"{path}, line {line_no}: {reason}"
 
 
@@ -360,7 +362,7 @@ def _serial(path, row_format, id_order="first-appearance"):
 @given(table=_table(), pad=_pad, id_order=st.sampled_from(cli.ID_ORDERS), part_bytes=st.integers(4, 200))
 def test_parts_match_the_serial_read(table, pad, id_order, part_bytes):
     kind, rows = table
-    row_format = FORMATS[kind][0]
+    row_format = FORMATS[kind]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "rows.csv")
         with open(path, "w", encoding="utf-8") as fh:
@@ -378,7 +380,7 @@ def test_parts_match_the_serial_read_across_blocks(tiny_blocks):
 def _mixed_table(draw):
     """A table of one kind whose lines mix clean rows with padded and tabbed ones, CRLF and bare-CR endings,
     comments and blank lines."""
-    kind = draw(st.sampled_from(sorted(FORMATS)))
+    kind = draw(_KINDS)
     text = ""
     for filler, ids, _, value in draw(st.lists(_row(kind), min_size=1, max_size=60)):
         pad = draw(st.sampled_from(["", "", "", " ", "\t"]))
@@ -392,7 +394,7 @@ def _mixed_table(draw):
        part_bytes=st.integers(64, 400))
 def test_chunks_match_the_line_by_line_reader(table, id_order, chunk_bytes, part_bytes):
     kind, text = table
-    row_format = FORMATS[kind][0]
+    row_format = FORMATS[kind]
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_BLOCK_BYTES", chunk_bytes)
         path = os.path.join(tmp, "rows.csv")
@@ -433,10 +435,10 @@ def test_parts_holding_only_comments_or_blank_lines(tmp_path, kind, id_order):
     ranges = _ranges(path, 8)
     assert len(ranges) == 8
     assert sum(all(not line.strip() or line.startswith("#") for line in lines) for lines in ranges) >= 3
-    want = _serial(path, FORMATS[kind][0], id_order)
-    assert want[2][0] == FORMATS[kind][2]
+    want = _serial(path, FORMATS[kind], id_order)
+    assert want[2][0] == np.float64
     with _parts(path.stat().st_size // 8, cpus=8) as forks:
-        assert _outcome(path, FORMATS[kind][0], id_order) == want
+        assert _outcome(path, FORMATS[kind], id_order) == want
     assert len(forks) == 7
 
 
@@ -444,16 +446,19 @@ def _int_or_float(text):
     return int(text) if text.isdigit() else float(text)
 
 
-@pytest.mark.parametrize("ints_first", [True, False])
-def test_parts_of_integers_and_parts_of_floats_join_as_one_list(tmp_path, ints_first):
-    # Some parts parse only ints and others only floats: numpy must see them in one list, as a one-part read does.
-    ints = [f"a{i},{2**60 + i}" for i in range(100)]
-    floats = [f"b{i},{i / 4}" for i in range(100)]
-    path = tmp_path / "mixed.csv"
-    _write_lines(path, ints + floats if ints_first else floats + ints)
+@pytest.mark.parametrize("rows", ["ints", "ints-then-floats", "floats-then-ints"])
+def test_integer_values_read_as_float64(tmp_path, rows):
+    # A parse that returns ints gives float64 values, each float(x), in one part and in parts alike.
+    ints = [(f"a{i}", 2**60 + i) for i in range(100)]  # past 2**53, where float(x) rounds
+    floats = [(f"b{i}", i / 4) for i in range(100)]
+    table = {"ints": ints + [(f"c{i}", i) for i in range(100)], "ints-then-floats": ints + floats,
+             "floats-then-ints": floats + ints}[rows]
+    path = tmp_path / "values.csv"
+    _write_lines(path, [f"{name},{value}" for name, value in table])
     row_format = rr.RowFormat("item,value", "value", _int_or_float, "a number")
     want = _serial(path, row_format)
     assert want[2][0] == np.float64
+    assert np.frombuffer(want[2][3]).tolist() == [float(value) for _, value in table]
     with _parts(256) as forks:
         assert _outcome(path, row_format) == want
     assert len(forks) == 3
@@ -533,7 +538,7 @@ def test_a_bad_row_in_a_clean_chunk(tmp_path, kind, row, reason):
     lines[150] = row
     _write_lines(path, lines)
     with pytest.raises(rr.DataFormatError) as caught:
-        rr.read_rows(path, FORMATS[kind][0])
+        rr.read_rows(path, FORMATS[kind])
     assert str(caught.value) == (f"{path}, line 151: {reason}" if reason else
                                  f"{path}: not UTF-8 text: invalid start byte (0xff)")
 
