@@ -38,8 +38,6 @@ SCHEMA_VERSION = "1"
 #: two documented CSV schemas cannot carry, so it is simulation/library-only here.
 FIT_MODELS = ("cardinal", "thurstone", "btl")
 
-ID_ORDERS = ("first-appearance", "sorted")
-
 #: Every field a simulate config may carry, by dotted path, with the type ``_checked`` reads it as.  ``w_true`` may
 #: be a vector or a rule object: its ``rule`` and which fields that rule reads are judged by ``sim._rule_fields``,
 #: and each rule field is typed by its default in ``sim.W_TRUE_RULES``.
@@ -377,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--cv-grid", default=None,
                      help="'default' or comma-separated sigmas to cross-validate over")
     fit.add_argument("--b-bound", type=float, default=1.0)
-    fit.add_argument("--id-order", choices=ID_ORDERS, default="first-appearance")
+    fit.add_argument("--id-order", choices=graph.ID_ORDERS, default="first-appearance")
     fit.add_argument("--seed", type=int, default=None, help="seed of the --cv-grid fold shuffle (default 0)")
     fit.add_argument("--out", default=None, help="write the fit document (JSON) here")
 

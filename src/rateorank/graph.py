@@ -6,15 +6,15 @@ combinatorial Laplacian ``M`` of the weighted graph is the Gram matrix of the
 differencing vectors of the design, and ``M / n`` (``n`` = total number of
 comparisons) is the standardized design covariance.  Risk bounds, packings and
 seminorm metrics are all phrased in terms of ``M`` and its spectrum, so those
-objects live here.  A :class:`Laplacian` holds ``M``, ``n`` and each item's
-connected component, found by a graph search over the merged pairs.  Connectivity
-and rank are read from the components, the trace of the pseudoinverse from a
-Cholesky factor, and only the extreme eigenvalues from the spectrum, which one
-``eigvalsh`` computes on first read; no eigenvectors are kept.
+objects live here.  A :class:`ComparisonGraph` is the merged pairs, and a
+:class:`Laplacian` that graph plus each item's component, found by a graph search.
+Connectivity is read from the components and the pseudoinverse's trace from a
+Cholesky factor scattered straight from the pairs; only the spectrum (one
+``eigvalsh``, no eigenvectors), packings and the seminorm metric build ``M``.
 
 Building a graph or a Laplacian is array work from start to end: the
-``(left, right, weight)`` triples are validated at once, merged by :func:`index_pairs`,
-and scattered into ``M`` by ``_laplacian_matrix``, the one assembly of weighted pair
+``(left, right, weight)`` triples are validated at once and merged by
+:func:`index_pairs`, and ``_laplacian_matrix`` is the one assembly of weighted pair
 outer products.  ``M`` is exact while its entries stay below 2**53;
 :func:`comparison_graph` accepts merged weights up to 2**63 - 1.  Graphs are written
 as edge lists for other tools; the package reads none back.
@@ -26,11 +26,10 @@ memory stays bounded by a chunk per part and the parsed values.  A clean chunk
 takes no per-line work: one numpy pass over its comma and newline bytes checks the
 row shape, and one split gives its fields; any other chunk is cleaned first.  A
 chunk that fails is read again one line at a time by the same parser, which names
-the first bad line.  On 2 vCPUs a 4.2 MB comparisons file parses in about 0.10 s
-in one part (0.15-0.18 s in 4 KiB blocks of line strings).  A large regular file
-is split at newlines into one part per usable CPU: forked children parse the later
-parts while the caller parses the first, and the caller joins the parts in file
-order into exactly what a one-part read gives.
+the first bad line.  A large regular file is split at newlines into one part per
+usable CPU: forked children parse the later parts while the caller parses the
+first, and the caller joins the parts in file order into exactly what a one-part
+read gives.
 """
 
 from __future__ import annotations
@@ -55,6 +54,7 @@ from .errors import DataFormatError
 RANK_TOL = 1e-10
 
 TOPOLOGY_KINDS = ("complete", "dumbbell", "expander", "star")
+ID_ORDERS = ("first-appearance", "sorted")  # how read_rows may number item ids
 
 # Minimum algebraic connectivity (relative to degree) accepted when sampling
 # a random regular graph, and the cap on resampling attempts.
@@ -75,27 +75,26 @@ _BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark, skipped at byte 0 only
 _PART_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonGraph:
     """A weighted comparison multigraph on ``d`` items.
 
-    ``edges`` holds ``(left, right, weight)`` triples with ``left < right``,
-    lexicographically sorted, each weight a positive integer giving the number
-    of times that pair is compared.
+    ``edges`` is a read-only (E, 3) int64 array of ``(left, right, weight)``
+    rows with ``left < right`` in lexicographic order, each weight a positive
+    integer giving the number of times that pair is compared.
     """
 
     d: int
-    edges: tuple[tuple[int, int, int], ...]
+    edges: np.ndarray
 
     @property
     def n(self) -> int:
-        """Total number of comparisons (sum of edge weights)."""
-        return sum(w for _, _, w in self.edges)
+        """Total number of comparisons: the exact sum of the edge weights."""
+        return int(self.edges[:, 2].sum())
 
     def to_design(self) -> np.ndarray:
         """Expand the multigraph into an (n, 2) array of comparison rows, edge by edge."""
-        edges = np.array(self.edges, dtype=np.intp).reshape(-1, 3)
-        return np.repeat(edges[:, :2], edges[:, 2], axis=0)
+        return np.repeat(self.edges[:, :2], self.edges[:, 2], axis=0)
 
 
 def index_pairs(d: int, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,16 +132,16 @@ def integer_array(values, what: str, dtype=np.int64) -> np.ndarray:
     return cast
 
 
-def _merge_edges(d: int, weighted_edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _merge_edges(d: int, weighted_edges) -> np.ndarray:
     """Validate ``(left, right, weight)`` triples and merge each pair's triples.
 
     ``weighted_edges`` is an (E, 3) array or an iterable of triples; all of
     them are checked at once.  A non-integer entry is reported first;
     otherwise the first bad triple in input order decides the error.  Returns
-    ``(left, right, weight)`` int64 arrays with ``left < right`` in
-    lexicographic order, each weight the exact sum over both orientations and
-    all duplicates of that pair.  A merged weight or a total that would not
-    fit in int64 (reaching 2**63) raises ``ValueError``.
+    a read-only (E, 3) int64 array of ``(left, right, weight)`` rows with
+    ``left < right`` in lexicographic order, each weight the exact sum over
+    both orientations and all duplicates of that pair.  A merged weight or a
+    total that would not fit in int64 (reaching 2**63) raises ``ValueError``.
     """
     if d < 2:
         raise ValueError(f"need at least 2 items, got d={d}")
@@ -179,7 +178,9 @@ def _merge_edges(d: int, weighted_edges) -> tuple[np.ndarray, np.ndarray, np.nda
             raise ValueError(f"edge ({a}, {b}) has merged weight {exact[wrapped[0]]}, which reaches 2**63")
         if sum(exact) >= 2**63:
             raise ValueError(f"total weight {sum(exact)} reaches 2**63")
-    return pairs[:, 0], pairs[:, 1], merged
+    edges = np.column_stack((pairs, merged))
+    edges.setflags(write=False)
+    return edges
 
 
 def comparison_graph(d: int, weighted_edges) -> ComparisonGraph:
@@ -188,13 +189,12 @@ def comparison_graph(d: int, weighted_edges) -> ComparisonGraph:
     ``weighted_edges`` is an (E, 3) array or an iterable of
     ``(left, right, weight)`` triples.
     """
-    left, right, weight = _merge_edges(d, weighted_edges)
-    return ComparisonGraph(d=d, edges=tuple(zip(left.tolist(), right.tolist(), weight.tolist())))
+    return ComparisonGraph(d=d, edges=_merge_edges(d, weighted_edges))
 
 
-@dataclass(frozen=True)
-class Laplacian:
-    """Combinatorial Laplacian ``m`` of a comparison design, its comparison count ``n`` and its components.
+@dataclass(frozen=True, eq=False)
+class Laplacian(ComparisonGraph):
+    """A comparison graph with each item's component, and its combinatorial Laplacian ``m`` on first read.
 
     ``m / n`` is the standardized covariance, which the ``*_std`` properties
     describe.  ``component[i]`` is the smallest item connected to item ``i``.
@@ -202,13 +202,14 @@ class Laplacian:
     once per design.
     """
 
-    m: np.ndarray
-    n: int
     component: np.ndarray
 
-    @property
-    def d(self) -> int:
-        return self.m.shape[0]
+    @cached_property
+    def m(self) -> np.ndarray:
+        """The d x d Laplacian M of the edges, read-only, exact while its entries stay below 2**53."""
+        m = _laplacian_matrix(self.d, self.edges[:, 0], self.edges[:, 1], self.edges[:, 2].astype(float))
+        m.setflags(write=False)
+        return m
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -216,11 +217,6 @@ class Laplacian:
         eigenvalues = np.linalg.eigvalsh(self.m)[::-1].copy()
         eigenvalues[eigenvalues < RANK_TOL * eigenvalues[0]] = 0.0
         return eigenvalues
-
-    @property
-    def lambda1(self) -> float:
-        """Largest eigenvalue."""
-        return float(self.eigenvalues[0])
 
     @property
     def lambda2(self) -> float:
@@ -247,12 +243,21 @@ class Laplacian:
         within a few r * eps; as r nears 1/eps, M_g rounds toward singular: the
         trace then loses its digits, or ``numpy.linalg.LinAlgError`` is raised.
         """
-        # An item is grounded unless it comes first of its component in (component, -diagonal, item) order.
-        order = np.lexsort((np.arange(self.d), -np.diag(self.m), self.component))
+        left, right, weight = self.edges.T
+        weight = weight.astype(float)
+        degree = np.bincount(left, weight, self.d) + np.bincount(right, weight, self.d)  # M's diagonal
+        # An item is grounded unless it comes first of its component in (component, -degree, item) order.
+        order = np.lexsort((np.arange(self.d), -degree, self.component))
         grounded = np.sort(order[np.diff(self.component[order], prepend=-1) == 0])
-        if not grounded.size:
+        if not (k := grounded.size):
             return float("inf")
-        inverse = _inverse_cholesky_factor(self.m[np.ix_(grounded, grounded)])
+        position = np.full(self.d, k)  # a grounded-out item maps to k, and its pairs drop out of the block
+        position[grounded] = np.arange(k)
+        left, right = position[left], position[right]
+        kept = (left < k) & (right < k)
+        grounded_m = _laplacian_matrix(k, left[kept], right[kept], weight[kept])
+        grounded_m[np.diag_indices(k)] = degree[grounded]  # M's diagonal, the dropped pairs included
+        inverse = _inverse_cholesky_factor(grounded_m)
         rows = inverse.sum(axis=1)
         sizes = np.bincount(self.component)[self.component[grounded]]
         entries = inverse.ravel()
@@ -261,11 +266,6 @@ class Laplacian:
     @property
     def connected(self) -> bool:
         return not self.component.any()
-
-    @property
-    def rank(self) -> int:
-        """d minus the number of components."""
-        return int(np.count_nonzero(self.component != np.arange(self.d)))
 
 
 def _laplacian_matrix(d: int, left: np.ndarray, right: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -322,15 +322,13 @@ def _inverse_cholesky_factor(a: np.ndarray) -> np.ndarray:
 
 
 def build_laplacian(d: int, weighted_edges) -> Laplacian:
-    """Assemble the Laplacian of a weighted comparison graph and find its components; its spectrum waits until read.
+    """Merge a weighted comparison graph's edges and find its components; ``M`` waits until read.
 
     ``weighted_edges`` is an (E, 3) array or an iterable of
-    ``(left, right, weight)`` triples.  ``M`` is :func:`_laplacian_matrix` of the
-    merged edges; its entries are exact integer sums while they stay below 2**53.
+    ``(left, right, weight)`` triples.
     """
-    left, right, weight = _merge_edges(d, weighted_edges)
-    return Laplacian(m=_laplacian_matrix(d, left, right, weight.astype(float)), n=int(weight.sum()),
-                     component=_components(d, left, right))
+    edges = _merge_edges(d, weighted_edges)
+    return Laplacian(d=d, edges=edges, component=_components(d, edges[:, 0], edges[:, 1]))
 
 
 def build_laplacian_from_design(d: int, design: np.ndarray) -> Laplacian:
@@ -417,7 +415,7 @@ def write_edge_list(graph: ComparisonGraph, path, item_ids: list[str] | None = N
     if len(item_ids) != graph.d:
         raise ValueError(f"expected {graph.d} item ids, got {len(item_ids)}")
     with open(path, "w", encoding="utf-8") as fh:
-        for a, b, w in graph.edges:
+        for a, b, w in graph.edges.tolist():
             fh.write(f"{item_ids[a]},{item_ids[b]},{w}\n")
 
 
@@ -683,9 +681,10 @@ def read_rows(path, row_format: RowFormat, id_order: str = "first-appearance"):
     :class:`DataFormatError` naming the file and the line (only the file if the line is
     not UTF-8).  Values must be finite and the two ids of a row must differ.  Item ids
     are numbered by first appearance as they are read; ``id_order="sorted"`` renumbers
-    them at the end.  ``index`` is an intp array of shape (n,) for one id column or (n,
-    k) for k; ``values`` is a float64 array of the parsed values.  Both are read-only,
-    so an observation set built on them shares them instead of copying.
+    them at the end; any other ``id_order`` raises ``ValueError`` before the file is
+    opened.  ``index`` is an intp array of shape (n,) for one id column or (n, k) for
+    k; ``values`` is a float64 array of the parsed values.  Both are read-only, so an
+    observation set built on them shares them instead of copying.
 
     A regular file of at least two ``_PART_BYTES`` is split, where ``os.fork`` exists,
     into one byte range per usable CPU (at most one per ``_PART_BYTES``), each ending at
@@ -703,6 +702,8 @@ def read_rows(path, row_format: RowFormat, id_order: str = "first-appearance"):
     gives about forking a multi-threaded process is silenced around the fork.  Smaller
     files, pipes and other non-regular files are streamed in one part, with no seek.
     """
+    if id_order not in ID_ORDERS:
+        raise ValueError(f"id_order must be one of {ID_ORDERS}, got {id_order!r}")
     width = row_format.header.count(",") + 1
     ids, index, values = _join_spans(path, _read_spans(path, row_format, width))
     if not values.size:

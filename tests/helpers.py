@@ -1,13 +1,14 @@
 """Shared oracles for the test suite.
 
-Everything in here but the dense Hessian is deliberately independent of the
-library internals: the finite-difference checks only call
+Everything in here but the dense Hessian and the dense trace is deliberately
+independent of the library internals: the finite-difference checks only call
 ``neg_log_likelihood``/``gradient`` as black boxes, the grid minimizer
 re-parameterizes the d=3 feasible set by hand, and the reference projection
 finds its shift by a different search than the library's.  The dense Hessian
 assembles the library's per-group curvature weights, which ``fd_hessian``
-checks.  The line-by-line reader reads a CSV one line at a time with none of
-the reader's chunks, numpy checks or forked parts.
+checks.  The dense trace factors the block of ``Laplacian.m`` that the library's
+trace scatters straight from the pairs.  The line-by-line reader reads a CSV one
+line at a time with none of the reader's chunks, numpy checks or forked parts.
 """
 
 import math
@@ -61,6 +62,20 @@ def dense_hessian(spec, w, obs):
     if spec.kind == "cardinal":
         return np.diag(np.bincount(items, weights=weights, minlength=obs.d))
     return graph._laplacian_matrix(obs.d, items[:, 0], items[:, 1], weights)
+
+
+def dense_trace_pinv_std(lap):
+    """``lap.trace_pinv_std`` from the dense ``lap.m``: each component grounded at its largest diagonal entry (its
+    smallest such item on a tie), and the ``np.ix_`` copy of what is left handed to ``_inverse_cholesky_factor``."""
+    order = np.lexsort((np.arange(lap.d), -np.diag(lap.m), lap.component))
+    grounded = np.sort(order[np.diff(lap.component[order], prepend=-1) == 0])
+    if not grounded.size:
+        return float("inf")
+    inverse = graph._inverse_cholesky_factor(lap.m[np.ix_(grounded, grounded)])
+    rows = inverse.sum(axis=1)
+    sizes = np.bincount(lap.component)[lap.component[grounded]]
+    entries = inverse.ravel()
+    return lap.n * (float(entries @ entries) - float(rows @ (rows / sizes)))
 
 
 def _batch_nll(spec, candidates, obs):

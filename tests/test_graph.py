@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +26,14 @@ from rateorank import (
     sample,
     write_edge_list,
 )
-from rateorank import cli
+from helpers import dense_trace_pinv_std
+from rateorank import cli, graph, sim
 from rateorank.graph import RANK_TOL
 
 
 def test_merge_and_orient_edges():
     g = comparison_graph(3, [(0, 1, 2), (1, 0, 3), (2, 1, 1)])
-    assert g.edges == ((0, 1, 5), (1, 2, 1))
+    assert g.edges.tolist() == [[0, 1, 5], [1, 2, 1]]
     assert g.n == 6
     design = g.to_design()
     assert design.shape == (6, 2)
@@ -84,7 +86,8 @@ def test_non_integer_entries_rejected():
         build_laplacian(3, [(0, 1, 1), (1, 2, 2.5)])
     with pytest.raises(ValueError, match="edge 0 holds a non-integer value"):
         comparison_graph(3, np.array([[0, 1, np.inf]]))
-    assert comparison_graph(3, [(0.0, 1.0, 2.0), (2, 1, 1)]) == comparison_graph(3, [(0, 1, 2), (2, 1, 1)])
+    assert np.array_equal(comparison_graph(3, [(0.0, 1.0, 2.0), (2, 1, 1)]).edges,
+                          comparison_graph(3, [(0, 1, 2), (2, 1, 1)]).edges)
 
 
 @pytest.mark.parametrize("weight, shown", [(2**63, r"9\.223372036854776e\+18"), (10**20, "100000000000000000000")])
@@ -110,18 +113,18 @@ def test_merged_weight_overflow_rejected():
             build(3, [(0, 1, 2**62), (2, 1, 2**62)])
     # Just below the limit the weights stay exact.
     g = comparison_graph(3, [(0, 1, 2**62), (1, 0, 2**62 - 2), (2, 1, 1)])
-    assert g.edges == ((0, 1, 2**63 - 2), (1, 2, 1)) and g.n == 2**63 - 1
+    assert g.edges.tolist() == [[0, 1, 2**63 - 2], [1, 2, 1]] and g.n == 2**63 - 1
     assert build_laplacian(2, [(0, 1, 2**62), (1, 0, 2**62 - 1)]).n == 2**63 - 1
 
 
 def test_generator_input():
     triples = [(0, 1, 1), (2, 1, 3), (1, 0, 2)]
     g = comparison_graph(3, (t for t in triples))
-    assert g.edges == ((0, 1, 3), (1, 2, 3))
+    assert g.edges.tolist() == [[0, 1, 3], [1, 2, 3]]
     lap = build_laplacian(3, iter(triples))
     assert np.array_equal(lap.m, build_laplacian(g.d, g.edges).m)
     assert lap.n == 6
-    assert comparison_graph(3, np.array(triples)) == g
+    assert np.array_equal(comparison_graph(3, np.array(triples)).edges, g.edges)
 
 
 def _dict_merge(triples):
@@ -129,7 +132,7 @@ def _dict_merge(triples):
     for a, b, w in triples:
         key = (min(a, b), max(a, b))
         merged[key] = merged.get(key, 0) + w
-    return tuple((a, b, merged[(a, b)]) for a, b in sorted(merged))
+    return [[a, b, merged[(a, b)]] for a, b in sorted(merged)]
 
 
 def _loop_laplacian(d, edges):
@@ -159,8 +162,8 @@ def _triple_lists(draw):
 def test_array_build_matches_loop_reference(case):
     d, triples = case
     g = comparison_graph(d, triples)
-    assert g.edges == _dict_merge(triples)
-    assert all(type(x) is int for edge in g.edges for x in edge)
+    assert g.edges.tolist() == _dict_merge(triples)
+    assert g.edges.dtype == np.int64 and not g.edges.flags.writeable
     lap = build_laplacian(d, triples)
     assert np.all(lap.m == _loop_laplacian(d, g.edges))
     assert np.array_equal(lap.m, _loop_laplacian(d, triples))  # unmerged: repeats and reversals add up
@@ -176,10 +179,10 @@ def test_single_edge_spectrum():
     lap = build_laplacian(2, [(0, 1, 4)])
     assert lap.n == 4
     assert np.allclose(lap.m, 4 * np.array([[1, -1], [-1, 1]]))
-    assert lap.lambda1 == pytest.approx(8.0)
+    assert lap.eigenvalues[0] == pytest.approx(8.0)
     assert lap.lambda2 == pytest.approx(8.0)
     assert lap.connected
-    assert lap.rank == 1
+    assert lap.component.tolist() == [0, 0]
 
 
 def test_pseudo_inverse_matches_numpy():
@@ -204,7 +207,7 @@ def test_disconnected_graph():
     lap = build_laplacian(4, [(0, 1, 3), (2, 3, 5)])
     assert lap.lambda2 == 0.0
     assert not lap.connected
-    assert lap.rank == 2
+    assert lap.component.tolist() == [0, 0, 2, 2]
 
 
 def test_laplacian_from_design_matches_edge_build():
@@ -228,7 +231,7 @@ def test_spectral_summary_standardization():
 
 def test_topology_budget_allocation():
     g = generate_topology("complete", 3, 4)
-    assert g.edges == ((0, 1, 2), (0, 2, 1), (1, 2, 1))
+    assert g.edges.tolist() == [[0, 1, 2], [0, 2, 1], [1, 2, 1]]
     for kind, kwargs in (("complete", {}), ("dumbbell", {}), ("star", {}), ("expander", {"k": 4})):
         g = generate_topology(kind, 10, 137, **kwargs)
         assert g.n == 137
@@ -268,7 +271,7 @@ def test_expander_regularity_and_gap():
     assert np.all(degree == 4)
     base = build_laplacian(12, [(a, b, 1) for a, b, _ in g.edges])
     assert base.lambda2 >= 0.4
-    assert generate_topology("expander", 12, 100, seed=3, k=4) == g
+    assert np.array_equal(generate_topology("expander", 12, 100, seed=3, k=4).edges, g.edges)
     with pytest.raises(ValueError):
         generate_topology("expander", 12, 100, k=2)
     with pytest.raises(ValueError):
@@ -304,7 +307,7 @@ def test_rank_tolerance_clamps_noise_eigenvalues():
     lap = build_laplacian(4, [(0, 1, 10**9), (2, 3, 10**9)])
     assert lap.eigenvalues[-2:] == pytest.approx([0.0, 0.0])
     assert not lap.connected
-    assert isinstance(ComparisonGraph(2, ((0, 1, 1),)).n, int)
+    assert isinstance(ComparisonGraph(2, np.array([[0, 1, 1]])).n, int)
 
 
 def _reference_spectrum(m):
@@ -344,14 +347,14 @@ def test_lazy_spectrum_matches_dense_reference(case):
     lap = build_laplacian(d, triples)
     reference = _reference_spectrum(lap.m)
     close = dict(rel=1e-9, abs=1e-9)
-    assert lap.lambda1 == pytest.approx(reference[0], **close)
+    assert lap.eigenvalues[0] == pytest.approx(reference[0], **close)
     assert lap.lambda2 == pytest.approx(reference[-2], **close)
     assert lap.lambda2_std == pytest.approx(reference[-2] / lap.n, **close)
     nonzero = reference[reference > 0]
     assert lap.trace_pinv_std == pytest.approx(lap.n * np.sum(1.0 / nonzero), **close)
     # Weights of at most 5 on at most 9 items keep every structural eigenvalue far above the clamp.
     components = _component_count(d, triples)
-    assert lap.rank == np.count_nonzero(reference) == d - components
+    assert d - np.unique(lap.component).size == np.count_nonzero(reference) == d - components
     assert lap.connected == (reference[-2] > 0) == (components == 1)
 
 
@@ -377,7 +380,6 @@ def test_components_match_union_find(case):
     # Each label is an item of its own component, and no item is smaller than its label: the smallest item.
     assert np.array_equal(component[component], component)
     assert np.all(component <= np.arange(d))
-    assert lap.rank == d - count
     assert lap.connected == (count == 1)
 
 
@@ -387,7 +389,7 @@ def test_components_are_exact_past_the_rank_clamp():
     lap = build_laplacian(3, [(0, 1, 10**12), (1, 2, 1)])
     assert lap.lambda2 == 0.0
     assert lap.connected
-    assert lap.rank == 2
+    assert lap.component.tolist() == [0, 0, 0]
 
 
 def _random_design(rng, d, groups, isolated):
@@ -410,8 +412,30 @@ def _random_design(rng, d, groups, isolated):
 def test_trace_matches_dense_pinv_across_blocks(d, groups, isolated):
     rng = np.random.default_rng(d + 10 * groups + isolated)
     lap = build_laplacian(d, _random_design(rng, d, groups, isolated))
-    assert d - lap.rank == groups + isolated
+    assert np.unique(lap.component).size == groups + isolated
     assert lap.trace_pinv_std == pytest.approx(lap.n * np.trace(np.linalg.pinv(lap.m)), rel=1e-9)
+    assert lap.trace_pinv_std == dense_trace_pinv_std(lap)
+
+
+@st.composite
+def _split_weighted_graphs(draw):
+    """Random graphs on up to 150 items (past two Cholesky blocks) with integer weights up to 10**6, split into
+    up to 4 residue classes, so they have several components and often isolated items."""
+    d = draw(st.integers(2, 150))
+    classes = draw(st.integers(1, 4))
+    item = st.integers(0, d - 1)
+    pair = st.tuples(item, item).filter(lambda p: p[0] != p[1] and p[0] % classes == p[1] % classes)
+    weight = st.one_of(st.integers(1, 5), st.integers(1, 10**6))
+    return d, [(a, b, draw(weight)) for a, b in draw(st.lists(pair, min_size=1, max_size=3 * d))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_multigraphs(), _split_weighted_graphs()))
+def test_trace_equals_the_dense_trace_bitwise(case):
+    # Scattering the grounded block straight from the pairs builds, entry for entry, the np.ix_ copy of M.
+    d, triples = case
+    lap = build_laplacian(d, triples)
+    assert lap.trace_pinv_std == dense_trace_pinv_std(lap)
 
 
 def test_trace_grounds_each_component_at_its_heaviest_item():
@@ -505,8 +529,50 @@ def test_fits_and_bounds_need_no_eigenvectors(monkeypatch):
     lap = build_laplacian(3, [(0, 1, 1), (1, 2, 2)])
     assert not calls
     first = lap.eigenvalues
-    assert lap.eigenvalues is first and lap.lambda2 > 0 and lap.rank == 2
+    assert lap.eigenvalues is first and lap.lambda2 > 0 and lap.connected
     assert len(calls) == 1
+
+
+@pytest.fixture
+def m_builds(monkeypatch):
+    """Every Laplacian built, and every Laplacian whose dense M is built, in call order."""
+    built, assembled = [], []
+    build_laplacian, assemble = graph.build_laplacian, graph.Laplacian.m.func
+    monkeypatch.setattr(graph, "build_laplacian", lambda *args: built.append(build_laplacian(*args)) or built[-1])
+    counted = cached_property(lambda lap: assembled.append(lap) or assemble(lap))
+    counted.__set_name__(graph.Laplacian, "m")
+    monkeypatch.setattr(graph.Laplacian, "m", counted)
+    return built, assembled
+
+
+def test_fits_bounds_and_folds_never_build_m(m_builds):
+    built, assembled = m_builds
+    design = np.array([(a, b) for a in range(6) for b in range(a + 1, 6)] * 8)
+    w = np.linspace(0.5, -0.5, 6)
+    btl = sample(ModelSpec("btl", 1.0, 1.0), w, design, seed=5)
+    thurstone = sample(ModelSpec("thurstone", 1.0, 1.0), w, design, seed=6)
+    assert mle_fit(btl, FitConfig()).converged
+    assert applicable_bound(btl, 1.0) is not None
+    sigma, table = cv_sigma(thurstone, FitConfig(sigma_grid=(0.5, 1.0)))
+    assert mle_fit(thurstone.with_sigma(sigma), FitConfig()).converged
+    # One Laplacian for each fitted set and one for each training fold, and not one of them built M.
+    assert len(built) == 5 and not assembled
+
+
+@pytest.mark.parametrize("argv", [["topology", "--kind", "expander", "--d", "20", "--n", "100", "--k", "4"],
+                                  ["pack", "--d", "12", "--delta", "1", "--alpha", "0.2"]], ids=["topology", "pack"])
+def test_topology_and_pack_build_m_once(m_builds, argv, capsys):
+    built, assembled = m_builds
+    assert cli.main(argv) == 0
+    assert len(built) == 1 and assembled == built
+
+
+def test_seminorm_builds_m_once_per_design(m_builds):
+    built, assembled = m_builds
+    config = sim.ExperimentConfig(model=ModelSpec("btl", 1.0, 1.0), topology=sim.TopologySpec("complete", 5, 100),
+                                  w_true={"rule": "uniform_box", "b": 0.5}, trials=4, seed=3)
+    assert sim.run_experiment(config)[sim.METRIC_SEMINORM].trials == 4
+    assert len(assembled) == 1 and assembled[0] in built
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():

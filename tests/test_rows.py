@@ -8,6 +8,7 @@ import pickle
 import signal
 import tempfile
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ def _expected(rows, id_order):
 
 
 @settings(max_examples=150, deadline=None)
-@given(table=_table(), pad=_pad, id_order=st.sampled_from(cli.ID_ORDERS))
+@given(table=_table(), pad=_pad, id_order=st.sampled_from(graph.ID_ORDERS))
 def test_reader_matches_rows(table, pad, id_order):
     kind, rows = table
     row_format = FORMATS[kind]
@@ -145,6 +146,19 @@ def test_empty_file_names_the_rows(tmp_path, kind):
         _read(tmp_path, kind, "# only a comment\n\n")
 
 
+def test_unknown_id_order_is_refused_before_the_file_is_opened(tmp_path):
+    path = tmp_path / "ratings.csv"
+    path.write_text("b,1\na,2\n", encoding="utf-8")
+    message = r"id_order must be one of \('first-appearance', 'sorted'\), got 'sortd'"
+    missing = tmp_path / "missing.csv"
+    for read in (partial(graph.read_rows, path, cli.RATING_ROWS), partial(graph.read_rows, missing, cli.RATING_ROWS),
+                 partial(cli.read_cardinal_csv, path), partial(cli.read_ordinal_csv, path)):
+        with pytest.raises(ValueError, match=message):
+            read("sortd")
+    assert graph.read_rows(path, cli.RATING_ROWS, "first-appearance")[0] == ("b", "a")
+    assert graph.read_rows(path, cli.RATING_ROWS, "sorted")[0] == ("a", "b")
+
+
 @pytest.mark.parametrize("kind, text", [
     ("comparison", "a,b,+1\nb,c,-1\nc,a,+1\n"),
     ("rating", "a,1\nb,2\nc,3\na,4\n"),
@@ -171,7 +185,7 @@ def test_edge_weight_round_trips_exactly(tmp_path):
         rows = list(csv.reader(fh))
     assert rows == [["a", "b", str(weight)], ["b", "c", "1"]]
     ids = {"a": 0, "b": 1, "c": 2}
-    assert rr.comparison_graph(3, [(ids[a], ids[b], int(w)) for a, b, w in rows]) == g
+    assert np.array_equal(rr.comparison_graph(3, [(ids[a], ids[b], int(w)) for a, b, w in rows]).edges, g.edges)
 
 
 @pytest.mark.parametrize("kind, text, fragment", [
@@ -359,7 +373,7 @@ def _serial(path, row_format, id_order="first-appearance"):
 
 
 @settings(max_examples=100, deadline=None)
-@given(table=_table(), pad=_pad, id_order=st.sampled_from(cli.ID_ORDERS), part_bytes=st.integers(4, 200))
+@given(table=_table(), pad=_pad, id_order=st.sampled_from(graph.ID_ORDERS), part_bytes=st.integers(4, 200))
 def test_parts_match_the_serial_read(table, pad, id_order, part_bytes):
     kind, rows = table
     row_format = FORMATS[kind]
@@ -390,7 +404,7 @@ def _mixed_table(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(table=_mixed_table(), id_order=st.sampled_from(cli.ID_ORDERS), chunk_bytes=st.integers(16, 200),
+@given(table=_mixed_table(), id_order=st.sampled_from(graph.ID_ORDERS), chunk_bytes=st.integers(16, 200),
        part_bytes=st.integers(64, 400))
 def test_chunks_match_the_line_by_line_reader(table, id_order, chunk_bytes, part_bytes):
     kind, text = table
@@ -425,7 +439,7 @@ def _ranges(path, parts):
     return [data[a:b].decode().splitlines() for a, b in zip(starts, [*starts[1:], len(data)])]
 
 
-@pytest.mark.parametrize("id_order", cli.ID_ORDERS)
+@pytest.mark.parametrize("id_order", graph.ID_ORDERS)
 @pytest.mark.parametrize("kind", sorted(FORMATS))
 def test_parts_holding_only_comments_or_blank_lines(tmp_path, kind, id_order):
     filler = ["# a comment, with commas"] * 10 + ["", "   "] * 10 + ["#"] * 10
