@@ -14,8 +14,8 @@ Cholesky factor scattered straight from the pairs; only the spectrum (one
 
 Building a graph or a Laplacian is array work from start to end: the
 ``(left, right, weight)`` triples are validated at once and merged by
-:func:`index_pairs`, and ``_laplacian_matrix`` is the one assembly of weighted pair
-outer products.  ``M`` is exact while its entries stay below 2**53;
+:func:`index_pairs` unless merged already, and ``_laplacian_matrix`` is the one assembly
+of weighted pair outer products.  ``M`` is exact while its entries stay below 2**53;
 :func:`comparison_graph` accepts merged weights up to 2**63 - 1.  Graphs are written
 as edge lists for other tools; the package reads none back.
 
@@ -34,7 +34,6 @@ read gives.
 
 from __future__ import annotations
 
-import math
 import os
 import pickle
 import stat
@@ -98,14 +97,16 @@ class ComparisonGraph:
 
 
 def index_pairs(d: int, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge rows by unordered pair; graph edges and observation rows both merge here.
+    """Merge rows by unordered pair; :func:`_merge_edges` recognises the pairs and does not merge them again.
 
-    Returns the distinct pairs, a (P, 2) int64 array with ``left < right`` in
-    lexicographic order, and each row's index into them.
+    Returns the distinct pairs, a column-major (P, 2) int64 array with ``left < right``
+    in lexicographic order, and each row's index into them.
     """
     codes = np.minimum(left, right).astype(np.int64) * d + np.maximum(left, right)
     codes, index = np.unique(codes, return_inverse=True)
-    return np.column_stack((codes // d, codes % d)), index
+    pairs = np.empty((2, codes.size), dtype=np.int64)
+    np.divmod(codes, d, out=tuple(pairs))
+    return pairs.T, index
 
 
 def integer_array(values, what: str, dtype=np.int64) -> np.ndarray:
@@ -135,13 +136,14 @@ def integer_array(values, what: str, dtype=np.int64) -> np.ndarray:
 def _merge_edges(d: int, weighted_edges) -> np.ndarray:
     """Validate ``(left, right, weight)`` triples and merge each pair's triples.
 
-    ``weighted_edges`` is an (E, 3) array or an iterable of triples; all of
-    them are checked at once.  A non-integer entry is reported first;
-    otherwise the first bad triple in input order decides the error.  Returns
-    a read-only (E, 3) int64 array of ``(left, right, weight)`` rows with
-    ``left < right`` in lexicographic order, each weight the exact sum over
-    both orientations and all duplicates of that pair.  A merged weight or a
-    total that would not fit in int64 (reaching 2**63) raises ``ValueError``.
+    ``weighted_edges`` is an (E, 3) array or an iterable of triples; all of them are
+    checked at once.  A non-integer entry is reported first; otherwise the first bad
+    triple in input order decides the error.  Returns a read-only (E, 3) int64 array of
+    ``(left, right, weight)`` rows with ``left < right`` in lexicographic order, each
+    weight the exact sum over both orientations and all duplicates of that pair; input in
+    that form, as :func:`index_pairs` orders it, is recognised in one pass and kept,
+    copied if writeable.  A merged weight or a total that would not fit in int64
+    (reaching 2**63) raises ``ValueError``.
     """
     if d < 2:
         raise ValueError(f"need at least 2 items, got d={d}")
@@ -152,7 +154,8 @@ def _merge_edges(d: int, weighted_edges) -> np.ndarray:
         triples = triples.reshape(0, 3)
     if triples.ndim != 2 or triples.shape[1] != 3:
         raise ValueError(f"expected (left, right, weight) triples, got shape {triples.shape}")
-    left, right, weight = integer_array(triples, "edge").T
+    edges = integer_array(triples, "edge")
+    left, right, weight = edges.T
     bad = (left == right) | (left < 0) | (left >= d) | (right < 0) | (right >= d) | (weight <= 0)
     first_bad = np.flatnonzero(bad)
     if first_bad.size:
@@ -165,9 +168,14 @@ def _merge_edges(d: int, weighted_edges) -> np.ndarray:
         raise ValueError(f"edge ({a}, {b}) has nonpositive weight {w}")
     if left.size == 0:
         raise ValueError("a comparison graph needs at least one edge")
-    pairs, index = index_pairs(d, left, right)
-    merged = np.zeros(len(pairs), dtype=np.int64)
-    np.add.at(merged, index, weight)
+    codes = left * d + right
+    if (left < right).all() and (codes[1:] > codes[:-1]).all():  # one row a pair, in index_pairs' order
+        pairs, index, edges = edges[:, :2], slice(None), (edges.copy() if edges.flags.writeable else edges)
+    else:
+        pairs, index = index_pairs(d, left, right)
+        merged = np.zeros(len(pairs), dtype=np.int64)
+        np.add.at(merged, index, weight)
+        edges = np.column_stack((pairs, merged))
     if int(weight.max()) * weight.size >= 2**63:
         # The int64 sums may have wrapped: redo them exactly with Python integers.
         exact = np.zeros(len(pairs), dtype=object)
@@ -178,7 +186,6 @@ def _merge_edges(d: int, weighted_edges) -> np.ndarray:
             raise ValueError(f"edge ({a}, {b}) has merged weight {exact[wrapped[0]]}, which reaches 2**63")
         if sum(exact) >= 2**63:
             raise ValueError(f"total weight {sum(exact)} reaches 2**63")
-    edges = np.column_stack((pairs, merged))
     edges.setflags(write=False)
     return edges
 
@@ -442,16 +449,17 @@ def _is_clean(chunk: bytes) -> bool:
     return not ((heads == ord("\n")) | (heads == ord("#"))).any()
 
 
-def _split_rows(chunk: bytes, row_format: RowFormat, width: int):
-    """Check and parse a chunk of whole lines: ``(ids, values, lines)``, or why a row fails.
+def _split_rows(chunk: bytes, row_format: RowFormat, width: int, ids: dict):
+    """Check and parse a chunk of whole lines: ``(index, values, lines)``, or why a row fails.
 
-    ``ids`` are the id fields in row order and ``lines`` counts the chunk's lines.  A chunk
-    that is not :func:`_is_clean` is cleaned first: lines stripped, blank and ``#`` lines
-    dropped, fields stripped.  Then one numpy pass over the comma and newline bytes checks
-    the row shape and one split gives the fields.  The reason comes from the first
-    check that fails: comma count, then values (parsed and finite), then the two ids of a
-    row.  The checks are per row, so a one-line chunk fails with that line's reason, quoting
-    its stripped fields.  Raises ``UnicodeDecodeError`` for bytes that are not UTF-8.
+    ``index`` (int64) numbers the id fields in row order through ``ids``, which gives an unseen
+    id the next number, ``values`` (float64) holds the values and ``lines`` counts the lines.  A
+    chunk that is not :func:`_is_clean` is cleaned first: lines stripped, blank and ``#`` lines
+    dropped, fields stripped.  Then one numpy pass over the comma and newline bytes checks the
+    row shape and one split gives the fields.  The reason comes from the first check that
+    fails: comma count, then values (parsed and finite), then the two numbered ids of a row.
+    The checks are per row, so a one-line chunk fails with that line's reason, quoting its
+    stripped fields.  Raises ``UnicodeDecodeError`` for bytes that are not UTF-8.
     """
     text = chunk.decode()
     if _is_clean(chunk):
@@ -471,15 +479,17 @@ def _split_rows(chunk: bytes, row_format: RowFormat, width: int):
     fields.pop()  # the empty field after the last newline
     texts = fields[width - 1::width]
     try:
-        values = list(map(row_format.parse, texts))
-        if not all(map(math.isfinite, values)):
+        values = array("d", list(map(row_format.parse, texts)))
+        if not np.isfinite(np.frombuffer(values)).all():
             raise ValueError
     except (ValueError, KeyError, OverflowError):  # OverflowError: an int no float holds
         return f"{row_format.header.rsplit(',', 1)[1]} must be {row_format.expects}, got {','.join(texts)!r}"
     del fields[width - 1::width]  # what is left is the rows' ids, row by row
-    if width == 3 and not all(map(str.__ne__, fields[0::2], fields[1::2])):
+    index = array("q", list(map(ids.__getitem__, fields)))
+    numbered = np.frombuffer(index, dtype=np.int64)
+    if width == 3 and (numbered[0::2] == numbered[1::2]).any():
         return "an item cannot be compared with itself"
-    return fields, values, seps.size // width if lines is None else lines
+    return index, values, seps.size // width if lines is None else lines
 
 
 def _chunks(blocks):
@@ -517,21 +527,21 @@ def _parse_span(blocks, row_format: RowFormat, width: int):
     lines_read = 0
     for chunk in _chunks(blocks):
         try:
-            block = _split_rows(chunk, row_format, width)
+            block = _split_rows(chunk, row_format, width, ids)
         except UnicodeDecodeError:
             block = None
         if not isinstance(block, tuple):
             for line_no, line in enumerate(chunk.splitlines(keepends=True), lines_read + 1):
                 try:
-                    if isinstance(reason := _split_rows(line, row_format, width), str):
+                    if isinstance(reason := _split_rows(line, row_format, width, ids), str):
                         return [], b"", [], lines_read, (line_no, reason)
                 except UnicodeDecodeError as exc:
                     return [], b"", [], lines_read, (0, f"not UTF-8 text: {exc.reason} (0x{exc.object[exc.start]:02x})")
             raise AssertionError("a failing chunk has no line that fails alone")
-        names, chunk_values, lines = block
+        chunk_index, chunk_values, lines = block
         lines_read += lines
-        index.fromlist(list(map(ids.__getitem__, names)))
-        values.extend(chunk_values)
+        index += chunk_index
+        values += chunk_values
     return list(ids), index.tobytes(), values, lines_read, None
 
 

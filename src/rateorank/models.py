@@ -134,11 +134,11 @@ class Groups:
 
     Pairwise rows are oriented so that ``left < right`` (a reversed row's
     outcome is negated) and grouped by pair, and for the binary kinds also by
-    outcome; cardinal rows are grouped by item.  ``items`` is ``(G, 2)`` or
-    ``(G,)`` like the design, ``value`` is the group's mean outcome (exactly
-    +-1 for binary kinds) and ``count`` its number of rows.  ``spread`` is the
-    within-group sum of squares sum (y - value)^2, the part of the squared
-    error that no quality vector can explain.
+    outcome; cardinal rows are grouped by item.  ``items`` is ``(G, 2)``, its
+    columns contiguous, or ``(G,)`` like the design; ``value`` is the group's mean
+    outcome (exactly +-1 for binary kinds) and ``count`` its number of rows.
+    ``spread`` is the within-group sum of squares sum (y - value)^2, the part
+    of the squared error that no quality vector can explain.
     """
 
     items: np.ndarray
@@ -205,8 +205,9 @@ class ObservationSet:
         """Design tables: distinct pairs (items), each row's index into them, reversed rows (None for cardinal)."""
         tables = self._design_tables
         if "index" not in tables:
-            if self.model.kind == CARDINAL:
-                tables["index"] = (*np.unique(self.design, return_inverse=True), None)
+            if self.model.kind == CARDINAL:  # np.unique's two tables, numbered without a sort
+                count = np.bincount(self.design, minlength=self.d)
+                tables["index"] = (np.flatnonzero(count), (np.cumsum(count > 0) - 1)[self.design], None)
             else:
                 left, right = self.design[:, 0], self.design[:, 1]
                 tables["index"] = (*graph.index_pairs(self.d, left, right), left > right)
@@ -218,13 +219,16 @@ class ObservationSet:
         if "groups" in self._outcome_tables:
             return self._outcome_tables["groups"]
         keys, index, reversed_rows = self._pair_index()
-        y = self.outcomes if reversed_rows is None else np.where(reversed_rows, -self.outcomes, self.outcomes)
         if self.model.kind in BINARY_KINDS:
-            # Bin 2p holds pair p's -1 rows and bin 2p + 1 its +1 rows; empty bins are dropped.
-            count = np.bincount(2 * index + (y > 0), minlength=2 * keys.shape[0])
+            # Bin 2p holds pair p's -1 rows and bin 2p + 1 its +1 rows (reversed rows negated); empty bins are dropped.
+            count = np.bincount(2 * index + ((self.outcomes > 0) != reversed_rows), minlength=2 * keys.shape[0])
             present = np.flatnonzero(count)
-            groups = Groups(keys[present // 2], np.where(present % 2, 1.0, -1.0), count[present], 0.0)
+            rows, items = present // 2, np.empty((2, present.size), keys.dtype)
+            for column, out in zip(keys.T, items):  # keys' columns are contiguous; "clip" takes need no buffer
+                column.take(rows, out=out, mode="clip")
+            groups = Groups(items.T, (present % 2) * 2.0 - 1.0, count[present], 0.0)
         else:
+            y = self.outcomes if reversed_rows is None else np.where(reversed_rows, -self.outcomes, self.outcomes)
             count = np.bincount(index, minlength=keys.shape[0])
             value = np.bincount(index, weights=y, minlength=keys.shape[0]) / count
             residual = y - value[index]
@@ -239,6 +243,7 @@ class ObservationSet:
             _require_kind(self.model, PAIRWISE_KINDS, "laplacian")
             pairs, index, _ = self._pair_index()
             edges = np.column_stack((pairs, np.bincount(index, minlength=pairs.shape[0])))
+            edges.setflags(write=False)  # so the Laplacian keeps these merged pairs instead of a copy
             self._design_tables["laplacian"] = graph.build_laplacian(self.d, edges)
         return self._design_tables["laplacian"]
 
@@ -288,8 +293,8 @@ def _owned(array: np.ndarray, given) -> np.ndarray:
 def _margins(w: np.ndarray, design: np.ndarray) -> np.ndarray:
     """Inner products with each row's differencing vector: w_left - w_right, or w_item for a 1-d design."""
     if design.ndim == 1:
-        return w[design]
-    return w[design[:, 0]] - w[design[:, 1]]
+        return w.take(design)
+    return w.take(design[:, 0]) - w.take(design[:, 1])
 
 
 def _scatter(items: np.ndarray, coef: np.ndarray, d: int) -> np.ndarray:

@@ -215,6 +215,20 @@ class TestFit:
         assert cli.main(["fit", data, "--model", "btl", "--sigma", "1"]) == 0
         assert calls == [4]
 
+    def test_fit_merges_the_rows_into_pairs_once(self, tmp_path, monkeypatch):
+        data, _ = _ordinal_csv(tmp_path / "cmp.csv")
+        calls = []
+        original = rr.graph.index_pairs
+
+        def counting(d, left, right):
+            calls.append(left.size)
+            return original(d, left, right)
+
+        monkeypatch.setattr(rr.graph, "index_pairs", counting)
+        assert cli.main(["fit", data, "--model", "btl", "--sigma", "1"]) == 0
+        # The design's rows, once: the Laplacian is built from those pairs without merging them again.
+        assert calls == [270]
+
     def test_cv_builds_each_fold_laplacian_once(self, tmp_path, monkeypatch):
         data, _ = _ordinal_csv(tmp_path / "cmp.csv")
         calls = []

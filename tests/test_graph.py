@@ -175,6 +175,41 @@ def test_array_build_matches_loop_reference(case):
     assert np.all(build_laplacian_from_design(d, design).m == build_laplacian(d, small.edges).m)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_triple_lists(), st.randoms(use_true_random=False))
+def test_merged_edges_merge_to_themselves(case, rnd):
+    d, triples = case
+    merged = graph._merge_edges(d, triples)
+    # Merged input is kept as it is (copied if writeable), and a shuffled, flipped and split copy merges back to it.
+    assert graph._merge_edges(d, merged) is merged
+    writeable = merged.copy()
+    again = graph._merge_edges(d, writeable)
+    scrambled = []
+    for a, b, w in merged.tolist():
+        cut = rnd.randint(0, w)
+        parts = [cut, w - cut] if 0 < cut < w else [w]
+        scrambled += [(b, a, part) if rnd.random() < 0.5 else (a, b, part) for part in parts]
+    rnd.shuffle(scrambled)
+    for got in (again, graph._merge_edges(d, scrambled), graph._merge_edges(d, np.array(scrambled))):
+        assert got.dtype == np.int64 and got.shape == merged.shape and not got.flags.writeable
+        assert got.tobytes() == merged.tobytes()
+    assert not np.may_share_memory(again, writeable) and writeable.flags.writeable
+
+
+def test_merged_input_keeps_its_checks():
+    # Merged input skips the second merge, not the checks: range, weight and the int64 total.
+    with pytest.raises(IndexError, match=r"edge \(1, 3\) out of range for d=3"):
+        comparison_graph(3, np.array([[0, 1, 1], [1, 3, 1]]))
+    with pytest.raises(ValueError, match=r"edge \(1, 2\) has nonpositive weight 0"):
+        comparison_graph(3, np.array([[0, 1, 1], [1, 2, 0]]))
+    with pytest.raises(ValueError, match="total weight 9223372036854775808 reaches 2\\*\\*63"):
+        comparison_graph(3, np.array([[0, 1, 2**62], [1, 2, 2**62]]))
+    caller = np.array([[0, 1, 2], [1, 2, 3]])
+    edges = comparison_graph(3, caller).edges
+    caller[0, 2] = 7  # the caller's array stays writeable and is not shared
+    assert edges.tolist() == [[0, 1, 2], [1, 2, 3]]
+
+
 def test_single_edge_spectrum():
     lap = build_laplacian(2, [(0, 1, 4)])
     assert lap.n == 4

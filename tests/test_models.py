@@ -512,6 +512,44 @@ class TestGroupedLikelihood:
         assert binary.groups.value.tolist() == [-1.0, 1.0] and binary.groups.count.tolist() == [2, 1]
         assert binary.groups.spread == 0.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 40), st.data())
+    def test_cardinal_index_is_unique_and_its_inverse(self, d, data):
+        # Some items are left out of the design, so the numbering has gaps to close.
+        rated = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
+        design = np.array(data.draw(st.lists(st.sampled_from(rated), min_size=1, max_size=60)))
+        obs = rr.ObservationSet(rr.ModelSpec("cardinal", sigma=1.0), d, design, np.zeros(design.size))
+        items, index, reversed_rows = obs._pair_index()
+        want_items, want_index = np.unique(obs.design, return_inverse=True)
+        for got, want in ((items, want_items), (index, want_index)):
+            assert got.dtype == want.dtype == np.intp and got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert reversed_rows is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(_repeated_pair_instances())
+    def test_pair_groups_match_fancy_indexing(self, instance):
+        spec, _, obs = instance
+        if spec.kind == "cardinal":
+            return
+        # The row-order construction: pairs as np.unique codes, gathered row by row with fancy indexing.
+        left, right = obs.design[:, 0], obs.design[:, 1]
+        codes, index = np.unique(np.minimum(left, right).astype(np.int64) * obs.d + np.maximum(left, right),
+                                 return_inverse=True)
+        keys = np.column_stack((codes // obs.d, codes % obs.d))
+        y = np.where(left > right, -obs.outcomes, obs.outcomes)
+        if spec.kind in rr.BINARY_KINDS:
+            count = np.bincount(2 * index + (y > 0), minlength=2 * keys.shape[0])
+            present = np.flatnonzero(count)
+            want = (keys[present // 2], np.where(present % 2, 1.0, -1.0), count[present])
+        else:
+            count = np.bincount(index, minlength=keys.shape[0])
+            want = (keys, np.bincount(index, weights=y, minlength=keys.shape[0]) / count, count)
+        groups = obs.groups
+        for got, expected in zip((groups.items, groups.value, groups.count), want):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+        assert groups.items[:, 0].flags.c_contiguous and groups.items[:, 1].flags.c_contiguous
+
     def test_with_sigma_shares_tables(self):
         spec = rr.ModelSpec("thurstone", sigma=1.0, b_bound=1.0)
         obs = rr.ObservationSet(spec, 3, np.array([[0, 1], [2, 1], [1, 0]]), np.array([1.0, -1.0, 1.0]))

@@ -557,6 +557,26 @@ def test_a_bad_row_in_a_clean_chunk(tmp_path, kind, row, reason):
                                  f"{path}: not UTF-8 text: invalid start byte (0xff)")
 
 
+@pytest.mark.parametrize("self_row", ["x,x,+1", " x ,x,+1"], ids=["clean", "cleaned"])
+@pytest.mark.parametrize("faults", [("self", "row"), ("row", "self"), ("self",)], ids=str)
+def test_a_self_comparison_and_a_bad_value_in_one_chunk(tmp_path, faults, self_row):
+    # The whole table is one chunk of a one-part read: a failing chunk is read again line by line, and the
+    # earlier line wins.  " x ,x,+1" makes the chunk one that is cleaned first; its two ids are then one number.
+    rows = {"self": (self_row, BAD["self"][1]), "row": BAD["row"]}
+    lines = list(TABLE)
+    for at, fault in zip((60, 130), faults):
+        lines[at] = rows[fault][0]
+    path = tmp_path / "comparison.csv"
+    _write_lines(path, lines)
+    assert len(path.read_bytes()) < graph._BLOCK_BYTES
+    assert graph._is_clean(path.read_bytes()) == (self_row == "x,x,+1")
+    want = (rr.DataFormatError, f"{path}, line 61: {rows[faults[0]][1]}")
+    assert _serial(path, cli.COMPARISON_ROWS) == want
+    with _parts(256) as forks:
+        assert _outcome(path, cli.COMPARISON_ROWS) == want
+    assert len(forks) == 3
+
+
 @pytest.mark.parametrize("newline", ["\r\n", "\r", "\n"], ids=["crlf", "cr", "lf"])
 @pytest.mark.parametrize("bad", [False, True])
 def test_line_endings_across_parts(tmp_path, newline, bad):
