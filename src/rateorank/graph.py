@@ -133,6 +133,14 @@ def integer_array(values, what: str, dtype=np.int64) -> np.ndarray:
     return cast
 
 
+def read_only(array: np.ndarray, given) -> np.ndarray:
+    """``array``, converted from ``given``, made read-only: copied first if it is writeable memory of ``given``."""
+    if array.flags.writeable and np.may_share_memory(array, given):
+        array = array.copy()
+    array.setflags(write=False)
+    return array
+
+
 def _merge_edges(d: int, weighted_edges) -> np.ndarray:
     """Validate ``(left, right, weight)`` triples and merge each pair's triples.
 
@@ -142,7 +150,7 @@ def _merge_edges(d: int, weighted_edges) -> np.ndarray:
     ``(left, right, weight)`` rows with ``left < right`` in lexicographic order, each
     weight the exact sum over both orientations and all duplicates of that pair; input in
     that form, as :func:`index_pairs` orders it, is recognised in one pass and kept,
-    copied if writeable.  A merged weight or a total that would not fit in int64
+    copied if it is the caller's writeable array.  A merged weight or a total that would not fit in int64
     (reaching 2**63) raises ``ValueError``.
     """
     if d < 2:
@@ -170,7 +178,7 @@ def _merge_edges(d: int, weighted_edges) -> np.ndarray:
         raise ValueError("a comparison graph needs at least one edge")
     codes = left * d + right
     if (left < right).all() and (codes[1:] > codes[:-1]).all():  # one row a pair, in index_pairs' order
-        pairs, index, edges = edges[:, :2], slice(None), (edges.copy() if edges.flags.writeable else edges)
+        pairs, index, edges = edges[:, :2], slice(None), read_only(edges, weighted_edges)
     else:
         pairs, index = index_pairs(d, left, right)
         merged = np.zeros(len(pairs), dtype=np.int64)

@@ -194,7 +194,7 @@ class ObservationSet:
             raise ValueError("observation set is empty")
         if design.min() < 0 or design.max() >= self.d:
             raise IndexError(f"design indexes items outside range(0, {self.d})")
-        object.__setattr__(self, "design", _owned(design, self.design))
+        object.__setattr__(self, "design", graph.read_only(design, self.design))
         object.__setattr__(self, "outcomes", _checked_outcomes(self.model, design.shape[0], self.outcomes))
 
     @property
@@ -279,15 +279,7 @@ def _checked_outcomes(spec: ModelSpec, rows: int, given) -> np.ndarray:
         raise ValueError("outcomes contain non-finite values")
     if spec.kind in BINARY_KINDS and not np.all(np.abs(outcomes) == 1.0):
         raise ValueError("binary model outcomes must all be +1 or -1")
-    return _owned(outcomes, given)
-
-
-def _owned(array: np.ndarray, given) -> np.ndarray:
-    """``array``, converted from ``given``, made read-only: copied first if it is writeable memory of ``given``."""
-    if array.flags.writeable and np.may_share_memory(array, given):
-        array = array.copy()
-    array.setflags(write=False)
-    return array
+    return graph.read_only(outcomes, given)
 
 
 def _margins(w: np.ndarray, design: np.ndarray) -> np.ndarray:
